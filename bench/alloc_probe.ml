@@ -12,14 +12,25 @@ let facc = Float.Array.make 4 0.0
 let[@inline] keep_float i v =
   Float.Array.unsafe_set facc i (Float.Array.unsafe_get facc i +. v)
 
+(* Minor words come from [Gc.minor_words], not [Gc.counters]: on OCaml
+   5.1 the latter's minor count can trail the allocation pointer by up
+   to a minor heap (two calls around 30,000 allocated words, with no
+   collection between them, differ by 3,751), which is up to ±1.3
+   words/event on a 200,000-event row. *)
+let counters () =
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words (), promoted, major)
+
+let per ~ops (minor0, promoted0, major0) (minor1, promoted1, major1) =
+  let per x0 x1 = (x1 -. x0) /. float_of_int ops in
+  (per minor0 minor1, per promoted0 promoted1, per major0 major1)
+
 let words_per_op ~ops f =
   (* warm up: fill caches, trigger table growth *)
   f (ops / 10);
-  let minor0, promoted0, major0 = Gc.counters () in
+  let c0 = counters () in
   f ops;
-  let minor1, promoted1, major1 = Gc.counters () in
-  let per x0 x1 = (x1 -. x0) /. float_of_int ops in
-  (per minor0 minor1, per promoted0 promoted1, per major0 major1)
+  per ~ops c0 (counters ())
 
 (* Promoted words survive a minor collection (long-lived allocation:
    growing tables, retained closures); major words are allocated directly
@@ -190,6 +201,40 @@ let () =
            Float.Array.unsafe_set facc 2 (t0 +. 0.01)
          done));
 
+  (* link kernel: one flow's admission and release, and one
+     renegotiation with the load segment before it.  The rates and
+     times are computed, not constants, so a kernel function left out
+     of line would show here as a boxed float argument. *)
+  let link =
+    Mbac_sim.Link.create ~telemetry:false ~capacity:100.0 ~warmup:0.0
+      ~batch_length:20.0 ~max_flows:max_int
+      (Mbac.Controller.with_memory ~capacity:100.0 ~p_ce:1e-3 ~t_m:100.0)
+  in
+  for _ = 1 to 90 do
+    let obs = Mbac_sim.Link.observe link in
+    ignore
+      (Mbac_sim.Link.admit link obs ~key:0
+         ~rate:(0.5 +. Mbac_stats.Rng.float rng) ~source:None)
+  done;
+  report "Link admit+release (per cycle)"
+    (words_per_op ~ops (fun n ->
+         for _ = 1 to n do
+           let obs = Mbac_sim.Link.observe link in
+           let slot =
+             Mbac_sim.Link.admit link obs ~key:0
+               ~rate:(0.5 +. Mbac_stats.Rng.float rng) ~source:None
+           in
+           ignore (Mbac_sim.Link.release link slot)
+         done));
+  report "Link set_rate+record (per event)"
+    (words_per_op ~ops (fun n ->
+         for i = 1 to n do
+           Mbac_sim.Link.record link ~t1:(link.Mbac_sim.Link.hot.now +. 0.01);
+           ignore
+             (Mbac_sim.Link.set_rate link (i mod 90)
+                (0.5 +. Mbac_stats.Rng.float rng))
+         done));
+
   (* welford + batch means directly *)
   let w = Mbac_stats.Welford.Weighted.create () in
   report "Welford.Weighted.add"
@@ -257,6 +302,38 @@ let () =
   Printf.printf "words per simulated event (%d events):\n%!" sim_events;
   report "continuous-load event loop"
     (words_per_op ~ops:sim_events (fun n -> run_sim n));
+
+  (* the network engine, whole run: perfbench net-churn's shape
+     (core-edge 8x2, 4 shards run serially), per event it processed *)
+  let run_net n =
+    let topology =
+      match
+        Mbac_net.Topology.of_spec ~rate:9.0 ~capacity:100.0 "core-edge:8x2"
+      with
+      | Ok t -> t
+      | Error e -> failwith e
+    in
+    let cfg =
+      { (Mbac_net.Network.default_config ~topology ~holding_time_mean:10.0
+           ~target_p_q:1e-3)
+        with
+        Mbac_net.Network.shards = 4;
+        max_events = n }
+    in
+    Mbac_net.Network.run ~jobs:1 ~seed:11 cfg
+      ~make_controller:(fun ~link:_ ~capacity ->
+        Mbac.Controller.with_memory ~capacity ~p_ce:1e-3 ~t_m:10.0)
+      ~make_source:(fun rng ~start ->
+        Mbac_traffic.Rcbr.create rng
+          (Mbac_traffic.Rcbr.default_params ~mu:1.0)
+          ~start)
+  in
+  ignore (run_net (sim_events / 10));
+  let c0 = counters () in
+  let r = run_net sim_events in
+  let c1 = counters () in
+  report "network run (core-edge 8x2, 4 shards)"
+    (per ~ops:r.Mbac_net.Network.events c0 c1);
 
   ignore !macc;
   Printf.printf "done (acc=%g)\n" (Float.Array.get facc 0)

@@ -1,5 +1,6 @@
 module CQ = Mbac_sim.Calendar_queue
 module Meas = Mbac_sim.Measurement
+module Link = Mbac_sim.Link
 module Handle = Mbac_telemetry.Metrics.Handle
 
 type config = {
@@ -62,10 +63,9 @@ let route_stream_tag i = Printf.sprintf "net-route-%d" i
 
    Same 2-bit tag and 24-bit slot as [Continuous_load], but the
    generation is truncated to 18 bits to make room for a 19-bit route
-   id: stale depart/change events (leftovers of a freed flow slot) must
-   be attributed to their ORIGINAL flow's ingress link — reading the
-   slot's current occupant would attribute them to whatever flow reused
-   the slot, which depends on the sharding.  18 generation bits are
+   id: a depart/change event names its flow by slot in the ingress
+   link's table, and the route id says which link that is (each link
+   of a shard numbers its slots on its own).  18 generation bits are
    ample: a stale event only spans one holding time, during which any
    single slot is reused a handful of times, never 2^18. *)
 
@@ -73,7 +73,7 @@ let tag_arrive = 0 (* slot = local route index *)
 let tag_depart = 1
 let tag_change = 2
 let tag_msg = 3 (* slot = arena index *)
-let slot_bits = 24
+let slot_bits = Link.slot_bits
 let slot_mask = (1 lsl slot_bits) - 1
 let gen_bits = 18
 let gen_mask = (1 lsl gen_bits) - 1
@@ -100,6 +100,7 @@ let k_update = 4
 let k_selfrel = 5
 
 let[@inline] flow_key ~route ~seq = (route lsl 32) lor seq
+let[@inline] flow_seq key = key land ((1 lsl 32) - 1)
 
 (* ---------- telemetry ---------- *)
 
@@ -118,34 +119,15 @@ let g_shards = Handle.gauge "net_shards"
 
 (* ---------- per-link state ---------- *)
 
-type link_hot = {
-  mutable last_t : float;
-  mutable sum_rate : float;
-  mutable sum_sq : float;
-  mutable ovf_start : float; (* nan when not in an episode *)
-  mutable ovf_excess : float;
-  mutable ovf_time : float;
-}
-
+(* A link's flows, load, controller and measurement are its
+   [Mbac_sim.Link] kernel, as for [Continuous_load]'s one link.  Flows
+   that enter the network at this link live in the kernel's slots (wheel
+   payloads and the setup walk name them by slot and generation); flows
+   that only cross it are found by key in [transit]. *)
 type link_state = {
-  l_id : int;
-  l_capacity : float;
-  l_ctrl : Mbac.Controller.t;
-  l_meas : Meas.t;
-  l_tab : Int_table.t;
-  mutable l_granted : Float.Array.t;
-  mutable l_key : int array; (* slot -> flow key, -1 when free *)
-  mutable l_free : int array;
-  mutable l_free_top : int;
-  mutable l_limit : int;
-  l_hot : link_hot;
-  mutable l_n : int;
-  mutable l_reserved : int;
-  mutable l_blocked : int;
-  mutable l_released : int;
-  mutable l_updates : int;
-  mutable l_ovf_episodes : int;
-  mutable l_events : int;
+  id : int;
+  kernel : Link.t;
+  transit : Int_table.t; (* flow key -> slot, transit flows only *)
 }
 
 type shard = {
@@ -157,15 +139,6 @@ type shard = {
   sr_rng : Mbac_stats.Rng.t array;
   sr_arrival_mean : float array;
   sr_seq : int array; (* per-route admitted-at-ingress counter *)
-  (* ingress flow table (SoA, slot-indexed, free stack) *)
-  mutable f_route : int array;
-  mutable f_seq : int array;
-  mutable f_gen : int array;
-  mutable f_estab : int array;
-  mutable f_sources : Mbac_traffic.Source.t option array;
-  mutable f_free : int array;
-  mutable f_free_top : int;
-  mutable f_limit : int;
   (* arena of pending message events (wheel payloads are ints) *)
   mutable a_kind : int array;
   mutable a_link : int array;
@@ -196,170 +169,6 @@ type engine = {
   make_source : Mbac_stats.Rng.t -> start:float -> Mbac_traffic.Source.t;
   mutable windows : int;
 }
-
-(* ---------- link slot table ---------- *)
-
-let grow_link_table l =
-  let cap = Array.length l.l_key in
-  let ncap = if cap = 0 then 1024 else 2 * cap in
-  let granted = Float.Array.create ncap in
-  Float.Array.blit l.l_granted 0 granted 0 cap;
-  let key = Array.make ncap (-1) in
-  Array.blit l.l_key 0 key 0 cap;
-  l.l_granted <- granted;
-  l.l_key <- key
-
-let link_alloc_slot l =
-  if l.l_free_top > 0 then begin
-    l.l_free_top <- l.l_free_top - 1;
-    l.l_free.(l.l_free_top)
-  end
-  else begin
-    if l.l_limit = Array.length l.l_key then grow_link_table l;
-    let slot = l.l_limit in
-    l.l_limit <- slot + 1;
-    slot
-  end
-
-let link_free_slot l slot =
-  l.l_key.(slot) <- -1;
-  if l.l_free_top = Array.length l.l_free then begin
-    let ncap = max 1024 (2 * Array.length l.l_free) in
-    let free = Array.make ncap 0 in
-    Array.blit l.l_free 0 free 0 l.l_free_top;
-    l.l_free <- free
-  end;
-  l.l_free.(l.l_free_top) <- slot;
-  l.l_free_top <- l.l_free_top + 1
-
-let[@inline] link_obs l ~now =
-  Mbac.Observation.make ~now ~n:l.l_n ~sum_rate:l.l_hot.sum_rate
-    ~sum_sq:l.l_hot.sum_sq
-
-(* Same arithmetic, same slot-scan order as [Continuous_load.resync_sums]
-   — and triggered by the link's own event count, which is invariant
-   under resharding, so the (harmlessly different) post-resync bits land
-   at the same virtual instant for every shard count. *)
-let resync_link l =
-  let sum = ref 0.0 and sq = ref 0.0 in
-  for slot = 0 to l.l_limit - 1 do
-    if Array.unsafe_get l.l_key slot >= 0 then begin
-      let g = Float.Array.unsafe_get l.l_granted slot in
-      sum := !sum +. g;
-      sq := !sq +. (g *. g)
-    end
-  done;
-  l.l_hot.sum_rate <- !sum;
-  l.l_hot.sum_sq <- !sq
-
-(* Reserve one flow of [rate] on the link: the float updates are the
-   exact expressions of [Continuous_load.admit_one]. *)
-let reserve l ~key ~rate =
-  let slot = link_alloc_slot l in
-  Float.Array.set l.l_granted slot rate;
-  l.l_key.(slot) <- key;
-  Int_table.add l.l_tab ~key ~value:slot;
-  l.l_n <- l.l_n + 1;
-  l.l_hot.sum_rate <- l.l_hot.sum_rate +. rate;
-  l.l_hot.sum_sq <- l.l_hot.sum_sq +. (rate *. rate);
-  l.l_reserved <- l.l_reserved + 1
-
-(* Release a reservation, notifying the controller like
-   [Continuous_load.handle_depart] (observe + on_depart, zero-residue
-   reset when the link empties). *)
-let release l ~now ~slot =
-  let key = l.l_key.(slot) in
-  let g = Float.Array.get l.l_granted slot in
-  Int_table.remove l.l_tab ~key;
-  link_free_slot l slot;
-  l.l_n <- l.l_n - 1;
-  l.l_hot.sum_rate <- l.l_hot.sum_rate -. g;
-  l.l_hot.sum_sq <- l.l_hot.sum_sq -. (g *. g);
-  if l.l_n = 0 then begin
-    l.l_hot.sum_rate <- 0.0;
-    l.l_hot.sum_sq <- 0.0
-  end;
-  l.l_released <- l.l_released + 1;
-  let obs = link_obs l ~now in
-  Mbac.Controller.observe l.l_ctrl obs;
-  Mbac.Controller.on_depart l.l_ctrl obs
-
-(* Apply a renegotiated rate: the float updates are the exact
-   expressions of [Continuous_load.handle_change]. *)
-let apply_update l ~now ~slot ~desired =
-  let old = Float.Array.get l.l_granted slot in
-  l.l_updates <- l.l_updates + 1;
-  Float.Array.set l.l_granted slot desired;
-  l.l_hot.sum_rate <- l.l_hot.sum_rate +. desired -. old;
-  l.l_hot.sum_sq <-
-    l.l_hot.sum_sq +. (desired *. desired) -. (old *. old);
-  let obs = link_obs l ~now in
-  Mbac.Controller.observe l.l_ctrl obs
-
-(* ---------- overflow + measurement segments ---------- *)
-
-let track_overflow l ~t0 ~t1 =
-  let over = l.l_hot.sum_rate > l.l_capacity in
-  let in_episode = not (Float.is_nan l.l_hot.ovf_start) in
-  if over && not in_episode then begin
-    l.l_hot.ovf_start <- t0;
-    l.l_hot.ovf_excess <- 0.0;
-    l.l_ovf_episodes <- l.l_ovf_episodes + 1
-  end
-  else if (not over) && in_episode then begin
-    l.l_hot.ovf_time <- l.l_hot.ovf_time +. (t0 -. l.l_hot.ovf_start);
-    l.l_hot.ovf_start <- nan;
-    l.l_hot.ovf_excess <- 0.0
-  end;
-  if over then
-    l.l_hot.ovf_excess <-
-      l.l_hot.ovf_excess +. ((l.l_hot.sum_rate -. l.l_capacity) *. (t1 -. t0))
-
-let[@inline] record_segment l ~t1 =
-  let t0 = l.l_hot.last_t in
-  Meas.record l.l_meas ~t0 ~t1 ~load:l.l_hot.sum_rate;
-  if t1 > t0 then track_overflow l ~t0 ~t1;
-  l.l_hot.last_t <- t1
-
-(* ---------- flow table ---------- *)
-
-let grow_shard_flow_table sh =
-  let cap = Array.length sh.f_sources in
-  let ncap = if cap = 0 then 1024 else 2 * cap in
-  let grow_int a = Array.append a (Array.make (ncap - cap) 0) in
-  sh.f_route <- grow_int sh.f_route;
-  sh.f_seq <- grow_int sh.f_seq;
-  sh.f_gen <- grow_int sh.f_gen;
-  sh.f_estab <- grow_int sh.f_estab;
-  let sources = Array.make ncap None in
-  Array.blit sh.f_sources 0 sources 0 cap;
-  sh.f_sources <- sources
-
-let flow_alloc sh =
-  if sh.f_free_top > 0 then begin
-    sh.f_free_top <- sh.f_free_top - 1;
-    sh.f_free.(sh.f_free_top)
-  end
-  else begin
-    if sh.f_limit = Array.length sh.f_sources then grow_shard_flow_table sh;
-    if sh.f_limit > slot_mask then
-      invalid_arg "Network: more concurrent ingress flows than slot bits";
-    let slot = sh.f_limit in
-    sh.f_limit <- slot + 1;
-    slot
-  end
-
-let flow_free sh slot =
-  sh.f_sources.(slot) <- None;
-  sh.f_gen.(slot) <- sh.f_gen.(slot) + 1;
-  if sh.f_free_top = Array.length sh.f_free then begin
-    let ncap = max 1024 (2 * Array.length sh.f_free) in
-    let free = Array.make ncap 0 in
-    Array.blit sh.f_free 0 free 0 sh.f_free_top;
-    sh.f_free <- free
-  end;
-  sh.f_free.(sh.f_free_top) <- slot;
-  sh.f_free_top <- sh.f_free_top + 1
 
 (* ---------- message arena ---------- *)
 
@@ -436,56 +245,47 @@ let send_msg eng sh ~time ~kind ~link ~hop ~route ~seq ~islot ~igen ~rate
 
 let[@inline] link_of eng sh link_id = sh.links.(eng.local_ix.(link_id))
 
-(* ---------- event handlers ---------- *)
+(* ---------- event handlers ----------
+
+   Every handler runs after [Link.record] has moved the link's clock to
+   the event time, which it reads back as [te]. *)
 
 (* Ingress arrival on [route]: bit-for-bit the Poisson arrival path of
    [Continuous_load.handle_arrival] on the ingress link (same draw
    order: source, holding, next inter-arrival), plus the setup walk for
    multi-hop routes. *)
-let handle_arrival eng sh ~te ~lr l =
+let handle_arrival eng sh ~lr l =
+  let k = l.kernel in
+  let te = k.Link.hot.now in
   let route = sh.sr_route.(lr) in
   let rng = sh.sr_rng.(lr) in
   let links = eng.topo.routes.(route).Topology.links in
-  let obs = link_obs l ~now:te in
-  Mbac.Controller.observe l.l_ctrl obs;
-  let m = Mbac.Controller.admissible l.l_ctrl obs in
-  if l.l_n < m && l.l_n < eng.cfg.max_flows_per_link then begin
+  let obs = Link.observe k in
+  if Link.admissible k obs then begin
     let source = eng.make_source rng ~start:te in
     let rate = Mbac_traffic.Source.rate source in
-    let fslot = flow_alloc sh in
-    let gen = sh.f_gen.(fslot) in
     let seq = sh.sr_seq.(lr) in
     sh.sr_seq.(lr) <- seq + 1;
-    let key = flow_key ~route ~seq in
-    reserve l ~key ~rate;
-    sh.f_route.(fslot) <- route;
-    sh.f_seq.(fslot) <- seq;
-    sh.f_sources.(fslot) <- Some source;
-    let holding =
-      Mbac_stats.Sample.exponential rng ~mean:eng.cfg.holding_time_mean
+    let slot =
+      Link.admit k obs ~key:(flow_key ~route ~seq) ~rate ~source:(Some source)
     in
-    let t_end = te +. holding in
-    CQ.push sh.wheel ~time:t_end
-      (encode ~tag:tag_depart ~slot:fslot ~gen ~route);
-    let hops = Array.length links in
-    if hops = 1 then begin
+    let gen = Link.gen k slot in
+    let t_end =
+      te +. Mbac_stats.Sample.exponential rng ~mean:eng.cfg.holding_time_mean
+    in
+    CQ.push sh.wheel ~time:t_end (encode ~tag:tag_depart ~slot ~gen ~route);
+    if Array.length links = 1 then begin
       CQ.push sh.wheel
         ~time:(Mbac_traffic.Source.next_change source)
-        (encode ~tag:tag_change ~slot:fslot ~gen ~route);
-      sh.f_estab.(fslot) <- 1;
+        (encode ~tag:tag_change ~slot ~gen ~route);
       sh.sh_admitted <- sh.sh_admitted + 1
     end
-    else begin
-      sh.f_estab.(fslot) <- 0;
+    else
       send_msg eng sh ~time:(te +. eng.d) ~kind:k_setup ~link:links.(1)
-        ~hop:1 ~route ~seq ~islot:fslot ~igen:sh.f_gen.(fslot) ~rate ~t_end
-    end;
-    let obs' = Mbac.Observation.admit obs ~rate in
-    Mbac.Controller.observe l.l_ctrl obs';
-    Mbac.Controller.on_admit l.l_ctrl obs'
+        ~hop:1 ~route ~seq ~islot:slot ~igen:gen ~rate ~t_end
   end
   else begin
-    l.l_blocked <- l.l_blocked + 1;
+    Link.reject k;
     sh.sh_blocked <- sh.sh_blocked + 1
   end;
   CQ.push sh.wheel
@@ -493,38 +293,29 @@ let handle_arrival eng sh ~te ~lr l =
       (te +. Mbac_stats.Sample.exponential rng ~mean:sh.sr_arrival_mean.(lr))
     (encode ~tag:tag_arrive ~slot:lr ~gen:0 ~route)
 
-let handle_depart eng sh ~te ~fslot ~gen l =
-  match sh.f_sources.(fslot) with
-  | Some _ when sh.f_gen.(fslot) land gen_mask = gen ->
-      let route = sh.f_route.(fslot) in
-      let key = flow_key ~route ~seq:sh.f_seq.(fslot) in
-      let slot = Int_table.find l.l_tab ~key in
-      release l ~now:te ~slot;
-      flow_free sh fslot;
-      sh.sh_departed <- sh.sh_departed + 1;
-      ignore eng
-  | Some _ | None -> () (* stale: flow rejected downstream and freed *)
+(* A departure or rate change of an ingress flow is stale once the flow
+   has left its slot (departed, or rejected downstream): the slot then
+   holds another generation, or no source. *)
+let handle_depart sh ~slot ~gen l =
+  let k = l.kernel in
+  match Link.source k slot with
+  | Some _ when Link.gen k slot land gen_mask = gen ->
+      ignore (Link.release k slot);
+      sh.sh_departed <- sh.sh_departed + 1
+  | Some _ | None -> ()
 
-let handle_change eng sh ~te ~fslot ~gen l =
-  match sh.f_sources.(fslot) with
-  | Some source when sh.f_gen.(fslot) land gen_mask = gen ->
+let handle_change eng sh ~slot ~gen ~route l =
+  let k = l.kernel in
+  match Link.source k slot with
+  | Some source when Link.gen k slot land gen_mask = gen ->
+      let te = k.Link.hot.now in
       Mbac_traffic.Source.fire source ~now:te;
       let desired = Mbac_traffic.Source.rate source in
-      let route = sh.f_route.(fslot) in
-      let seq = sh.f_seq.(fslot) in
-      let key = flow_key ~route ~seq in
-      let slot = Int_table.find l.l_tab ~key in
-      let old = Float.Array.get l.l_granted slot in
-      l.l_updates <- l.l_updates + 1;
-      Float.Array.set l.l_granted slot desired;
-      l.l_hot.sum_rate <- l.l_hot.sum_rate +. desired -. old;
-      l.l_hot.sum_sq <-
-        l.l_hot.sum_sq +. (desired *. desired) -. (old *. old);
+      ignore (Link.set_rate k slot desired);
       CQ.push sh.wheel
         ~time:(Mbac_traffic.Source.next_change source)
-        (encode ~tag:tag_change ~slot:fslot ~gen ~route);
-      let obs = link_obs l ~now:te in
-      Mbac.Controller.observe l.l_ctrl obs;
+        (encode ~tag:tag_change ~slot ~gen ~route);
+      let seq = flow_seq k.keys.(slot) in
       let links = eng.topo.routes.(route).Topology.links in
       for h = 1 to Array.length links - 1 do
         send_msg eng sh
@@ -532,9 +323,11 @@ let handle_change eng sh ~te ~fslot ~gen l =
           ~kind:k_update ~link:links.(h) ~hop:h ~route ~seq ~islot:0
           ~igen:0 ~rate:desired ~t_end:0.0
       done
-  | Some _ | None -> () (* stale event of a departed flow *)
+  | Some _ | None -> ()
 
-let handle_msg eng sh ~te ~idx l =
+let handle_msg eng sh ~idx l =
+  let k = l.kernel in
+  let te = k.Link.hot.now in
   let kind = sh.a_kind.(idx) in
   let hop = sh.a_hop.(idx) in
   let route = sh.a_route.(idx) in
@@ -546,20 +339,16 @@ let handle_msg eng sh ~te ~idx l =
   arena_free sh idx;
   let links = eng.topo.routes.(route).Topology.links in
   if kind = k_setup then begin
-    let obs = link_obs l ~now:te in
-    Mbac.Controller.observe l.l_ctrl obs;
-    let m = Mbac.Controller.admissible l.l_ctrl obs in
-    if l.l_n < m && l.l_n < eng.cfg.max_flows_per_link then begin
+    let obs = Link.observe k in
+    if Link.admissible k obs then begin
       let key = flow_key ~route ~seq in
-      reserve l ~key ~rate;
-      let obs' = Mbac.Observation.admit obs ~rate in
-      Mbac.Controller.observe l.l_ctrl obs';
-      Mbac.Controller.on_admit l.l_ctrl obs';
+      Int_table.add l.transit ~key
+        ~value:(Link.admit k obs ~key ~rate ~source:None);
       (* the link releases itself at the flow's own end time, shifted by
          the same per-hop delay its setup took: no departure messages *)
       push_local sh
         ~time:(t_end +. (float_of_int hop *. eng.d))
-        ~kind:k_selfrel ~link:l.l_id ~hop ~route ~seq ~islot:0 ~igen:0
+        ~kind:k_selfrel ~link:l.id ~hop ~route ~seq ~islot:0 ~igen:0
         ~rate:0.0 ~t_end:0.0;
       if hop = Array.length links - 1 then
         send_msg eng sh ~time:(te +. eng.d) ~kind:k_confirm ~link:links.(0)
@@ -570,24 +359,20 @@ let handle_msg eng sh ~te ~idx l =
           ~rate ~t_end
     end
     else begin
-      l.l_blocked <- l.l_blocked + 1;
+      Link.reject k;
       send_msg eng sh ~time:(te +. eng.d) ~kind:k_reject ~link:links.(0)
         ~hop ~route ~seq ~islot ~igen ~rate:0.0 ~t_end:0.0
     end
   end
   else if kind = k_confirm then begin
-    match sh.f_sources.(islot) with
-    | Some source when sh.f_gen.(islot) = igen ->
-        sh.f_estab.(islot) <- 1;
+    match Link.source k islot with
+    | Some source when Link.gen k islot = igen ->
         sh.sh_admitted <- sh.sh_admitted + 1;
         (* catch up on renegotiation epochs missed during the walk *)
         Mbac_traffic.Source.fire_until source ~upto:te;
         let desired = Mbac_traffic.Source.rate source in
-        let key = flow_key ~route ~seq in
-        let slot = Int_table.find l.l_tab ~key in
-        let old = Float.Array.get l.l_granted slot in
-        if desired <> old then begin
-          apply_update l ~now:te ~slot ~desired;
+        if desired <> Link.granted k islot then begin
+          ignore (Link.set_rate k islot desired);
           for h = 1 to Array.length links - 1 do
             send_msg eng sh
               ~time:(te +. (float_of_int h *. eng.d))
@@ -597,18 +382,15 @@ let handle_msg eng sh ~te ~idx l =
         end;
         CQ.push sh.wheel
           ~time:(Mbac_traffic.Source.next_change source)
-          (encode ~tag:tag_change ~slot:islot ~gen:(igen land gen_mask)
-             ~route)
+          (encode ~tag:tag_change ~slot:islot ~gen:igen ~route)
     | Some _ | None -> () (* departed before the confirm arrived *)
   end
   else if kind = k_reject then begin
-    match sh.f_sources.(islot) with
-    | Some _ when sh.f_gen.(islot) = igen ->
+    match Link.source k islot with
+    | Some _ when Link.gen k islot = igen ->
         sh.sh_blocked <- sh.sh_blocked + 1;
-        let key = flow_key ~route ~seq in
-        let slot = Int_table.find l.l_tab ~key in
-        release l ~now:te ~slot;
-        flow_free sh islot; (* invalidates the pending depart event *)
+        (* freeing the slot invalidates the pending depart event *)
+        ignore (Link.release k islot);
         for h = 1 to hop - 1 do
           send_msg eng sh ~time:(te +. eng.d) ~kind:k_release
             ~link:links.(h) ~hop:h ~route ~seq ~islot:0 ~igen:0 ~rate:0.0
@@ -616,18 +398,18 @@ let handle_msg eng sh ~te ~idx l =
         done
     | Some _ | None -> () (* departed before the reject arrived *)
   end
-  else if kind = k_release || kind = k_selfrel then begin
-    let key = flow_key ~route ~seq in
-    let slot = Int_table.find l.l_tab ~key in
-    if slot >= 0 then release l ~now:te ~slot
-    (* absent: already released by the other of (release, self-release) *)
-  end
   else begin
-    (* k_update *)
     let key = flow_key ~route ~seq in
-    let slot = Int_table.find l.l_tab ~key in
-    if slot >= 0 then apply_update l ~now:te ~slot ~desired:rate
-    (* absent: flow already released here; the late update is dropped *)
+    let slot = Int_table.find l.transit ~key in
+    (* absent: released already by the other of (release, self-release);
+       a late update is dropped *)
+    if slot >= 0 then
+      if kind = k_update then ignore (Link.set_rate k slot rate)
+      else begin
+        (* k_release or k_selfrel *)
+        Int_table.remove l.transit ~key;
+        ignore (Link.release k slot)
+      end
   end
 
 (* ---------- shard drain ---------- *)
@@ -643,16 +425,16 @@ let advance eng sh ~w_end =
       if tag = tag_msg then link_of eng sh sh.a_link.(p_slot payload)
       else link_of eng sh eng.topo.routes.(p_route payload).Topology.links.(0)
     in
-    record_segment l ~t1:te;
-    if tag = tag_arrive then handle_arrival eng sh ~te ~lr:(p_slot payload) l
+    Link.record l.kernel ~t1:te;
+    if tag = tag_arrive then handle_arrival eng sh ~lr:(p_slot payload) l
     else if tag = tag_depart then
-      handle_depart eng sh ~te ~fslot:(p_slot payload) ~gen:(p_gen payload) l
+      handle_depart sh ~slot:(p_slot payload) ~gen:(p_gen payload) l
     else if tag = tag_change then
-      handle_change eng sh ~te ~fslot:(p_slot payload) ~gen:(p_gen payload) l
-    else handle_msg eng sh ~te ~idx:(p_slot payload) l;
+      handle_change eng sh ~slot:(p_slot payload) ~gen:(p_gen payload)
+        ~route:(p_route payload) l
+    else handle_msg eng sh ~idx:(p_slot payload) l;
     sh.sh_events <- sh.sh_events + 1;
-    l.l_events <- l.l_events + 1;
-    if l.l_events mod 4_000_000 = 0 then resync_link l
+    Link.count_event l.kernel
   done
 
 let deliver_all eng =
@@ -679,11 +461,11 @@ let global_min_time eng =
       if CQ.is_empty sh.wheel then acc else Float.min acc (CQ.min_time sh.wheel))
     Float.infinity eng.shards
 
-(* Window-boundary bookkeeping shared by all drivers: count the window,
-   check the stop conditions, and fast-forward over empty windows
-   (snapping to the absolute [k * d] grid so the boundary sequence — and
-   with it every stop decision — is a pure function of the global event
-   set, not of the sharding). *)
+(* Window-boundary bookkeeping: count the window, check the stop
+   conditions, and fast-forward over empty windows (snapping to the
+   absolute [k * d] grid so the boundary sequence — and with it every
+   stop decision — is a pure function of the global event set, not of
+   the sharding). *)
 let after_window eng ~w_start =
   eng.windows <- eng.windows + 1;
   let cfg = eng.cfg in
@@ -699,46 +481,19 @@ let after_window eng ~w_start =
     else Some w_start
   end
 
-(* ---------- drivers ---------- *)
+(* ---------- the driver ---------- *)
 
-(* Serial, and the fallback pool path for 1 < width < shards: a
-   [Parallel.run_tasks] barrier per window (domains are respawned per
-   window — correct at any width, but the spawn cost makes it the
-   driver of last resort). *)
-let run_windowed eng ~width ~jobs =
-  let shard_count = Array.length eng.shards in
-  let w_start = ref 0.0 in
-  let running = ref true in
-  while !running do
-    let w_end = !w_start +. eng.d in
-    if width <= 1 then
-      for i = 0 to shard_count - 1 do
-        advance eng eng.shards.(i) ~w_end
-      done
-    else
-      (* [~count_tasks:false]: the pool invocation count here depends
-         on the window count and driver choice, so counting tasks would
-         make the metric snapshot jobs-dependent. *)
-      ignore
-        (Mbac_sim.Parallel.run_tasks ?jobs ~count_tasks:false
-           (List.init shard_count (fun i () ->
-                advance eng eng.shards.(i) ~w_end)));
-    deliver_all eng;
-    match after_window eng ~w_start:!w_start with
-    | Some w -> w_start := w
-    | None -> running := false
-  done
-
-(* One pool invocation for the whole run: [shards] tasks, one per
-   shard, claimed with [~chunk:1] so each of the [width = shards]
-   runners (the submitting domain plus width-1 spawned workers) holds
-   exactly one task — required, because the tasks synchronize through a
-   spin barrier per window and a runner blocked inside one task must
-   never have a second task queued behind it.  Task 0 is the leader: at
-   each barrier it drains the exchange into every shard's wheel and
-   publishes the next window (or the stop), which the others pick up
-   through the epoch counter.  All cross-task plain-field reads are
-   ordered by the [arrived]/[epoch] atomics. *)
+(* One loop for every width.  [width] runners each own a contiguous
+   range of shards, [r*S/width, (r+1)*S/width), and meet at a spin
+   barrier after every window.  Runner 0 is the leader: at each barrier
+   it drains the exchange into every shard's wheel and publishes the
+   next window (or the stop), which the others pick up through the
+   epoch counter.  All cross-runner plain-field reads are ordered by the
+   [arrived]/[epoch] atomics.  Width 1 runs the loop inline; wider runs
+   are one pool invocation for the whole run, claimed with [~chunk:1]
+   so each of the [width] domains holds exactly one runner — required,
+   because a domain blocked at the barrier inside one runner must never
+   have a second runner queued behind it. *)
 type barrier_ctl = {
   arrived : int Atomic.t;
   epoch : int Atomic.t;
@@ -746,57 +501,61 @@ type barrier_ctl = {
   mutable c_stop : bool;
 }
 
-let run_barrier eng ~jobs =
+let run_windows eng ~jobs =
   let shard_count = Array.length eng.shards in
+  let width = Mbac_sim.Parallel.effective_jobs ?jobs shard_count in
   let ctl =
     { arrived = Atomic.make 0;
       epoch = Atomic.make 0;
       c_w_end = eng.d;
       c_stop = false }
   in
-  let failures = Array.make shard_count None in
+  let failures = Array.make width None in
   let w_start = ref 0.0 in
-  let tasks =
-    List.init shard_count (fun i () ->
-        let sh = eng.shards.(i) in
-        let my_epoch = ref 0 in
-        let continue = ref true in
-        while !continue do
-          (if failures.(i) = None then
-             try advance eng sh ~w_end:ctl.c_w_end
-             with e -> failures.(i) <- Some e);
-          if i = 0 then begin
-            while Atomic.get ctl.arrived < shard_count - 1 do
-              Domain.cpu_relax ()
-            done;
-            Atomic.set ctl.arrived 0;
-            let failed =
-              Array.exists (fun f -> f <> None) failures
-            in
-            (if failed then ctl.c_stop <- true
-             else begin
-               deliver_all eng;
-               match after_window eng ~w_start:!w_start with
-               | Some w ->
-                   w_start := w;
-                   ctl.c_w_end <- w +. eng.d
-               | None -> ctl.c_stop <- true
-             end);
-            Atomic.incr ctl.epoch
-          end
-          else begin
-            Atomic.incr ctl.arrived;
-            while Atomic.get ctl.epoch <= !my_epoch do
-              Domain.cpu_relax ()
-            done
-          end;
-          incr my_epoch;
-          if ctl.c_stop then continue := false
+  let runner r () =
+    let first = r * shard_count / width in
+    let last = ((r + 1) * shard_count / width) - 1 in
+    let my_epoch = ref 0 in
+    while not ctl.c_stop do
+      (if failures.(r) = None then
+         try
+           for i = first to last do
+             advance eng eng.shards.(i) ~w_end:ctl.c_w_end
+           done
+         with e -> failures.(r) <- Some e);
+      if r = 0 then begin
+        while Atomic.get ctl.arrived < width - 1 do
+          Domain.cpu_relax ()
         done;
-        match failures.(i) with Some e -> raise e | None -> ())
+        Atomic.set ctl.arrived 0;
+        (if Array.exists Option.is_some failures then ctl.c_stop <- true
+         else begin
+           deliver_all eng;
+           match after_window eng ~w_start:!w_start with
+           | Some w ->
+               w_start := w;
+               ctl.c_w_end <- w +. eng.d
+           | None -> ctl.c_stop <- true
+         end);
+        Atomic.incr ctl.epoch
+      end
+      else begin
+        Atomic.incr ctl.arrived;
+        while Atomic.get ctl.epoch <= !my_epoch do
+          Domain.cpu_relax ()
+        done
+      end;
+      incr my_epoch
+    done;
+    Option.iter raise failures.(r)
   in
-  ignore
-    (Mbac_sim.Parallel.run_tasks ?jobs ~chunk:1 ~count_tasks:false tasks)
+  if width <= 1 then runner 0 ()
+  else
+    (* [~count_tasks:false]: the task count is the width, so counting
+       would make the metric snapshot jobs-dependent. *)
+    ignore
+      (Mbac_sim.Parallel.run_tasks ?jobs ~chunk:1 ~count_tasks:false
+         (List.init width runner))
 
 (* ---------- engine construction ---------- *)
 
@@ -825,31 +584,13 @@ let build ~seed cfg ~make_controller ~make_source =
           Array.map
             (fun id ->
               let capacity = topo.Topology.capacities.(id) in
-              let ctrl = make_controller ~link:id ~capacity in
-              Mbac.Controller.reset ctrl;
-              { l_id = id;
-                l_capacity = capacity;
-                l_ctrl = ctrl;
-                l_meas =
-                  Meas.create ~sample_spacing:cfg.batch_length
-                    ~capacity ~warmup:cfg.warmup
-                    ~batch_length:cfg.batch_length ();
-                l_tab = Int_table.create ();
-                l_granted = Float.Array.create 0;
-                l_key = [||];
-                l_free = [||];
-                l_free_top = 0;
-                l_limit = 0;
-                l_hot =
-                  { last_t = 0.0; sum_rate = 0.0; sum_sq = 0.0;
-                    ovf_start = nan; ovf_excess = 0.0; ovf_time = 0.0 };
-                l_n = 0;
-                l_reserved = 0;
-                l_blocked = 0;
-                l_released = 0;
-                l_updates = 0;
-                l_ovf_episodes = 0;
-                l_events = 0 })
+              { id;
+                kernel =
+                  Link.create ~telemetry:false ~capacity ~warmup:cfg.warmup
+                    ~batch_length:cfg.batch_length
+                    ~max_flows:cfg.max_flows_per_link
+                    (make_controller ~link:id ~capacity);
+                transit = Int_table.create () })
             link_ids
         in
         let route_ids = ref [] in
@@ -872,8 +613,6 @@ let build ~seed cfg ~make_controller ~make_source =
               (fun r -> 1.0 /. topo.Topology.routes.(r).Topology.rate)
               sr_route;
           sr_seq = Array.make (Array.length sr_route) 0;
-          f_route = [||]; f_seq = [||]; f_gen = [||]; f_estab = [||];
-          f_sources = [||]; f_free = [||]; f_free_top = 0; f_limit = 0;
           a_kind = [||]; a_link = [||]; a_hop = [||]; a_route = [||];
           a_seq = [||]; a_islot = [||]; a_igen = [||];
           a_rate = Float.Array.create 0; a_tend = Float.Array.create 0;
@@ -886,14 +625,10 @@ let build ~seed cfg ~make_controller ~make_source =
       ex = Exchange.create ~shards:cfg.shards; make_source; windows = 0 }
   in
   (* Initial conditions mirror [Continuous_load.start]: each controller
-     sees the empty observation, then each ingress route draws its first
-     inter-arrival gap from its own stream. *)
+     has seen the empty link ([Link.create]), then each ingress route
+     draws its first inter-arrival gap from its own stream. *)
   Array.iter
     (fun sh ->
-      Array.iter
-        (fun l ->
-          Mbac.Controller.observe l.l_ctrl (link_obs l ~now:0.0))
-        sh.links;
       Array.iteri
         (fun lr r ->
           CQ.push sh.wheel
@@ -913,7 +648,7 @@ let collect eng =
     Array.fold_left
       (fun acc sh ->
         Array.fold_left
-          (fun acc l -> Float.max acc l.l_hot.last_t)
+          (fun acc l -> Float.max acc l.kernel.Link.hot.now)
           acc sh.links)
       0.0 eng.shards
   in
@@ -921,31 +656,28 @@ let collect eng =
   Array.iter
     (fun sh ->
       Array.iter
-        (fun l ->
-          (* close an overflow episode left open at run end *)
-          if not (Float.is_nan l.l_hot.ovf_start) then
-            l.l_hot.ovf_time <-
-              l.l_hot.ovf_time +. (l.l_hot.last_t -. l.l_hot.ovf_start);
+        (fun { id; kernel = k; _ } ->
+          Link.finish k;
           let p_f, estimate_kind =
-            Meas.final_estimate l.l_meas ~target:cfg.target_p_q
+            Meas.final_estimate k.Link.meas ~target:cfg.target_p_q
           in
-          let mean_load = Meas.load_mean l.l_meas in
-          links.(l.l_id) <-
+          let mean_load = Meas.load_mean k.meas in
+          links.(id) <-
             Some
-              { link = l.l_id;
-                capacity = l.l_capacity;
+              { link = id;
+                capacity = k.capacity;
                 p_f;
                 estimate_kind;
-                p_f_point = Meas.point_fraction l.l_meas;
+                p_f_point = Meas.point_fraction k.meas;
                 mean_load;
-                std_load = Meas.load_std l.l_meas;
-                utilization = mean_load /. l.l_capacity;
-                reserved = l.l_reserved;
-                link_blocked = l.l_blocked;
-                released = l.l_released;
-                updates = l.l_updates;
-                ovf_episodes = l.l_ovf_episodes;
-                ovf_time = l.l_hot.ovf_time })
+                std_load = Meas.load_std k.meas;
+                utilization = mean_load /. k.capacity;
+                reserved = k.admitted;
+                link_blocked = k.blocked;
+                released = k.released;
+                updates = k.updates;
+                ovf_episodes = k.ovf_episodes;
+                ovf_time = k.hot.ovf_time })
         sh.links)
     eng.shards;
   let links = Array.map Option.get links in
@@ -987,9 +719,7 @@ let collect eng =
 
 let run ?jobs ~seed cfg ~make_controller ~make_source =
   let eng = build ~seed cfg ~make_controller ~make_source in
-  let width = Mbac_sim.Parallel.effective_jobs ?jobs cfg.shards in
-  if width >= cfg.shards && cfg.shards > 1 then run_barrier eng ~jobs
-  else run_windowed eng ~width ~jobs;
+  run_windows eng ~jobs;
   collect eng
 
 (* ---------- printing ---------- *)

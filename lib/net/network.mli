@@ -1,13 +1,17 @@
 (** Sharded multi-link network simulator.
 
-    Links are partitioned into contiguous shards; each shard owns its
-    links' calendar wheel, controllers, measurements and flow tables.
-    Flows traverse every link on their route: admission is end-to-end
-    (a reject at any hop blocks the flow, attributed to the rejecting
+    Each link is one {!Mbac_sim.Link} kernel (controller, measurement,
+    flow table), the kernel {!Mbac_sim.Continuous_load} drives alone; a
+    flow lives in its ingress link's slots.  Links are partitioned into
+    contiguous shards, each with its own calendar wheel.  Flows
+    traverse every link on their route: admission is end-to-end (a
+    reject at any hop blocks the flow, attributed to the rejecting
     link), negotiated through a hop-by-hop setup walk with per-hop
     delay [setup_delay].  Cross-shard traffic moves through the
     conservative {!Exchange} in windows of exactly one [setup_delay]
-    lookahead, with a barrier per window.
+    lookahead.  One driver runs every width: [Parallel.effective_jobs
+    shards] runners, each owning a contiguous range of shards, meet at
+    a spin barrier after every window (at width 1, inline).
 
     {2 Determinism contract}
 

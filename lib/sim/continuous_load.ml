@@ -68,34 +68,28 @@ type result = {
 let tag_arrive = 0
 let tag_depart = 1
 let tag_change = 2
-let slot_bits = 24
+let slot_bits = Link.slot_bits
 let slot_mask = (1 lsl slot_bits) - 1
 let[@inline] encode ~tag ~slot ~gen = tag lor (slot lsl 2) lor (gen lsl (slot_bits + 2))
 let[@inline] payload_tag p = p land 3
 let[@inline] payload_slot p = (p lsr 2) land slot_mask
 let[@inline] payload_gen p = p lsr (slot_bits + 2)
 
-(* Per-event mutable floats live in their own all-float record so the
-   simulator's stores stay unboxed (a mutable float field in the mixed
-   [state] record below would box on every store). *)
+(* The driver's per-event mutable floats live in their own all-float
+   record so the simulator's stores stay unboxed (a mutable float field
+   in the mixed [state] record below would box on every store); the
+   link's own live in [Link.hot]. *)
 type hot = {
-  mutable now : float;
-  mutable sum_rate : float;
-  mutable sum_sq : float;
-  (* telemetry: overflow-episode tracking and periodic trace snapshots *)
-  mutable ovf_start : float;   (* nan when not in an overflow episode *)
-  mutable ovf_excess : float;  (* ∫(load - capacity)dt over the episode *)
-  mutable ovf_time : float;
   mutable next_snapshot : float;
   mutable next_window : float; (* next time-series boundary; inf when off *)
 }
 
-(* Time-series cursors: the flow/event totals live in plain [state]
-   fields on the hot path and are folded into the telemetry shard once
-   per run — or, when [--series-out] wants live windows, once per window
-   boundary.  The cursor remembers how much of each total has been
-   folded so far, so boundary syncs add exact deltas and the end-of-run
-   remainder reproduces today's one-shot totals bit for bit. *)
+(* Time-series cursors: the flow/event totals live in plain fields on
+   the hot path and are folded into the telemetry shard once per run —
+   or, when [--series-out] wants live windows, once per window boundary.
+   The cursor remembers how much of each total has been folded so far,
+   so boundary syncs add exact deltas and the end-of-run remainder
+   reproduces today's one-shot totals bit for bit. *)
 type cursor = {
   mutable c_events : int;
   mutable c_admitted : int;
@@ -106,59 +100,23 @@ type cursor = {
   mutable c_time : float;
 }
 
-(* Dense flow table: a structure of arrays indexed by slot, with a
-   free-slot stack.  [granted] is the rate the link has actually
-   allocated to the flow; it equals the source's desired rate except
-   when an upward renegotiation was blocked under
-   [`Renegotiation_blocking].  A slot is live iff [sources.(slot)] is
-   [Some _]; its generation counts how many flows have occupied it. *)
+(* The flows, the load, the controller and the measurement are the
+   link kernel's; the driver adds the arrival process, the fluid buffer
+   and the time-average statistics. *)
 type state = {
   cfg : config;
   arrival_mean : float; (* 1/rate for `Poisson, hoisted; nan for `Infinite *)
   rng : Mbac_stats.Rng.t;
-  controller : Mbac.Controller.t;
   make_source : Mbac_stats.Rng.t -> start:float -> Mbac_traffic.Source.t;
   queue : Calendar_queue.t;
-  mutable granted : Float.Array.t;
-  mutable sources : Mbac_traffic.Source.t option array;
-  mutable gens : int array;
-  mutable free : int array;      (* stack of vacant slots *)
-  mutable free_top : int;
-  mutable slot_limit : int;      (* slots ever used (high-water mark) *)
-  meas : Measurement.t;
+  kernel : Link.t;
   buffer : Fluid_buffer.t option;
   utility_stats : Mbac_stats.Welford.Weighted.t;
   flow_count_stats : Mbac_stats.Welford.Weighted.t;
   hot : hot;
-  mutable n : int;
-  mutable admitted : int;
-  mutable departed : int;
-  mutable blocked : int;
-  mutable reneg_attempts : int;
   mutable reneg_failures : int;
-  mutable events : int;
-  mutable ovf_episodes : int;
   cursor : cursor;
 }
-
-(* Episode counters fire on every overflow-episode boundary; resolve
-   their names once instead of hashing per update. *)
-let m_ovf_episodes = Mbac_telemetry.Metrics.Handle.counter "sim_overflow_episodes_total"
-let m_ovf_time = Mbac_telemetry.Metrics.Handle.sum "sim_overflow_time"
-let m_ovf_excess = Mbac_telemetry.Metrics.Handle.sum "sim_overflow_excess_volume"
-
-(* Normalized by batch_length so the histogram shape is identical across
-   sweep cells with different batch lengths (shards with
-   differently-shaped same-name histograms cannot merge). *)
-let m_ovf_duration =
-  Mbac_telemetry.Metrics.Handle.histogram "sim_overflow_episode_duration_batches"
-    ~lo:0.0 ~hi:20.0 ~bins:40
-
-(* Same duration, raw (seconds of virtual time) in a log-bucketed
-   quantile histogram: scale-free, so episodes past 20 batch lengths —
-   overflow of the fixed-bucket shape above — keep a readable p99. *)
-let m_ovf_duration_s =
-  Mbac_telemetry.Metrics.Handle.qhist "sim_overflow_episode_duration_seconds"
 
 (* Run totals, folded in by [sync_counters] (per window boundary when
    the time series is on, once per run otherwise). *)
@@ -176,86 +134,22 @@ let m_time = Mbac_telemetry.Metrics.Handle.sum "sim_time_simulated"
 let g_window_flows = Mbac_telemetry.Metrics.Handle.gauge "sim_window_flows"
 let g_window_load = Mbac_telemetry.Metrics.Handle.gauge "sim_window_load"
 
-let[@inline] observation s =
-  Mbac.Observation.make ~now:s.hot.now ~n:s.n ~sum_rate:s.hot.sum_rate
-    ~sum_sq:s.hot.sum_sq
-
-(* Counter the slow drift of the incrementally-maintained sums by
-   recomputing them from scratch periodically (linear slot scan). *)
-let resync_sums s =
-  let sum = ref 0.0 and sq = ref 0.0 in
-  for slot = 0 to s.slot_limit - 1 do
-    match Array.unsafe_get s.sources slot with
-    | Some _ ->
-        let g = Float.Array.unsafe_get s.granted slot in
-        sum := !sum +. g;
-        sq := !sq +. (g *. g)
-    | None -> ()
-  done;
-  s.hot.sum_rate <- !sum;
-  s.hot.sum_sq <- !sq
-
-let grow_flow_table s =
-  let cap = Array.length s.sources in
-  let ncap = if cap = 0 then 1024 else 2 * cap in
-  let granted = Float.Array.create ncap in
-  Float.Array.blit s.granted 0 granted 0 cap;
-  let sources = Array.make ncap None in
-  Array.blit s.sources 0 sources 0 cap;
-  let gens = Array.make ncap 0 in
-  Array.blit s.gens 0 gens 0 cap;
-  s.granted <- granted;
-  s.sources <- sources;
-  s.gens <- gens
-
-let alloc_slot s =
-  if s.free_top > 0 then begin
-    s.free_top <- s.free_top - 1;
-    s.free.(s.free_top)
-  end
-  else begin
-    if s.slot_limit = Array.length s.sources then grow_flow_table s;
-    if s.slot_limit > slot_mask then
-      invalid_arg "Continuous_load: more concurrent flows than slot bits";
-    let slot = s.slot_limit in
-    s.slot_limit <- slot + 1;
-    slot
-  end
-
-let free_slot s slot =
-  s.sources.(slot) <- None;
-  s.gens.(slot) <- s.gens.(slot) + 1;
-  if s.free_top = Array.length s.free then begin
-    let ncap = max 1024 (2 * Array.length s.free) in
-    let free = Array.make ncap 0 in
-    Array.blit s.free 0 free 0 s.free_top;
-    s.free <- free
-  end;
-  s.free.(s.free_top) <- slot;
-  s.free_top <- s.free_top + 1
-
-(* Returns the granted rate so callers can advance their observation
-   incrementally ({!Mbac.Observation.admit}) instead of re-reading the
-   state they just updated. *)
-let admit_one s =
-  let source = s.make_source s.rng ~start:s.hot.now in
-  let slot = alloc_slot s in
-  let gen = s.gens.(slot) in
-  let r = Mbac_traffic.Source.rate source in
-  Float.Array.set s.granted slot r;
-  s.sources.(slot) <- Some source;
-  s.n <- s.n + 1;
-  s.hot.sum_rate <- s.hot.sum_rate +. r;
-  s.hot.sum_sq <- s.hot.sum_sq +. (r *. r);
-  s.admitted <- s.admitted + 1;
+(* Admit one fresh flow: its source is drawn, then its holding time. *)
+let admit_one s obs =
+  let l = s.kernel in
+  let source = s.make_source s.rng ~start:l.Link.hot.now in
+  let slot =
+    Link.admit l obs ~key:0 ~rate:(Mbac_traffic.Source.rate source)
+      ~source:(Some source)
+  in
+  let gen = Link.gen l slot in
   let holding =
     Mbac_stats.Sample.exponential s.rng ~mean:s.cfg.holding_time_mean
   in
-  Calendar_queue.push s.queue ~time:(s.hot.now +. holding)
+  Calendar_queue.push s.queue ~time:(l.hot.now +. holding)
     (encode ~tag:tag_depart ~slot ~gen);
   Calendar_queue.push s.queue ~time:(Mbac_traffic.Source.next_change source)
-    (encode ~tag:tag_change ~slot ~gen);
-  r
+    (encode ~tag:tag_change ~slot ~gen)
 
 (* Infinite offered load: admit while the controller allows more flows
    than are present.  Each admission is observed before the next
@@ -265,96 +159,53 @@ let admit_one s =
    case costs no fresh observation. *)
 let try_admit s obs0 =
   let obs = ref obs0 in
-  let continue = ref true in
-  while !continue do
-    let m = Mbac.Controller.admissible s.controller !obs in
-    if s.n < m && s.n < s.cfg.max_flows then begin
-      let r = admit_one s in
-      let obs' = Mbac.Observation.admit !obs ~rate:r in
-      Mbac.Controller.observe s.controller obs';
-      Mbac.Controller.on_admit s.controller obs';
-      obs := obs'
-    end
-    else continue := false
+  while Link.admissible s.kernel !obs do
+    admit_one s !obs;
+    obs := Link.observation s.kernel
   done
+
+(* Under infinite load every event ends by admitting while the
+   controller allows; [obs] is the state it has just been shown. *)
+let[@inline] refill s obs =
+  match s.cfg.arrival with `Infinite -> try_admit s obs | `Poisson _ -> ()
+
+(* A stale event still ends with that refill. *)
+let stale s =
+  match s.cfg.arrival with
+  | `Infinite -> try_admit s (Link.observation s.kernel)
+  | `Poisson _ -> ()
 
 (* One arriving flow under the Poisson process: a single yes/no decision. *)
 let handle_arrival s =
-  let obs = observation s in
-  Mbac.Controller.observe s.controller obs;
-  let m = Mbac.Controller.admissible s.controller obs in
-  if s.n < m && s.n < s.cfg.max_flows then begin
-    let r = admit_one s in
-    let obs' = Mbac.Observation.admit obs ~rate:r in
-    Mbac.Controller.observe s.controller obs';
-    Mbac.Controller.on_admit s.controller obs'
-  end
-  else s.blocked <- s.blocked + 1;
+  let l = s.kernel in
+  let obs = Link.observe l in
+  if Link.admissible l obs then admit_one s obs else Link.reject l;
   match s.cfg.arrival with
   | `Poisson _ ->
       Calendar_queue.push s.queue
         ~time:
-          (s.hot.now
+          (l.Link.hot.now
           +. Mbac_stats.Sample.exponential s.rng ~mean:s.arrival_mean)
         tag_arrive
   | `Infinite -> ()
-
-(* Overflow-episode bookkeeping over one load-constant segment: an
-   episode opens when the aggregate first exceeds capacity and closes on
-   the first segment back at or under it.  Counters are always on; the
-   start/end trace events only render when tracing is enabled (and their
-   field lists are only built then). *)
-let close_overflow_episode s ~t0 =
-  let duration = t0 -. s.hot.ovf_start in
-  s.hot.ovf_time <- s.hot.ovf_time +. duration;
-  Mbac_telemetry.Metrics.Handle.inc m_ovf_episodes;
-  Mbac_telemetry.Metrics.Handle.add m_ovf_time duration;
-  Mbac_telemetry.Metrics.Handle.add m_ovf_excess s.hot.ovf_excess;
-  Mbac_telemetry.Metrics.Handle.observe m_ovf_duration
-    (duration /. s.cfg.batch_length);
-  Mbac_telemetry.Metrics.Handle.observe_q m_ovf_duration_s duration;
-  if Mbac_telemetry.Trace.enabled () then
-    Mbac_telemetry.Trace.emit ~t:t0 ~kind:"overflow_end"
-      [ ("start", Mbac_telemetry.Trace.Float s.hot.ovf_start);
-        ("duration", Mbac_telemetry.Trace.Float duration);
-        ("excess_volume", Mbac_telemetry.Trace.Float s.hot.ovf_excess) ];
-  s.hot.ovf_start <- nan;
-  s.hot.ovf_excess <- 0.0
-
-let[@inline] track_overflow s ~t0 ~t1 =
-  let over = s.hot.sum_rate > s.cfg.capacity in
-  let in_episode = not (Float.is_nan s.hot.ovf_start) in
-  if over && not in_episode then begin
-    s.hot.ovf_start <- t0;
-    s.hot.ovf_excess <- 0.0;
-    s.ovf_episodes <- s.ovf_episodes + 1;
-    if Mbac_telemetry.Trace.enabled () then
-      Mbac_telemetry.Trace.emit ~t:t0 ~kind:"overflow_start"
-        [ ("load", Mbac_telemetry.Trace.Float s.hot.sum_rate);
-          ("capacity", Mbac_telemetry.Trace.Float s.cfg.capacity);
-          ("n", Mbac_telemetry.Trace.Int s.n) ]
-  end
-  else if (not over) && in_episode then close_overflow_episode s ~t0;
-  if over then
-    s.hot.ovf_excess <-
-      s.hot.ovf_excess +. ((s.hot.sum_rate -. s.cfg.capacity) *. (t1 -. t0))
 
 (* Periodic estimator snapshots on a fixed virtual-time grid (one per
    batch), emitted only while tracing: the running cross-sectional
    estimate next to the measured overflow fraction so far. *)
 let emit_snapshots s ~t1 =
+  let l = s.kernel in
   while s.hot.next_snapshot <= t1 do
     let t = s.hot.next_snapshot in
     s.hot.next_snapshot <- s.hot.next_snapshot +. s.cfg.batch_length;
-    let obs = observation s in
+    let obs = Link.observation l in
     Mbac_telemetry.Trace.emit ~t ~kind:"estimator"
-      [ ("n", Mbac_telemetry.Trace.Int s.n);
-        ("load", Mbac_telemetry.Trace.Float s.hot.sum_rate);
+      [ ("n", Mbac_telemetry.Trace.Int l.Link.n);
+        ("load", Mbac_telemetry.Trace.Float l.hot.sum_rate);
         ("mu_hat", Mbac_telemetry.Trace.Float (Mbac.Observation.cross_mean obs));
         ("sigma_hat",
          Mbac_telemetry.Trace.Float (sqrt (Mbac.Observation.cross_variance obs)));
         ("p_f_running",
-         Mbac_telemetry.Trace.Float (Measurement.overflow_fraction s.meas)) ]
+         Mbac_telemetry.Trace.Float (Measurement.overflow_fraction l.meas)) ]
   done
 
 (* Fold the not-yet-folded part of each running total into the shard.
@@ -363,18 +214,18 @@ let emit_snapshots s ~t1 =
    do.  [upto] caps the virtual-time delta at the window boundary being
    closed (or the final [now] at run end). *)
 let sync_counters s ~upto =
-  let c = s.cursor in
-  Mbac_telemetry.Metrics.Handle.inc m_events ~by:(s.events - c.c_events);
-  c.c_events <- s.events;
-  Mbac_telemetry.Metrics.Handle.inc m_admitted ~by:(s.admitted - c.c_admitted);
-  c.c_admitted <- s.admitted;
-  Mbac_telemetry.Metrics.Handle.inc m_departed ~by:(s.departed - c.c_departed);
-  c.c_departed <- s.departed;
-  Mbac_telemetry.Metrics.Handle.inc m_blocked ~by:(s.blocked - c.c_blocked);
-  c.c_blocked <- s.blocked;
+  let l = s.kernel and c = s.cursor in
+  Mbac_telemetry.Metrics.Handle.inc m_events ~by:(l.Link.events - c.c_events);
+  c.c_events <- l.events;
+  Mbac_telemetry.Metrics.Handle.inc m_admitted ~by:(l.admitted - c.c_admitted);
+  c.c_admitted <- l.admitted;
+  Mbac_telemetry.Metrics.Handle.inc m_departed ~by:(l.released - c.c_departed);
+  c.c_departed <- l.released;
+  Mbac_telemetry.Metrics.Handle.inc m_blocked ~by:(l.blocked - c.c_blocked);
+  c.c_blocked <- l.blocked;
   Mbac_telemetry.Metrics.Handle.inc m_reneg_attempts
-    ~by:(s.reneg_attempts - c.c_reneg_attempts);
-  c.c_reneg_attempts <- s.reneg_attempts;
+    ~by:(l.updates - c.c_reneg_attempts);
+  c.c_reneg_attempts <- l.updates;
   Mbac_telemetry.Metrics.Handle.inc m_reneg_failures
     ~by:(s.reneg_failures - c.c_reneg_failures);
   c.c_reneg_failures <- s.reneg_failures;
@@ -391,8 +242,10 @@ let emit_windows s ~t1 =
     let b = s.hot.next_window in
     s.hot.next_window <- b +. Mbac_telemetry.Timeseries.interval ();
     sync_counters s ~upto:b;
-    Mbac_telemetry.Metrics.Handle.set_gauge g_window_flows (float_of_int s.n);
-    Mbac_telemetry.Metrics.Handle.set_gauge g_window_load s.hot.sum_rate;
+    Mbac_telemetry.Metrics.Handle.set_gauge g_window_flows
+      (float_of_int s.kernel.Link.n);
+    Mbac_telemetry.Metrics.Handle.set_gauge g_window_load
+      s.kernel.hot.sum_rate;
     Mbac_telemetry.Timeseries.emit_window ~t:b
   done
 
@@ -400,23 +253,24 @@ let feed_buffer s b ~t0 ~t1 =
   (* feed through the warm-up (to build up a realistic level) but
      discard the counters at the warm-up boundary, like the overflow
      measurement does *)
+  let load = s.kernel.Link.hot.sum_rate in
   if t0 < s.cfg.warmup && t1 > s.cfg.warmup then begin
-    Fluid_buffer.feed b ~duration:(s.cfg.warmup -. t0) ~load:s.hot.sum_rate;
+    Fluid_buffer.feed b ~duration:(s.cfg.warmup -. t0) ~load;
     Fluid_buffer.reset_statistics b;
-    Fluid_buffer.feed b ~duration:(t1 -. s.cfg.warmup) ~load:s.hot.sum_rate
+    Fluid_buffer.feed b ~duration:(t1 -. s.cfg.warmup) ~load
   end
   else begin
-    Fluid_buffer.feed b ~duration:(t1 -. t0) ~load:s.hot.sum_rate;
+    Fluid_buffer.feed b ~duration:(t1 -. t0) ~load;
     if t1 <= s.cfg.warmup then Fluid_buffer.reset_statistics b
   end
 
-(* No loops anywhere on the common path below (the snapshot loop is out
-   of line and trace-gated), so this inlines into [process_event] and
+(* No loops anywhere on the common path below (the snapshot and window
+   loops are out of line and gated), so this inlines into [process] and
    the segment endpoints never box. *)
 let[@inline] record_segment s ~t1 =
-  let t0 = s.hot.now in
-  Measurement.record s.meas ~t0 ~t1 ~load:s.hot.sum_rate;
-  if t1 > t0 then track_overflow s ~t0 ~t1;
+  let l = s.kernel in
+  let t0 = l.Link.hot.now in
+  Link.record l ~t1;
   if Mbac_telemetry.Trace.enabled () then emit_snapshots s ~t1;
   if Mbac_telemetry.Timeseries.enabled () then emit_windows s ~t1;
   (match s.buffer with
@@ -426,48 +280,27 @@ let[@inline] record_segment s ~t1 =
     let t0' = Float.max t0 s.cfg.warmup in
     let w = t1 -. t0' in
     Mbac_stats.Welford.Weighted.add s.flow_count_stats ~weight:w
-      (float_of_int s.n);
+      (float_of_int l.n);
     let f =
       Mbac.Utility.delivered_fraction ~capacity:s.cfg.capacity
-        ~load:s.hot.sum_rate
+        ~load:l.hot.sum_rate
     in
     Mbac_stats.Welford.Weighted.add s.utility_stats ~weight:w
       (Mbac.Utility.eval s.cfg.utility f)
   end
 
 let handle_depart s slot gen =
-  match s.sources.(slot) with
-  | Some _ when s.gens.(slot) = gen ->
-      let r = Float.Array.get s.granted slot in
-      free_slot s slot;
-      s.n <- s.n - 1;
-      s.hot.sum_rate <- s.hot.sum_rate -. r;
-      s.hot.sum_sq <- s.hot.sum_sq -. (r *. r);
-      if s.n = 0 then begin
-        (* clear float-cancellation residue *)
-        s.hot.sum_rate <- 0.0;
-        s.hot.sum_sq <- 0.0
-      end;
-      s.departed <- s.departed + 1;
-      let obs = observation s in
-      Mbac.Controller.observe s.controller obs;
-      Mbac.Controller.on_depart s.controller obs;
-      (match s.cfg.arrival with
-      | `Infinite -> try_admit s obs
-      | `Poisson _ -> ())
-  | Some _ | None -> (
-      (* cannot happen for departures; kept safe *)
-      match s.cfg.arrival with
-      | `Infinite -> try_admit s (observation s)
-      | `Poisson _ -> ())
+  let l = s.kernel in
+  match Link.source l slot with
+  | Some _ when Link.gen l slot = gen -> refill s (Link.release l slot)
+  | Some _ | None -> stale s (* cannot happen for departures; kept safe *)
 
 let handle_change s slot gen =
-  match s.sources.(slot) with
-  | Some source when s.gens.(slot) = gen ->
-      let old_granted = Float.Array.get s.granted slot in
-      Mbac_traffic.Source.fire source ~now:s.hot.now;
+  let l = s.kernel in
+  match Link.source l slot with
+  | Some source when Link.gen l slot = gen ->
+      Mbac_traffic.Source.fire source ~now:l.Link.hot.now;
       let desired = Mbac_traffic.Source.rate source in
-      s.reneg_attempts <- s.reneg_attempts + 1;
       (* The paper's RCBR service (§2): "bandwidth renegotiations fail
          when the current aggregate bandwidth demand exceeds the link
          capacity".  We count an upward renegotiation as failed when
@@ -477,44 +310,30 @@ let handle_change s slot gen =
          requesting), so blocking does not silently deflate the
          measured load. *)
       (match s.cfg.link with
-      | `Renegotiation_blocking
-        when desired > old_granted
-             && s.hot.sum_rate -. old_granted +. desired > s.cfg.capacity ->
-          s.reneg_failures <- s.reneg_failures + 1
-      | `Renegotiation_blocking | `Bufferless | `Buffered _ -> ());
-      Float.Array.set s.granted slot desired;
-      s.hot.sum_rate <- s.hot.sum_rate +. desired -. old_granted;
-      s.hot.sum_sq <-
-        s.hot.sum_sq +. (desired *. desired) -. (old_granted *. old_granted);
+      | `Renegotiation_blocking ->
+          let old = Link.granted l slot in
+          if desired > old && l.hot.sum_rate -. old +. desired > s.cfg.capacity
+          then s.reneg_failures <- s.reneg_failures + 1
+      | `Bufferless | `Buffered _ -> ());
+      let obs = Link.set_rate l slot desired in
       Calendar_queue.push s.queue
         ~time:(Mbac_traffic.Source.next_change source)
         (encode ~tag:tag_change ~slot ~gen);
-      let obs = observation s in
-      Mbac.Controller.observe s.controller obs;
-      (match s.cfg.arrival with
-      | `Infinite -> try_admit s obs
-      | `Poisson _ -> ())
-  | Some _ | None -> (
-      (* stale event of a departed flow (or of a reused slot) *)
-      match s.cfg.arrival with
-      | `Infinite -> try_admit s (observation s)
-      | `Poisson _ -> ())
+      refill s obs
+  | Some _ | None -> stale s (* event of a departed flow (or reused slot) *)
 
-(* Pop and process the earliest event.  Reading the minimum in place
-   (rather than through [pop]'s option/pair) keeps the loop
-   allocation-free. *)
-let process_event s =
-  let te = Calendar_queue.min_time s.queue in
-  let payload = Calendar_queue.min_payload s.queue in
-  Calendar_queue.drop_min s.queue;
+(* The one event body, shared by [step] and [run]'s batched dispatch:
+   account the constant-load segment up to [te], fire the event, count
+   it. *)
+let[@inline] process s payload ~te =
   record_segment s ~t1:te;
-  s.hot.now <- te;
   let tag = payload_tag payload in
   if tag = tag_change then
     handle_change s (payload_slot payload) (payload_gen payload)
   else if tag = tag_depart then
     handle_depart s (payload_slot payload) (payload_gen payload)
-  else handle_arrival s
+  else handle_arrival s;
+  Link.count_event s.kernel
 
 (* ------------------------------------------------------------------ *)
 (* Stepping API: the same machinery as [run], exposed one event at a
@@ -524,32 +343,25 @@ let process_event s =
 type sim = state
 
 let start rng cfg ~controller ~make_source =
-  if cfg.capacity <= 0.0 then invalid_arg "Continuous_load.run: capacity <= 0";
-  if cfg.holding_time_mean <= 0.0 then
+  if not (cfg.holding_time_mean > 0.0) then
     invalid_arg "Continuous_load.run: holding_time_mean <= 0";
   (match cfg.arrival with
-  | `Poisson rate when rate <= 0.0 ->
+  | `Poisson rate when not (rate > 0.0) ->
       invalid_arg "Continuous_load.run: Poisson rate <= 0"
   | `Poisson _ | `Infinite -> ());
-  Mbac.Controller.reset controller;
+  let kernel =
+    Link.create ~telemetry:true ~capacity:cfg.capacity ~warmup:cfg.warmup
+      ~batch_length:cfg.batch_length ~max_flows:cfg.max_flows controller
+  in
   let s =
     { cfg;
       arrival_mean =
         (match cfg.arrival with
         | `Poisson rate -> 1.0 /. rate
         | `Infinite -> nan);
-      rng; controller; make_source;
+      rng; make_source;
       queue = Calendar_queue.create ();
-      granted = Float.Array.create 0;
-      sources = [||];
-      gens = [||];
-      free = [||];
-      free_top = 0;
-      slot_limit = 0;
-      meas =
-        Measurement.create ~sample_spacing:cfg.batch_length
-          ~capacity:cfg.capacity ~warmup:cfg.warmup
-          ~batch_length:cfg.batch_length ();
+      kernel;
       buffer =
         (match cfg.link with
         | `Buffered size -> Some (Fluid_buffer.create ~capacity:cfg.capacity ~size)
@@ -557,16 +369,12 @@ let start rng cfg ~controller ~make_source =
       utility_stats = Mbac_stats.Welford.Weighted.create ();
       flow_count_stats = Mbac_stats.Welford.Weighted.create ();
       hot =
-        { now = 0.0; sum_rate = 0.0; sum_sq = 0.0;
-          ovf_start = nan; ovf_excess = 0.0; ovf_time = 0.0;
-          next_snapshot = cfg.warmup;
+        { next_snapshot = cfg.warmup;
           next_window =
             (if Mbac_telemetry.Timeseries.enabled () then
                Mbac_telemetry.Timeseries.interval ()
              else Float.infinity) };
-      n = 0; admitted = 0; departed = 0; blocked = 0;
-      reneg_attempts = 0; reneg_failures = 0; events = 0;
-      ovf_episodes = 0;
+      reneg_failures = 0;
       cursor =
         { c_events = 0; c_admitted = 0; c_departed = 0; c_blocked = 0;
           c_reneg_attempts = 0; c_reneg_failures = 0; c_time = 0.0 } }
@@ -578,27 +386,26 @@ let start rng cfg ~controller ~make_source =
       [ ("controller",
          Mbac_telemetry.Trace.Str (Mbac.Controller.name controller));
         ("capacity", Mbac_telemetry.Trace.Float cfg.capacity) ];
-  (let obs0 = observation s in
-   Mbac.Controller.observe controller obs0;
-   match cfg.arrival with
-   | `Infinite -> try_admit s obs0
-   | `Poisson _ ->
-       Calendar_queue.push s.queue
-         ~time:(Mbac_stats.Sample.exponential s.rng ~mean:s.arrival_mean)
-         tag_arrive);
+  (match cfg.arrival with
+  | `Infinite -> try_admit s (Link.observation kernel)
+  | `Poisson _ ->
+      Calendar_queue.push s.queue
+        ~time:(Mbac_stats.Sample.exponential s.rng ~mean:s.arrival_mean)
+        tag_arrive);
   s
 
-let[@inline] now s = s.hot.now
-let[@inline] load s = s.hot.sum_rate
-let[@inline] flows s = s.n
-let[@inline] events_processed s = s.events
+let[@inline] now s = s.kernel.Link.hot.now
+let[@inline] load s = s.kernel.Link.hot.sum_rate
+let[@inline] flows s = s.kernel.Link.n
+let[@inline] events_processed s = s.kernel.Link.events
 let[@inline] has_pending s = not (Calendar_queue.is_empty s.queue)
-let measurement s = s.meas
+let measurement s = s.kernel.Link.meas
 
-let[@inline] step s =
-  process_event s;
-  s.events <- s.events + 1;
-  if s.events mod 4_000_000 = 0 then resync_sums s
+let step s =
+  let te = Calendar_queue.min_time s.queue in
+  let payload = Calendar_queue.min_payload s.queue in
+  Calendar_queue.drop_min s.queue;
+  process s payload ~te
 
 (* Deep copy.  Everything mutable is duplicated; [cfg] and [make_source]
    are immutable/stateless and shared.  Every source in the clone is
@@ -606,44 +413,15 @@ let[@inline] step s =
    [admit_one] hands to future sources — so a clone's randomness is
    fully determined by the [rng] passed here. *)
 let clone s ~rng =
-  { cfg = s.cfg; arrival_mean = s.arrival_mean; rng;
-    controller = Mbac.Controller.copy s.controller;
-    make_source = s.make_source;
+  { s with
+    rng;
     queue = Calendar_queue.copy s.queue;
-    granted =
-      (let len = Float.Array.length s.granted in
-       let g = Float.Array.create len in
-       Float.Array.blit s.granted 0 g 0 len;
-       g);
-    sources =
-      Array.map
-        (function
-          | None -> None
-          | Some src -> Some (Mbac_traffic.Source.copy src rng))
-        s.sources;
-    gens = Array.copy s.gens;
-    free = Array.copy s.free;
-    free_top = s.free_top;
-    slot_limit = s.slot_limit;
-    meas = Measurement.copy s.meas;
+    kernel = Link.copy s.kernel ~rng;
     buffer = Option.map Fluid_buffer.copy s.buffer;
     utility_stats = Mbac_stats.Welford.Weighted.copy s.utility_stats;
     flow_count_stats = Mbac_stats.Welford.Weighted.copy s.flow_count_stats;
-    hot =
-      { now = s.hot.now; sum_rate = s.hot.sum_rate; sum_sq = s.hot.sum_sq;
-        ovf_start = s.hot.ovf_start; ovf_excess = s.hot.ovf_excess;
-        ovf_time = s.hot.ovf_time; next_snapshot = s.hot.next_snapshot;
-        next_window = s.hot.next_window };
-    n = s.n; admitted = s.admitted; departed = s.departed;
-    blocked = s.blocked; reneg_attempts = s.reneg_attempts;
-    reneg_failures = s.reneg_failures; events = s.events;
-    ovf_episodes = s.ovf_episodes;
-    cursor =
-      { c_events = s.cursor.c_events; c_admitted = s.cursor.c_admitted;
-        c_departed = s.cursor.c_departed; c_blocked = s.cursor.c_blocked;
-        c_reneg_attempts = s.cursor.c_reneg_attempts;
-        c_reneg_failures = s.cursor.c_reneg_failures;
-        c_time = s.cursor.c_time } }
+    hot = { s.hot with next_snapshot = s.hot.next_snapshot };
+    cursor = { s.cursor with c_events = s.cursor.c_events } }
 
 type snapshot = state
 
@@ -659,29 +437,19 @@ let restore ?rng snap =
 
 let run rng cfg ~controller ~make_source =
   let s = start rng cfg ~controller ~make_source in
+  let l = s.kernel in
   let stopped = ref None in
   let running = ref true in
   (* Batched dispatch: one [drain_min] pass processes every event
      sharing the minimum timestamp without re-entering the queue's
-     minimum search.  The callback is the body of [step] — [drain_min]
-     invokes it while the event is still the queue minimum, so the
-     event's own time is a cached in-place read.  Timestamp collisions
-     are measure-zero under the exponential clocks, so batches are
-     singletons in practice and the stop checks below fire with exactly
-     the per-event cadence the stepping API gives; allocated once, not
-     per event. *)
+     minimum search.  [drain_min] invokes the callback while the event
+     is still the queue minimum, so the event's own time is a cached
+     in-place read.  Timestamp collisions are measure-zero under the
+     exponential clocks, so batches are singletons in practice and the
+     stop checks below fire with exactly the per-event cadence the
+     stepping API gives; allocated once, not per event. *)
   let dispatch payload =
-    let te = Calendar_queue.min_time s.queue in
-    record_segment s ~t1:te;
-    s.hot.now <- te;
-    let tag = payload_tag payload in
-    if tag = tag_change then
-      handle_change s (payload_slot payload) (payload_gen payload)
-    else if tag = tag_depart then
-      handle_depart s (payload_slot payload) (payload_gen payload)
-    else handle_arrival s;
-    s.events <- s.events + 1;
-    if s.events mod 4_000_000 = 0 then resync_sums s
+    process s payload ~te:(Calendar_queue.min_time s.queue)
   in
   (* Events processed since the last stop check.  A [mod] test on the
      running total would skip a check whenever a same-timestamp
@@ -693,14 +461,14 @@ let run rng cfg ~controller ~make_source =
     if Calendar_queue.is_empty s.queue then
       running := false (* cannot happen while flows exist *)
     else begin
-      let before = s.events in
+      let before = l.Link.events in
       Calendar_queue.drain_min s.queue ~f:dispatch;
-      since_check := !since_check + (s.events - before);
+      since_check := !since_check + (l.events - before);
       if !since_check >= cfg.check_every_events then begin
         since_check := 0;
         match
           Measurement.check_stop ~confidence:cfg.confidence ~rel_ci:cfg.rel_ci
-            ~min_batches:cfg.min_batches s.meas ~target:cfg.target_p_q
+            ~min_batches:cfg.min_batches l.meas ~target:cfg.target_p_q
         with
         | Measurement.Running -> ()
         | v ->
@@ -708,28 +476,14 @@ let run rng cfg ~controller ~make_source =
             running := false
       end
     end;
-    if s.hot.now >= cfg.max_time || s.events >= cfg.max_events then
+    if l.hot.now >= cfg.max_time || l.events >= cfg.max_events then
       running := false
   done;
   (* Close an overflow episode left open at the end of the run, and fold
      the run's totals into the telemetry shard (exact totals, added once,
      instead of per-event increments on the hot path). *)
-  if not (Float.is_nan s.hot.ovf_start) then begin
-    let duration = s.hot.now -. s.hot.ovf_start in
-    s.hot.ovf_time <- s.hot.ovf_time +. duration;
-    Mbac_telemetry.Metrics.Handle.inc m_ovf_episodes;
-    Mbac_telemetry.Metrics.Handle.add m_ovf_time duration;
-    Mbac_telemetry.Metrics.Handle.add m_ovf_excess s.hot.ovf_excess;
-    Mbac_telemetry.Metrics.Handle.observe m_ovf_duration
-      (duration /. s.cfg.batch_length);
-    Mbac_telemetry.Metrics.Handle.observe_q m_ovf_duration_s duration;
-    Mbac_telemetry.Trace.emit ~t:s.hot.now ~kind:"overflow_end"
-      [ ("start", Mbac_telemetry.Trace.Float s.hot.ovf_start);
-        ("duration", Mbac_telemetry.Trace.Float duration);
-        ("excess_volume", Mbac_telemetry.Trace.Float s.hot.ovf_excess);
-        ("truncated", Mbac_telemetry.Trace.Bool true) ]
-  end;
-  sync_counters s ~upto:s.hot.now;
+  Link.finish l;
+  sync_counters s ~upto:l.hot.now;
   Mbac_telemetry.Metrics.inc "sim_runs_total";
   (match s.buffer with
   | Some b ->
@@ -743,62 +497,62 @@ let run rng cfg ~controller ~make_source =
     | Some (Measurement.Below_target { p_f_fit; _ }) ->
         (p_f_fit, `Gaussian_fit, true, nan)
     | Some Measurement.Running | None ->
-        let est, kind = Measurement.final_estimate s.meas ~target:cfg.target_p_q in
+        let est, kind = Measurement.final_estimate l.meas ~target:cfg.target_p_q in
         let ci =
-          Measurement.relative_half_width s.meas ~confidence:cfg.confidence
+          Measurement.relative_half_width l.meas ~confidence:cfg.confidence
         in
         (est, kind, false, ci)
   in
-  let mean_load = Measurement.load_mean s.meas in
+  let mean_load = Measurement.load_mean l.meas in
   let result =
   { p_f; estimate_kind; converged; ci_rel;
     mean_flows = Mbac_stats.Welford.Weighted.mean s.flow_count_stats;
     mean_load;
-    std_load = Measurement.load_std s.meas;
+    std_load = Measurement.load_std l.meas;
     utilization = mean_load /. cfg.capacity;
     mean_utility = Mbac_stats.Welford.Weighted.mean s.utility_stats;
-    admitted = s.admitted;
-    departed = s.departed;
-    blocked = s.blocked;
+    admitted = l.admitted;
+    departed = l.released;
+    blocked = l.blocked;
     blocking_probability =
       (match cfg.arrival with
       | `Infinite -> nan
       | `Poisson _ ->
-          let offered = s.blocked + s.admitted in
+          let offered = l.blocked + l.admitted in
           if offered = 0 then nan
-          else float_of_int s.blocked /. float_of_int offered);
-    reneg_attempts = s.reneg_attempts;
+          else float_of_int l.blocked /. float_of_int offered);
+    reneg_attempts = l.updates;
     reneg_failures = s.reneg_failures;
     reneg_failure_probability =
-      (if s.reneg_attempts = 0 then nan
-       else float_of_int s.reneg_failures /. float_of_int s.reneg_attempts);
+      (if l.updates = 0 then nan
+       else float_of_int s.reneg_failures /. float_of_int l.updates);
     buffer_loss_fraction =
       (match s.buffer with
       | Some b -> Fluid_buffer.loss_time_fraction b
       | None -> nan);
-    p_f_point = Measurement.point_fraction s.meas;
-    sim_time = s.hot.now;
-    events = s.events }
+    p_f_point = Measurement.point_fraction l.meas;
+    sim_time = l.hot.now;
+    events = l.events }
   in
   Mbac_telemetry.Metrics.set_gauge "sim_last_p_f" result.p_f;
   Mbac_telemetry.Metrics.set_gauge "sim_last_utilization" result.utilization;
-  Mbac_telemetry.Trace.emit ~t:s.hot.now ~kind:"run_end"
+  Mbac_telemetry.Trace.emit ~t:l.hot.now ~kind:"run_end"
     [ ("controller", Mbac_telemetry.Trace.Str (Mbac.Controller.name controller));
       ("p_f", Mbac_telemetry.Trace.Float result.p_f);
       ("utilization", Mbac_telemetry.Trace.Float result.utilization);
-      ("overflow_episodes", Mbac_telemetry.Trace.Int s.ovf_episodes);
-      ("overflow_time", Mbac_telemetry.Trace.Float s.hot.ovf_time);
-      ("admitted", Mbac_telemetry.Trace.Int s.admitted);
-      ("events", Mbac_telemetry.Trace.Int s.events) ];
+      ("overflow_episodes", Mbac_telemetry.Trace.Int l.ovf_episodes);
+      ("overflow_time", Mbac_telemetry.Trace.Float l.hot.ovf_time);
+      ("admitted", Mbac_telemetry.Trace.Int l.admitted);
+      ("events", Mbac_telemetry.Trace.Int l.events) ];
   (* Close the partial window left open at run end (it carries the
      run-total counters folded above and the headline gauges). *)
   if
     Mbac_telemetry.Timeseries.enabled ()
-    && s.hot.now > s.hot.next_window -. Mbac_telemetry.Timeseries.interval ()
+    && l.hot.now > s.hot.next_window -. Mbac_telemetry.Timeseries.interval ()
   then begin
-    Mbac_telemetry.Metrics.Handle.set_gauge g_window_flows (float_of_int s.n);
-    Mbac_telemetry.Metrics.Handle.set_gauge g_window_load s.hot.sum_rate;
-    Mbac_telemetry.Timeseries.emit_window ~t:s.hot.now
+    Mbac_telemetry.Metrics.Handle.set_gauge g_window_flows (float_of_int l.n);
+    Mbac_telemetry.Metrics.Handle.set_gauge g_window_load l.hot.sum_rate;
+    Mbac_telemetry.Timeseries.emit_window ~t:l.hot.now
   end;
   result
 

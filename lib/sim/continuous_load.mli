@@ -10,6 +10,12 @@
     Admitted flows hold for an exponential time with mean
     [holding_time_mean] and fluctuate according to their source model.
 
+    The link itself — flow table, load sums, overflow measurement,
+    controller and admission test — is one {!Link} kernel, the same one
+    [Mbac_net.Network] runs per topology link; this module adds the
+    arrival process, the fluid buffer, the time averages, the stopping
+    rules and the stepping/snapshot API.
+
     Link models:
     - [`Bufferless] (the paper's): QoS is the probability that the
       aggregate rate exceeds [capacity].

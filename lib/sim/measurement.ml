@@ -17,11 +17,13 @@ type t = {
 }
 
 let create ?sample_spacing ~capacity ~warmup ~batch_length () =
-  if capacity <= 0.0 then invalid_arg "Measurement.create: capacity <= 0";
-  if warmup < 0.0 then invalid_arg "Measurement.create: warmup < 0";
-  if batch_length <= 0.0 then invalid_arg "Measurement.create: batch_length <= 0";
+  (* [not (x > 0.0)] rather than [x <= 0.0], so NaN is refused too *)
+  if not (capacity > 0.0) then invalid_arg "Measurement.create: capacity <= 0";
+  if not (warmup >= 0.0) then invalid_arg "Measurement.create: warmup < 0";
+  if not (batch_length > 0.0) then
+    invalid_arg "Measurement.create: batch_length <= 0";
   (match sample_spacing with
-  | Some s when s <= 0.0 ->
+  | Some s when not (s > 0.0) ->
       invalid_arg "Measurement.create: sample_spacing <= 0"
   | Some _ | None -> ());
   { capacity; warmup;

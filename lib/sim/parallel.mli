@@ -78,9 +78,9 @@ val run_tasks :
     [count_tasks] (default [true]) controls the
     [parallel_tasks_total] / [parallel_tasks_skipped_total] increments.
     Pass [false] when the {e number} of pool invocations depends on the
-    execution width — as in the network engine, whose window drivers
-    submit a width-dependent task count — so metric snapshots stay
-    byte-identical for every [jobs] value there too.
+    execution width — as in the network engine, whose driver submits
+    one task per runner — so metric snapshots stay byte-identical for
+    every [jobs] value there too.
 
     [chunk] is the number of consecutive tasks a worker claims per
     queue round-trip (default: auto, roughly [n / (8 * width)] capped

@@ -227,19 +227,37 @@ let test_shard_invariance =
       String.equal reference sharded)
 
 let test_parallel_drivers () =
-  (* One run through each driver — serial, whole-run spin barrier
-     (width = shards), and the per-window pool fallback (width <
-     shards) — must render identically. *)
+  (* One driver at every width: serial (inline), one runner per shard,
+     and fewer runners than shards, evenly (jobs 2: two shards each)
+     and unevenly (jobs 3: one, one and two shards) — all must render
+     identically. *)
   let capacity = 30.0 in
   let rate = 0.9 *. capacity /. t_h in
   let topology = Topo.line ~links:4 ~capacity ~rate in
   let reference =
     render (run_net ~jobs:1 ~seed:21 ~shards:4 ~max_events:20_000 topology)
   in
-  Alcotest.(check string) "barrier driver (jobs = shards)" reference
+  Alcotest.(check string) "one runner per shard (jobs = shards)" reference
     (render (run_net ~jobs:4 ~seed:21 ~shards:4 ~max_events:20_000 topology));
-  Alcotest.(check string) "window-pool driver (jobs < shards)" reference
-    (render (run_net ~jobs:2 ~seed:21 ~shards:4 ~max_events:20_000 topology))
+  Alcotest.(check string) "two shards per runner (jobs 2)" reference
+    (render (run_net ~jobs:2 ~seed:21 ~shards:4 ~max_events:20_000 topology));
+  Alcotest.(check string) "uneven runner ranges (jobs 3)" reference
+    (render (run_net ~jobs:3 ~seed:21 ~shards:4 ~max_events:20_000 topology))
+
+let test_nan_config () =
+  (* warmup and batch_length reach each link's measurement, which must
+     refuse NaN as it refuses non-positive values *)
+  let topology = Topo.line ~links:2 ~capacity:30.0 ~rate:0.27 in
+  let cfg = net_cfg ~topology ~shards:1 ~max_events:1_000 in
+  let run cfg =
+    ignore (Net.run ~jobs:1 ~seed:1 cfg ~make_controller ~make_source)
+  in
+  Alcotest.check_raises "warmup"
+    (Invalid_argument "Measurement.create: warmup < 0") (fun () ->
+      run { cfg with Net.warmup = nan });
+  Alcotest.check_raises "batch_length"
+    (Invalid_argument "Measurement.create: batch_length <= 0") (fun () ->
+      run { cfg with Net.batch_length = nan })
 
 let test_conservation () =
   let capacity = 30.0 in
@@ -289,6 +307,8 @@ let suite =
         test_single_link_equivalence;
         test_shard_invariance;
         Alcotest.test_case "parallel drivers" `Quick test_parallel_drivers;
+        Alcotest.test_case "NaN config values are refused" `Quick
+          test_nan_config;
         Alcotest.test_case "conservation" `Quick test_conservation;
         Alcotest.test_case "end-to-end rejection" `Quick
           test_reject_blocks_end_to_end ] ) ]
