@@ -121,9 +121,10 @@ let () =
          done));
 
   (* cross-shard exchange: a steady window cycle of sends followed by a
-     merge-sorted deliver on each destination.  Outboxes, inboxes and
-     the merge scratch all grow once and are then reused, so the steady
-     state must be allocation-free per exchanged message. *)
+     deliver (the outboxes concatenated in source order) on each
+     destination.  Outboxes and inbox grow once and are then reused,
+     and [send] is inlined, so its float arguments stay unboxed: the
+     steady state must be allocation-free per exchanged message. *)
   let ex = Mbac_net.Exchange.create ~shards:4 in
   let ex_batch = 64 in
   report "Exchange send+deliver (per message)"

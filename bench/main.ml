@@ -1025,9 +1025,16 @@ let run_serve fmt ~toy =
    The rendered summary of every scaling run must also be
    byte-identical across shard counts — the determinism contract is
    re-checked inside the perf gate so a "fix" that buys throughput by
-   breaking it cannot pass. *)
+   breaking it cannot pass.
+
+   - allocation: minor words per event of the 4-shard star, run
+     serially so every allocation lands on this domain's
+     [Gc.minor_words].  The ceiling keeps the hot-path gate's margin
+     (9.0 against 7.5 measured, x1.2) over the measured value; a
+     message path that boxes its floats again exceeds it. *)
 
 let network_overhead_min = 0.9
+let network_alloc_gate_words = 7.8
 
 let network_required ~cores ~effective =
   let hw = min effective cores in
@@ -1053,6 +1060,8 @@ type network_numbers = {
   nw_overhead_pass : bool;
   nw_rows : network_row list;
   nw_deterministic : bool;
+  nw_minor_words_per_event : float;
+  nw_alloc_pass : bool;
   nw_pass : bool;
 }
 
@@ -1209,8 +1218,23 @@ let run_network fmt ~toy =
   in
   Format.fprintf fmt "  resharded summaries byte-identical: %s@."
     (if deterministic then "yes" else "NO — determinism contract broken");
+  let words_per_event =
+    let minor0 = Gc.minor_words () in
+    let r =
+      network_run ~topology:star_topo ~shards:4 ~jobs:1
+        ~max_events:scale_events
+    in
+    (Gc.minor_words () -. minor0) /. float_of_int r.Mbac_net.Network.events
+  in
+  let alloc_pass = words_per_event <= network_alloc_gate_words in
+  Format.fprintf fmt
+    "  minor allocation, 4 shards serially: %.2f words/event (<= %.1f: %s)@."
+    words_per_event network_alloc_gate_words
+    (if alloc_pass then "PASS" else "FAIL");
   let rows_pass = List.for_all (fun r -> r.n_pass) rows in
-  let pass = deterministic && (toy || (overhead_pass && rows_pass)) in
+  let pass =
+    deterministic && alloc_pass && (toy || (overhead_pass && rows_pass))
+  in
   if not toy then
     Format.fprintf fmt "  network gate: %s@."
       (if pass then "PASS" else "FAIL");
@@ -1221,6 +1245,8 @@ let run_network fmt ~toy =
     nw_overhead_pass = overhead_pass;
     nw_rows = rows;
     nw_deterministic = deterministic;
+    nw_minor_words_per_event = words_per_event;
+    nw_alloc_pass = alloc_pass;
     nw_pass = pass }
 
 (* ---------- BENCH.json ---------- *)
@@ -1409,6 +1435,9 @@ let write_bench_json ~path ~profile ~repro_ns ~micro ~scaling ~hotpath ~rare
             ("overhead_gate_min", float network_overhead_min);
             ("overhead_pass", bool nw.nw_overhead_pass);
             ("deterministic_across_shards", bool nw.nw_deterministic);
+            ("minor_words_per_event", fnan nw.nw_minor_words_per_event);
+            ("alloc_gate_words", float network_alloc_gate_words);
+            ("alloc_pass", bool nw.nw_alloc_pass);
             ("gate_pass", bool nw.nw_pass);
             ("rows",
              arr

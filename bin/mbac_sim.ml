@@ -307,9 +307,18 @@ let run_network topo_spec topo_file shards controller_name source_kind n mu
     | "peak-rate" -> Ok (Mbac.Controller.peak_rate ~capacity ~peak)
     | other -> Error (Printf.sprintf "unknown controller %S" other)
   in
+  let positive x = Float.is_finite x && x > 0.0 in
   match topo with
+  | _ when not (positive t_h) -> Error "--t-h must be finite and > 0"
+  | _ when not (positive offered) -> Error "--offered must be finite and > 0"
+  | _ when not (Option.fold ~none:true ~some:positive setup_delay) ->
+      Error "--setup-delay must be finite and > 0"
   | Error e -> Error e
   | Ok _ when shards < 1 -> Error "--shards must be >= 1"
+  | Ok t when shards > min (Mbac_net.Topology.num_links t) 256 ->
+      Error
+        (Printf.sprintf "--shards must be <= min(links, 256) = %d here"
+           (min (Mbac_net.Topology.num_links t) 256))
   | Ok _ when jobs < 1 -> Error "--jobs must be >= 1"
   | Ok _ when tele.Mbac_telemetry_cli.Flags.trace_sample < 1 ->
       Error "--trace-sample must be >= 1"

@@ -20,11 +20,7 @@ type box = {
 type t = {
   shards : int;
   boxes : box array; (* src * shards + dst *)
-  (* reusable merge state, touched only by the delivering domain *)
-  mutable perm : int array;    (* packed (src lsl 32) lor idx *)
-  mutable scratch : int array;
-  (* inbox: merged messages in (time, src, seq) order *)
-  mutable i_len : int;
+  (* inbox: the last delivery, in (src shard, send order) *)
   mutable i_time : Float.Array.t;
   mutable i_rate : Float.Array.t;
   mutable i_tend : Float.Array.t;
@@ -56,9 +52,6 @@ let create ~shards =
     invalid_arg "Exchange.create: shards outside 1..256";
   { shards;
     boxes = Array.init (shards * shards) (fun _ -> make_box 16);
-    perm = Array.make 16 0;
-    scratch = Array.make 16 0;
-    i_len = 0;
     i_time = Float.Array.create 16;
     i_rate = Float.Array.create 16;
     i_tend = Float.Array.create 16;
@@ -94,8 +87,8 @@ let grow_box b =
   b.b_islot <- grow_ints b.b_islot len;
   b.b_igen <- grow_ints b.b_igen len
 
-let send t ~src ~dst ~time ~kind ~link ~hop ~route ~seq ~islot ~igen ~rate
-    ~t_end =
+let[@inline] send t ~src ~dst ~time ~kind ~link ~hop ~route ~seq ~islot
+    ~igen ~rate ~t_end =
   let b = t.boxes.((src * t.shards) + dst) in
   let i = b.b_len in
   if i = Array.length b.b_kind then grow_box b;
@@ -110,25 +103,6 @@ let send t ~src ~dst ~time ~kind ~link ~hop ~route ~seq ~islot ~igen ~rate
   b.b_islot.(i) <- islot;
   b.b_igen.(i) <- igen;
   b.b_len <- i + 1
-
-(* A permutation entry packs (src shard, index within the (src, dst)
-   outbox) into one int with src in the high bits, so when two delivery
-   times are equal the plain int order of the entries IS the
-   (src_shard, seq) tie-break. *)
-let[@inline] pack ~src ~idx = (src lsl 32) lor idx
-let[@inline] unpack_src p = p lsr 32
-let[@inline] unpack_idx p = p land 0xFFFFFFFF
-
-let ensure_int_capacity arr m =
-  let len = Array.length arr in
-  if len >= m then arr
-  else begin
-    let n = ref (2 * len) in
-    while !n < m do
-      n := 2 * !n
-    done;
-    Array.make !n 0
-  end
 
 let grow_inbox t m =
   let len = Array.length t.i_kind in
@@ -150,90 +124,43 @@ let grow_inbox t m =
     t.i_igen <- Array.make n 0
   end
 
+(* Concatenate the outboxes for [dst] in (src shard, send order).  The
+   copy is a plain loop, not [Array.blit]: a blit is a C call (ten per
+   outbox) and, into a major-heap [int array], runs [caml_modify] per
+   element on OCaml 5.1.  Outboxes hold a few messages per window,
+   where the loop is 2-12x cheaper per message (PERFORMANCE.md). *)
 let deliver t ~dst =
   let shards = t.shards in
-  (* gather *)
   let m = ref 0 in
   for src = 0 to shards - 1 do
     m := !m + t.boxes.((src * shards) + dst).b_len
   done;
   let m = !m in
-  t.perm <- ensure_int_capacity t.perm m;
-  t.scratch <- ensure_int_capacity t.scratch m;
   grow_inbox t m;
-  let k = ref 0 in
+  let i_time = t.i_time and i_rate = t.i_rate and i_tend = t.i_tend in
+  let i_kind = t.i_kind and i_link = t.i_link and i_hop = t.i_hop in
+  let i_route = t.i_route and i_seq = t.i_seq in
+  let i_islot = t.i_islot and i_igen = t.i_igen in
+  let o = ref 0 in
   for src = 0 to shards - 1 do
     let b = t.boxes.((src * shards) + dst) in
-    for idx = 0 to b.b_len - 1 do
-      t.perm.(!k) <- pack ~src ~idx;
-      incr k
-    done
-  done;
-  (* bottom-up merge sort of perm[0..m-1] by (time, packed entry) *)
-  let time_of p =
-    let b = t.boxes.((unpack_src p * shards) + dst) in
-    Float.Array.get b.b_time (unpack_idx p)
-  in
-  let a = ref t.perm and b = ref t.scratch in
-  let width = ref 1 in
-  while !width < m do
-    let sa = !a and sb = !b in
-    let i = ref 0 in
-    while !i < m do
-      let mid = min m (!i + !width) in
-      let hi = min m (!i + (2 * !width)) in
-      let p = ref !i and q = ref mid and o = ref !i in
-      while !p < mid && !q < hi do
-        let ep = sa.(!p) and eq = sa.(!q) in
-        let tp = time_of ep and tq = time_of eq in
-        if tq < tp || (tq = tp && eq < ep) then begin
-          sb.(!o) <- eq;
-          incr q
-        end
-        else begin
-          sb.(!o) <- ep;
-          incr p
-        end;
-        incr o
-      done;
-      while !p < mid do
-        sb.(!o) <- sa.(!p);
-        incr p;
-        incr o
-      done;
-      while !q < hi do
-        sb.(!o) <- sa.(!q);
-        incr q;
-        incr o
-      done;
-      i := hi
+    let base = !o in
+    for j = 0 to b.b_len - 1 do
+      let i = base + j in
+      Float.Array.set i_time i (Float.Array.get b.b_time j);
+      Float.Array.set i_rate i (Float.Array.get b.b_rate j);
+      Float.Array.set i_tend i (Float.Array.get b.b_tend j);
+      i_kind.(i) <- b.b_kind.(j);
+      i_link.(i) <- b.b_link.(j);
+      i_hop.(i) <- b.b_hop.(j);
+      i_route.(i) <- b.b_route.(j);
+      i_seq.(i) <- b.b_seq.(j);
+      i_islot.(i) <- b.b_islot.(j);
+      i_igen.(i) <- b.b_igen.(j)
     done;
-    let tmp = !a in
-    a := !b;
-    b := tmp;
-    width := 2 * !width
+    o := base + b.b_len;
+    b.b_len <- 0
   done;
-  let sorted = !a in
-  (* scatter into the inbox, then reset the outboxes *)
-  for i = 0 to m - 1 do
-    let p = sorted.(i) in
-    let bx = t.boxes.((unpack_src p * shards) + dst) in
-    let idx = unpack_idx p in
-    Float.Array.set t.i_time i (Float.Array.get bx.b_time idx);
-    Float.Array.set t.i_rate i (Float.Array.get bx.b_rate idx);
-    Float.Array.set t.i_tend i (Float.Array.get bx.b_tend idx);
-    t.i_kind.(i) <- bx.b_kind.(idx);
-    t.i_link.(i) <- bx.b_link.(idx);
-    t.i_hop.(i) <- bx.b_hop.(idx);
-    t.i_route.(i) <- bx.b_route.(idx);
-    t.i_seq.(i) <- bx.b_seq.(idx);
-    t.i_islot.(i) <- bx.b_islot.(idx);
-    t.i_igen.(i) <- bx.b_igen.(idx)
-  done;
-  for src = 0 to shards - 1 do
-    t.boxes.((src * shards) + dst).b_len <- 0
-  done;
-  t.i_len <- m;
   t.delivered <- t.delivered + m;
   m
 

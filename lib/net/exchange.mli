@@ -4,18 +4,21 @@
     one outbox per (source shard, destination shard) pair, written only
     by its source shard while the window runs, drained only at the
     window barrier by the single delivering domain.  Steady-state
-    {!send} and {!deliver} are allocation-free (arrays grow by doubling
-    and are then reused; [bench/alloc_probe] enforces ≈0 words per
-    exchanged message).
+    {!send} and {!deliver} allocate nothing: arrays grow by doubling
+    and are then reused, and {!send} is [[@inline]] so its float
+    arguments are stored without being boxed.
 
     {2 Determinism}
 
-    {!deliver} merges every outbox destined for a shard into that
-    shard's inbox sorted by [(time, src_shard, seq)], where [seq] is
-    the source shard's send order.  The merged order is therefore a
-    pure function of the messages themselves — never of domain
-    scheduling — which is what makes network runs byte-identical across
-    [--jobs] and shard counts. *)
+    {!deliver} sorts nothing.  It concatenates the outboxes destined
+    for a shard in [(src_shard, seq)] order, where [seq] is the source
+    shard's send order.  The caller pushes that inbox, in order, into
+    the destination shard's calendar wheel, which breaks time ties by
+    push order, so the delivered messages pop in
+    [(time, src_shard, seq)] order.  Both orders are pure functions of
+    the messages themselves, never of domain scheduling, which is what
+    makes network runs byte-identical across [--jobs] and shard
+    counts. *)
 
 type t
 
@@ -43,10 +46,11 @@ val send :
     call this while a window is running. *)
 
 val deliver : t -> dst:int -> int
-(** Merge-sort every outbox destined for [dst] into its inbox and empty
-    them; returns the message count.  The inbox is then read with the
-    accessors below, indexed [0 .. count-1] in [(time, src, seq)]
-    order.  Must only be called between windows, after the barrier. *)
+(** Copy every outbox destined for [dst] into the inbox and empty them;
+    returns the message count.  The inbox is then read with the
+    accessors below, indexed [0 .. count-1] in [(src, seq)] order:
+    source shards ascending, each one's messages in send order.  Must
+    only be called between windows, after the barrier. *)
 
 val in_time : t -> int -> float
 val in_kind : t -> int -> int

@@ -214,9 +214,12 @@ let arena_free sh idx =
   sh.a_free.(sh.a_free_top) <- idx;
   sh.a_free_top <- sh.a_free_top + 1
 
-(* Queue a message as a wheel event on [sh] (delivery already decided). *)
-let push_local sh ~time ~kind ~link ~hop ~route ~seq ~islot ~igen ~rate
-    ~t_end =
+(* Queue a message as a wheel event on [sh] (delivery already decided).
+   [push_local], [send_msg] and [Exchange.send] are [@inline] so a
+   message's [time], [rate] and [t_end] stay unboxed from the handler
+   that computes them to the arena, outbox or wheel that stores them. *)
+let[@inline] push_local sh ~time ~kind ~link ~hop ~route ~seq ~islot
+    ~igen ~rate ~t_end =
   let idx = arena_alloc sh in
   sh.a_kind.(idx) <- kind;
   sh.a_link.(idx) <- link;
@@ -233,8 +236,8 @@ let push_local sh ~time ~kind ~link ~hop ~route ~seq ~islot ~igen ~rate
    wheel when we own it (delivery times always land in a later window,
    so this never perturbs the current drain), through the exchange
    otherwise. *)
-let send_msg eng sh ~time ~kind ~link ~hop ~route ~seq ~islot ~igen ~rate
-    ~t_end =
+let[@inline] send_msg eng sh ~time ~kind ~link ~hop ~route ~seq ~islot
+    ~igen ~rate ~t_end =
   let dst = eng.owner.(link) in
   if dst = sh.sh_id then
     push_local sh ~time ~kind ~link ~hop ~route ~seq ~islot ~igen ~rate
@@ -566,8 +569,9 @@ let build ~seed cfg ~make_controller ~make_source =
   if cfg.shards < 1 || cfg.shards > min nl 256 then
     invalid_arg "Network.run: shards outside 1..min(links, 256)";
   if nr > route_mask then invalid_arg "Network.run: too many routes";
-  if not (cfg.setup_delay > 0.0) then
-    invalid_arg "Network.run: setup_delay <= 0";
+  (* an infinite window would never reach a barrier, so never stop *)
+  if not (Float.is_finite cfg.setup_delay && cfg.setup_delay > 0.0) then
+    invalid_arg "Network.run: setup_delay must be finite and > 0";
   if not (cfg.holding_time_mean > 0.0) then
     invalid_arg "Network.run: holding_time_mean <= 0";
   let owner = Array.init nl (fun i -> i * cfg.shards / nl) in

@@ -17,11 +17,12 @@
 
     Output is byte-identical for every [jobs] value and every shard
     count (see NETWORK.md for the mechanics: per-route RNG streams
-    drawn only at the ingress event, all inter-shard messages sorted by
-    [(time, src_shard, seq)], per-link event counters driving the float
-    resyncs).  A 1-link network reproduces
-    {!Mbac_sim.Continuous_load}'s Poisson loop draw-for-draw when
-    driven from the same stream ({!route_stream_tag}). *)
+    drawn only at the ingress event; inter-shard messages delivered in
+    [(src_shard, seq)] order into a wheel that breaks time ties by push
+    order, so they pop in [(time, src_shard, seq)] order; per-link
+    event counters driving the float resyncs).  A 1-link network
+    reproduces {!Mbac_sim.Continuous_load}'s Poisson loop draw-for-draw
+    when driven from the same stream ({!route_stream_tag}). *)
 
 type config = {
   topology : Topology.t;

@@ -1,19 +1,23 @@
 type route = { links : int array; rate : float }
 type t = { capacities : float array; routes : route array }
 
+let positive x = Float.is_finite x && x > 0.0
+
 let make ~capacities ~routes =
   let nl = Array.length capacities in
   if nl = 0 then invalid_arg "Topology.make: no links";
   if Array.length routes = 0 then invalid_arg "Topology.make: no routes";
   Array.iter
     (fun c ->
-      if not (c > 0.0) then invalid_arg "Topology.make: capacity <= 0")
+      if not (positive c) then
+        invalid_arg "Topology.make: capacity must be finite and > 0")
     capacities;
   let seen = Array.make nl (-1) in
   Array.iteri
     (fun r { links; rate } ->
       if Array.length links = 0 then invalid_arg "Topology.make: empty route";
-      if not (rate > 0.0) then invalid_arg "Topology.make: route rate <= 0";
+      if not (positive rate) then
+        invalid_arg "Topology.make: route rate must be finite and > 0";
       Array.iter
         (fun l ->
           if l < 0 || l >= nl then
@@ -87,6 +91,10 @@ let of_spec ~rate ~capacity spec =
          "bad topology spec %S (expected line:N, star:N or core-edge:ExC)"
          spec)
   in
+  (* the generators validate [rate] and [capacity] through [make] *)
+  let build f =
+    match f () with t -> Ok t | exception Invalid_argument m -> Error m
+  in
   match String.index_opt spec ':' with
   | None -> fail ()
   | Some i -> (
@@ -95,11 +103,13 @@ let of_spec ~rate ~capacity spec =
       match kind with
       | "line" -> (
           match int_of_string_opt arg with
-          | Some n when n >= 1 -> Ok (line ~links:n ~capacity ~rate)
+          | Some n when n >= 1 ->
+              build (fun () -> line ~links:n ~capacity ~rate)
           | Some _ | None -> fail ())
       | "star" -> (
           match int_of_string_opt arg with
-          | Some n when n >= 2 -> Ok (star ~leaves:n ~capacity ~rate)
+          | Some n when n >= 2 ->
+              build (fun () -> star ~leaves:n ~capacity ~rate)
           | Some _ | None -> fail ())
       | "core-edge" -> (
           match String.index_opt arg 'x' with
@@ -109,9 +119,9 @@ let of_spec ~rate ~capacity spec =
               let c = String.sub arg (j + 1) (String.length arg - j - 1) in
               match (int_of_string_opt e, int_of_string_opt c) with
               | Some e, Some c when e >= 2 && c >= 1 ->
-                  Ok
-                    (core_edge ~edges:e ~cores:c ~capacity ~core_scale:2.0
-                       ~rate)
+                  build (fun () ->
+                      core_edge ~edges:e ~cores:c ~capacity ~core_scale:2.0
+                        ~rate)
               | _ -> fail ()))
       | _ -> fail ())
 
@@ -145,14 +155,15 @@ let parse text =
         | [] -> go (lineno + 1) rest
         | "link" :: [ c ] -> (
             match float_of_string_opt c with
-            | Some c when c > 0.0 ->
+            | Some c when positive c ->
                 caps := c :: !caps;
                 incr ncaps;
                 go (lineno + 1) rest
-            | Some _ | None -> err lineno "link needs a positive capacity")
+            | Some _ | None ->
+                err lineno "link needs a finite positive capacity")
         | "route" :: rate :: (_ :: _ as ids) -> (
             match float_of_string_opt rate with
-            | Some rate when rate > 0.0 -> (
+            | Some rate when positive rate -> (
                 let parsed =
                   List.fold_left
                     (fun acc id ->
@@ -168,7 +179,7 @@ let parse text =
                       :: !routes;
                     go (lineno + 1) rest
                 | None -> err lineno "route link ids must be integers")
-            | Some _ | None -> err lineno "route needs a positive rate")
+            | Some _ | None -> err lineno "route needs a finite positive rate")
         | d :: _ -> err lineno (Printf.sprintf "unknown directive %S" d))
   in
   go 1 lines

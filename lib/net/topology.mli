@@ -20,8 +20,9 @@ type t = {
 }
 
 val make : capacities:float array -> routes:route array -> t
-(** Validates: at least one link and one route, positive capacities and
-    rates, in-range link ids, no repeated link within a route.
+(** Validates: at least one link and one route, finite positive
+    capacities and rates, in-range link ids, no repeated link within a
+    route.
     @raise Invalid_argument otherwise. *)
 
 val num_links : t -> int
@@ -56,12 +57,14 @@ val core_edge : edges:int -> cores:int -> capacity:float -> core_scale:float -> 
 val of_spec : rate:float -> capacity:float -> string -> (t, string) result
 (** Parse a generator spec: ["line:N"], ["star:N"], or
     ["core-edge:ExC"] (e.g. ["core-edge:4x2"], core capacity fixed at
-    [2 *. capacity]). *)
+    [2 *. capacity]).  A [rate] or [capacity] {!make} refuses is an
+    [Error] too, never an exception. *)
 
 val parse : string -> (t, string) result
 (** Parse a topology config: one directive per line, [#] comments.
     [link CAPACITY] appends a link (ids in file order from 0);
-    [route RATE LINK...] appends a route. *)
+    [route RATE LINK...] appends a route.  Any input {!make} refuses
+    is an [Error], never an exception. *)
 
 val pp : Format.formatter -> t -> unit
 (** Deterministic one-line-per-element summary (used by the CLI). *)

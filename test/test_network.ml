@@ -61,7 +61,33 @@ let test_spec_and_parse () =
   | Error _ -> ());
   (match Topo.parse "link 10\nroute 1 3\n" with
   | Ok _ -> Alcotest.fail "out-of-range link accepted"
-  | Error _ -> ())
+  | Error _ -> ());
+  (* non-finite or non-positive values are errors, never exceptions *)
+  List.iter
+    (fun (what, rate, capacity) ->
+      match Topo.of_spec ~rate ~capacity "line:2" with
+      | Ok _ -> Alcotest.failf "spec with %s accepted" what
+      | Error _ -> ()
+      | exception e ->
+          Alcotest.failf "spec with %s raised %s" what (Printexc.to_string e))
+    [ ("rate 0", 0.0, 10.0);
+      ("rate inf", infinity, 10.0);
+      ("rate nan", nan, 10.0);
+      ("capacity inf", 1.0, infinity) ];
+  List.iter
+    (fun text ->
+      match Topo.parse text with
+      | Ok _ -> Alcotest.failf "config %S accepted" text
+      | Error _ -> ())
+    [ "link 30\nlink 30\nroute inf 0 1\n";
+      "link 1e400\nroute 0.27 0\n";
+      "link nan\nroute 0.27 0\n" ];
+  Alcotest.check_raises "make refuses an infinite capacity"
+    (Invalid_argument "Topology.make: capacity must be finite and > 0")
+    (fun () ->
+      ignore
+        (Topo.make ~capacities:[| infinity |]
+           ~routes:[| { Topo.links = [| 0 |]; rate = 1.0 } |]))
 
 (* ---------- int table ---------- *)
 
@@ -99,35 +125,93 @@ let test_int_table_model =
 
 (* ---------- exchange ---------- *)
 
-let test_exchange_order =
-  qcheck ~count:200 "deliver sorts by (time, src, send order)"
-    QCheck.(list_of_size Gen.(int_range 0 60)
-              (pair (int_range 0 3) (int_range 0 7)))
-    (fun sends ->
-      let ex = Mbac_net.Exchange.create ~shards:4 in
-      let expected =
+(* [deliver] concatenates the outboxes for [dst] in (src, send order)
+   and copies every field; pushed into a wheel in that order, the
+   messages pop in (time, src, send order), because the wheel breaks
+   time ties by push order.  Times come from a grid of eight values so
+   ties across sources are common. *)
+let test_exchange_delivery =
+  qcheck ~count:200
+    "deliver is (src, send order), the wheel pops (time, src, seq)"
+    QCheck.(
+      (* (src, dst, time in tenths, rate) *)
+      let sends n =
+        list_of_size Gen.(int_range 0 n)
+          (quad (int_range 0 3) (int_range 0 3) (int_range 0 7) float)
+      in
+      pair (sends 60) (sends 20))
+    (fun (round1, round2) ->
+      let module Ex = Mbac_net.Exchange in
+      let ex = Ex.create ~shards:4 in
+      (* message [i]'s int fields are [i] plus a per-field offset, its
+         [t_end] the float whose bits are [i], so a field read from the
+         wrong message or slot shows *)
+      let send ~first sends =
         List.mapi
-          (fun i (src, t10) ->
+          (fun j (src, dst, t10, rate) ->
+            let i = first + j in
             let time = float_of_int t10 /. 10.0 in
-            Mbac_net.Exchange.send ex ~src ~dst:1 ~time ~kind:0 ~link:0
-              ~hop:0 ~route:0 ~seq:i ~islot:0 ~igen:0 ~rate:0.0 ~t_end:0.0;
-            (time, src, i))
+            Ex.send ex ~src ~dst ~time ~kind:i ~link:(i + 1) ~hop:(i + 2)
+              ~route:(i + 3) ~seq:i ~islot:(i + 4) ~igen:(i + 5) ~rate
+              ~t_end:(Int64.float_of_bits (Int64.of_int i));
+            (i, src, dst, time, rate))
           sends
       in
-      let expected =
-        List.stable_sort
-          (fun (t1, s1, _) (t2, s2, _) ->
-            match compare t1 t2 with 0 -> compare s1 s2 | c -> c)
-          expected
+      let bits = Int64.bits_of_float in
+      let check_round msgs =
+        List.for_all
+          (fun dst ->
+            let expected =
+              List.stable_sort
+                (fun (_, s1, _, _, _) (_, s2, _, _, _) -> compare s1 s2)
+                (List.filter (fun (_, _, d, _, _) -> d = dst) msgs)
+            in
+            let n = Ex.deliver ex ~dst in
+            let fields_ok =
+              n = List.length expected
+              && List.for_all2
+                   (fun (i, _, _, time, rate) k ->
+                     bits (Ex.in_time ex k) = bits time
+                     && Ex.in_kind ex k = i
+                     && Ex.in_link ex k = i + 1
+                     && Ex.in_hop ex k = i + 2
+                     && Ex.in_route ex k = i + 3
+                     && Ex.in_seq ex k = i
+                     && Ex.in_islot ex k = i + 4
+                     && Ex.in_igen ex k = i + 5
+                     && bits (Ex.in_rate ex k) = bits rate
+                     && bits (Ex.in_tend ex k) = Int64.of_int i)
+                   expected (List.init n Fun.id)
+            in
+            (* (time, src, send order) *)
+            let by_time =
+              List.stable_sort
+                (fun (_, s1, _, t1, _) (_, s2, _, t2, _) ->
+                  match compare t1 t2 with 0 -> compare s1 s2 | c -> c)
+                expected
+            in
+            let wheel = Mbac_sim.Calendar_queue.create () in
+            for k = 0 to n - 1 do
+              Mbac_sim.Calendar_queue.push wheel ~time:(Ex.in_time ex k)
+                (Ex.in_seq ex k)
+            done;
+            let popped =
+              List.init n (fun _ ->
+                  match Mbac_sim.Calendar_queue.pop wheel with
+                  | Some (_, seq) -> seq
+                  | None -> -1)
+            in
+            fields_ok
+            && popped = List.map (fun (i, _, _, _, _) -> i) by_time)
+          [ 0; 1; 2; 3 ]
       in
-      let n = Mbac_net.Exchange.deliver ex ~dst:1 in
-      n = List.length sends
-      && List.for_all2
-           (fun (time, _, seq) i ->
-             Mbac_net.Exchange.in_time ex i = time
-             && Mbac_net.Exchange.in_seq ex i = seq)
-           expected
-           (List.init n Fun.id))
+      let r1 = send ~first:0 round1 in
+      let ok1 = check_round r1 in
+      (* every outbox was emptied: the second round delivers only its own
+         messages *)
+      let r2 = send ~first:(List.length round1) round2 in
+      ok1 && check_round r2
+      && Ex.delivered_total ex = List.length round1 + List.length round2)
 
 (* ---------- network runs ---------- *)
 
@@ -257,7 +341,14 @@ let test_nan_config () =
       run { cfg with Net.warmup = nan });
   Alcotest.check_raises "batch_length"
     (Invalid_argument "Measurement.create: batch_length <= 0") (fun () ->
-      run { cfg with Net.batch_length = nan })
+      run { cfg with Net.batch_length = nan });
+  (* an infinite setup delay is one window that never ends *)
+  List.iter
+    (fun d ->
+      Alcotest.check_raises "setup_delay"
+        (Invalid_argument "Network.run: setup_delay must be finite and > 0")
+        (fun () -> run { cfg with Net.setup_delay = d }))
+    [ nan; infinity ]
 
 let test_conservation () =
   let capacity = 30.0 in
@@ -303,7 +394,7 @@ let suite =
       [ Alcotest.test_case "topology generators" `Quick test_generators;
         Alcotest.test_case "spec + config parsing" `Quick test_spec_and_parse;
         test_int_table_model;
-        test_exchange_order;
+        test_exchange_delivery;
         test_single_link_equivalence;
         test_shard_invariance;
         Alcotest.test_case "parallel drivers" `Quick test_parallel_drivers;
