@@ -6,9 +6,40 @@ open Cmdliner
 
 type source_kind = Rcbr | Onoff | Ou | Lrd
 
+let ( let* ) = Result.bind
+
+(* The model and splitting flags, checked before anything is built from
+   them: [Params.make] and [Splitting.run] would raise on most bad
+   values, and an infinite time-scale never finishes. *)
+let check_flags ~n ~mu ~sigma_ratio ~t_h ~t_c ~p_q ~t_m ~rare_levels
+    ~rare_base ~rare_trials ~rare_pilot =
+  let positive x = Float.is_finite x && x > 0.0 in
+  let positive_opt = Option.fold ~none:true ~some:positive in
+  let checks =
+    [ (positive n, "-n must be finite and > 0");
+      (positive mu, "--mu must be finite and > 0");
+      ( Float.is_finite sigma_ratio && sigma_ratio >= 0.0,
+        "--sigma-ratio must be finite and >= 0" );
+      (positive t_h, "--t-h must be finite and > 0");
+      (positive t_c, "--t-c must be finite and > 0");
+      (p_q > 0.0 && p_q <= 0.5, "--p-q must be in (0, 0.5]");
+      (positive_opt t_m, "--t-m must be finite and > 0");
+      (rare_levels >= 1, "--rare-levels must be >= 1");
+      (rare_base > 0.0 && rare_base < 1.0, "--rare-base must be in (0, 1)");
+      (rare_trials >= 2, "--rare-trials must be >= 2");
+      (positive_opt rare_pilot, "--rare-pilot-time must be finite and > 0") ]
+  in
+  match List.find_opt (fun (ok, _) -> not ok) checks with
+  | Some (_, msg) -> Error msg
+  | None -> Ok ()
+
 let run_sim controller_name source_kind n mu sigma_ratio t_h t_c p_q t_m
     max_events seed reps jobs rare_event rare_levels rare_base rare_trials
     rare_pilot tele =
+  let* () =
+    check_flags ~n ~mu ~sigma_ratio ~t_h ~t_c ~p_q ~t_m ~rare_levels
+      ~rare_base ~rare_trials ~rare_pilot
+  in
   let sigma = sigma_ratio *. mu in
   let p = Mbac.Params.make ~n ~mu ~sigma ~t_h ~t_c ~p_q in
   let capacity = Mbac.Params.capacity p in

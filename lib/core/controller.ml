@@ -19,31 +19,25 @@ let copy t = t.copy ()
 let nop (_ : Observation.t) = ()
 
 (* Every scheme is built through [make], so wrapping [admissible] here
-   gives uniform decision telemetry for all of them: counters are always
-   on (cheap — pre-resolved handles, no string hashing per decision),
-   the per-decision trace event only renders when tracing is enabled.
-   m̂/σ̂ are the cross-sectional (eqn (23)) estimates — the only
-   measured quantities every controller shares. *)
-let m_decisions = Mbac_telemetry.Metrics.Handle.counter "mbac_decisions_total"
-let m_admit = Mbac_telemetry.Metrics.Handle.counter "mbac_admit_total"
-let m_reject = Mbac_telemetry.Metrics.Handle.counter "mbac_reject_total"
-
+   gives uniform decision tracing for all of them: the per-decision
+   trace event only renders when tracing is enabled.  m̂/σ̂ are the
+   cross-sectional (eqn (23)) estimates — the only measured quantities
+   every controller shares.  The decision counters are the link
+   kernel's ([Mbac_sim.Link.admissible]), off this per-call path. *)
 let instrument ~name admissible obs =
   let m = admissible obs in
-  let n = Observation.count obs in
-  let admit = n < m in
-  Mbac_telemetry.Metrics.Handle.inc m_decisions;
-  Mbac_telemetry.Metrics.Handle.inc (if admit then m_admit else m_reject);
-  if Mbac_telemetry.Trace.enabled () then
+  if Mbac_telemetry.Trace.enabled () then begin
+    let n = Observation.count obs in
     Mbac_telemetry.Trace.emit ~sampled:true ~t:obs.Observation.now
       ~kind:"decision"
       [ ("controller", Mbac_telemetry.Trace.Str name);
         ("n", Mbac_telemetry.Trace.Int n);
         ("admissible", Mbac_telemetry.Trace.Int m);
-        ("admit", Mbac_telemetry.Trace.Bool admit);
+        ("admit", Mbac_telemetry.Trace.Bool (n < m));
         ("mu_hat", Mbac_telemetry.Trace.Float (Observation.cross_mean obs));
         ("sigma_hat",
-         Mbac_telemetry.Trace.Float (sqrt (Observation.cross_variance obs))) ];
+         Mbac_telemetry.Trace.Float (sqrt (Observation.cross_variance obs))) ]
+  end;
   m
 
 let make ?(on_admit = nop) ?(on_depart = nop) ?(reset = fun () -> ()) ?copy

@@ -45,11 +45,13 @@ val make :
   t
 (** Escape hatch for building custom schemes.  Every controller built
     here (including all the schemes below) is uniformly instrumented:
-    each [admissible] call counts into the [mbac_decisions_total] /
-    [mbac_admit_total] / [mbac_reject_total] telemetry counters and,
-    when tracing is on, emits a ["decision"] trace event carrying the
-    controller name, the admissible count, and the cross-sectional
-    m̂/σ̂ (see OBSERVABILITY.md). *)
+    when tracing is on, each [admissible] call emits a sampled
+    ["decision"] trace event carrying the controller name, the
+    admissible count, and the cross-sectional m̂/σ̂ (see
+    OBSERVABILITY.md).  The [mbac_decisions_total] / [mbac_admit_total]
+    / [mbac_reject_total] counters are not bumped here: they count the
+    tests of a simulator link ([Mbac_sim.Link.admissible]), so a direct
+    [admissible] call outside a link is not counted. *)
 
 (** {1 The paper's schemes} *)
 

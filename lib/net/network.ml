@@ -662,6 +662,7 @@ let collect eng =
       Array.iter
         (fun { id; kernel = k; _ } ->
           Link.finish k;
+          Link.fold_decisions k;
           let p_f, estimate_kind =
             Meas.final_estimate k.Link.meas ~target:cfg.target_p_q
           in

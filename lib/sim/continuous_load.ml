@@ -212,9 +212,11 @@ let emit_snapshots s ~t1 =
    Unconditional increments (even by 0) so every counter registers —
    the snapshot's name set must not depend on what a run happened to
    do.  [upto] caps the virtual-time delta at the window boundary being
-   closed (or the final [now] at run end). *)
+   closed (or the final [now] at run end).  The link's decision counters
+   fold too, on their own only-when-non-zero rule. *)
 let sync_counters s ~upto =
   let l = s.kernel and c = s.cursor in
+  Link.fold_decisions l;
   Mbac_telemetry.Metrics.Handle.inc m_events ~by:(l.Link.events - c.c_events);
   c.c_events <- l.events;
   Mbac_telemetry.Metrics.Handle.inc m_admitted ~by:(l.admitted - c.c_admitted);
@@ -393,6 +395,8 @@ let start rng cfg ~controller ~make_source =
         ~time:(Mbac_stats.Sample.exponential s.rng ~mean:s.arrival_mean)
         tag_arrive);
   s
+
+let fold_decisions s = Link.fold_decisions s.kernel
 
 let[@inline] now s = s.kernel.Link.hot.now
 let[@inline] load s = s.kernel.Link.hot.sum_rate

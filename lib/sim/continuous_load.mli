@@ -140,6 +140,14 @@ val step : sim -> unit
     @raise Invalid_argument if no event is pending (see
     {!has_pending}; cannot happen while flows exist). *)
 
+val fold_decisions : sim -> unit
+(** Fold the admission tests made since the last fold into the current
+    shard's [mbac_*] decision counters ({!Link.fold_decisions}).  {!run}
+    folds at its end and at each time-series window boundary; a caller
+    driving a sim through {!start} and {!step} must fold it itself when
+    done with it, or its decisions never reach telemetry.  A {!restore}d
+    sim starts with nothing to fold. *)
+
 val now : sim -> float
 val load : sim -> float
 (** Current aggregate bandwidth demand (piecewise constant between

@@ -29,6 +29,8 @@ type t = {
   mutable updates : int;
   mutable events : int;
   mutable ovf_episodes : int;
+  mutable decisions : int;
+  mutable decision_admits : int;
 }
 
 let slot_bits = 24
@@ -61,9 +63,29 @@ let[@inline] observe l =
   Mbac.Controller.observe l.controller obs;
   obs
 
+(* Admission-test counters, bumped as plain fields per test and folded
+   into the shard by [fold_decisions] at the drivers' sync points. *)
+let m_decisions = Mbac_telemetry.Metrics.Handle.counter "mbac_decisions_total"
+let m_admit = Mbac_telemetry.Metrics.Handle.counter "mbac_admit_total"
+let m_reject = Mbac_telemetry.Metrics.Handle.counter "mbac_reject_total"
+
 let[@inline] admissible l obs =
   let m = Mbac.Controller.admissible l.controller obs in
+  l.decisions <- l.decisions + 1;
+  if Mbac.Observation.count obs < m then
+    l.decision_admits <- l.decision_admits + 1;
   l.n < m && l.n < l.max_flows
+
+(* Only non-zero deltas touch the shard: a counter registers once it
+   has counted something, so a run that rejected nothing has no reject
+   counter. *)
+let fold_decisions l =
+  let fold h by = if by > 0 then Mbac_telemetry.Metrics.Handle.inc h ~by in
+  fold m_decisions l.decisions;
+  fold m_admit l.decision_admits;
+  fold m_reject (l.decisions - l.decision_admits);
+  l.decisions <- 0;
+  l.decision_admits <- 0
 
 let create ~telemetry ~capacity ~warmup ~batch_length ~max_flows controller =
   if not (capacity > 0.0) then invalid_arg "Link.create: capacity <= 0";
@@ -81,15 +103,18 @@ let create ~telemetry ~capacity ~warmup ~batch_length ~max_flows controller =
       keys = [||]; gens = [||]; sources = [||]; free = [||];
       free_top = 0; limit = 0;
       n = 0; admitted = 0; blocked = 0; released = 0; updates = 0;
-      events = 0; ovf_episodes = 0 }
+      events = 0; ovf_episodes = 0; decisions = 0; decision_admits = 0 }
   in
   ignore (observe l);
   l
 
 (* Everything mutable is duplicated; every source is re-bound to [rng]
-   (the clone's single stream), in slot order. *)
+   (the clone's single stream), in slot order.  The clone starts with no
+   unfolded decisions: those are the original's to fold. *)
 let copy l ~rng =
   { l with
+    decisions = 0;
+    decision_admits = 0;
     controller = Mbac.Controller.copy l.controller;
     meas = Measurement.copy l.meas;
     hot = { l.hot with now = l.hot.now };

@@ -49,6 +49,10 @@ type t = private {
   mutable updates : int;  (** {!set_rate} calls *)
   mutable events : int;  (** {!count_event} calls *)
   mutable ovf_episodes : int;
+  mutable decisions : int;
+      (** {!admissible} calls not yet folded into telemetry *)
+  mutable decision_admits : int;
+      (** of those, the ones whose controller verdict was admit *)
 }
 
 val slot_bits : int
@@ -73,7 +77,8 @@ val create :
 
 val copy : t -> rng:Mbac_stats.Rng.t -> t
 (** Independent deep copy; the controller is copied and every source is
-    re-bound to [rng]. *)
+    re-bound to [rng].  The copy starts with no unfolded decisions, so
+    folding it never recounts the original's. *)
 
 val observation : t -> Mbac.Observation.t
 (** The cross-section at [hot.now]. *)
@@ -82,7 +87,18 @@ val observe : t -> Mbac.Observation.t
 (** {!observation}, after showing it to the controller. *)
 
 val admissible : t -> Mbac.Observation.t -> bool
-(** The admission test: [n < Controller.admissible obs && n < max_flows]. *)
+(** The admission test: [n < Controller.admissible obs && n < max_flows].
+    Counts one decision, and one controller admit when
+    [Observation.count obs < Controller.admissible obs], in plain fields;
+    {!fold_decisions} moves them to telemetry. *)
+
+val fold_decisions : t -> unit
+(** Add the decisions counted since the last fold to the current shard's
+    [mbac_decisions_total], [mbac_admit_total] and [mbac_reject_total],
+    and zero them.  A zero delta leaves its counter untouched, so a
+    counter registers at the first fold after its first count.  Drivers
+    call it where they fold their other totals; until then the shard
+    lags the link. *)
 
 val admit :
   t ->

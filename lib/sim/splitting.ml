@@ -173,6 +173,7 @@ let run_trial ~entrance ~rng ~base ~target ~max_events ~want_snapshot =
     end
   in
   let t = loop () in
+  Continuous_load.fold_decisions sim;
   Mbac_telemetry.Metrics.Handle.inc m_trials;
   if t.success then Mbac_telemetry.Metrics.Handle.inc m_crossings;
   if t.truncated then Mbac_telemetry.Metrics.Handle.inc m_truncated;
@@ -203,6 +204,7 @@ let run_top_trial ~entrance ~rng ~base ~capacity ~max_events =
         t_over := !t_over +. (Continuous_load.now sim -. t0)
     end
   done;
+  Continuous_load.fold_decisions sim;
   Mbac_telemetry.Metrics.Handle.inc m_trials;
   if !truncated then Mbac_telemetry.Metrics.Handle.inc m_truncated;
   ( !t_over,
@@ -305,6 +307,7 @@ let run ?jobs ~seed cfg sim_cfg ~controller ~make_source =
       end
       else if (not !armed) && l <= base then armed := true
     done;
+    Continuous_load.fold_decisions sim;
     let elapsed = Continuous_load.now sim -. collect_start in
     ( m, base, thresholds, !entrances,
       Array.of_list (List.rev !pool),

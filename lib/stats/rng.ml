@@ -1,26 +1,25 @@
-(* xoshiro256++, stored as 32-bit hi/lo halves in native ints.
+(* xoshiro256++, its four 64-bit state words kept in a 32-byte [Bytes.t].
 
    The obvious representation — four mutable [int64] fields — boxes on
    every store and on every [bits64] result (~15 minor words per draw
    without flambda), and the generator sits on the simulation's
-   innermost loop.  Splitting each 64-bit word into two 32-bit halves
-   kept in immediate [int]s makes the whole step allocation-free; the
-   hot consumer [float] needs only the top 53 bits, which fit a native
-   int exactly, so no [Int64] value is ever materialized on that path.
-   [Int64] survives only in seeding and in the cold accessors
-   ([bits64], [int], [split]), which reconstruct it on demand.  The
-   output stream is bit-identical to the int64 formulation. *)
+   innermost loop.  Reading and writing the words through the unsafe
+   64-bit bytes primitives instead keeps every intermediate of a step
+   an unboxed [int64] in registers: one load per word, the xoshiro
+   arithmetic, one store per word, nothing allocated.  The hot consumer
+   [float] needs only the top 53 bits, which fit a native int exactly,
+   so no [Int64] value is ever boxed on that path; only [bits64], [int]
+   and [split] hand one out.
 
-type t = {
-  mutable s0h : int; mutable s0l : int;
-  mutable s1h : int; mutable s1l : int;
-  mutable s2h : int; mutable s2l : int;
-  mutable s3h : int; mutable s3l : int;
-  (* result halves of the latest step, written by [step] *)
-  mutable rh : int; mutable rl : int;
-}
+   Not a [Bigarray]: its data lives in a malloc'd custom block, which
+   every new generator — one [derive] per splitting trial — and every
+   [copy] would pay for in allocation and finalisation.  A [Bytes.t] is
+   an ordinary heap block, and [copy] is one [Bytes.copy]. *)
 
-let mask32 = 0xFFFFFFFF
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 (* SplitMix64: used only to diffuse seeds into the xoshiro state. *)
 let splitmix64 state =
@@ -31,20 +30,13 @@ let splitmix64 state =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let hi64 x = Int64.to_int (Int64.shift_right_logical x 32)
-let lo64 x = Int64.to_int (Int64.logand x 0xFFFFFFFFL)
-
 let of_state64 init =
   let state = ref init in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0h = hi64 s0; s0l = lo64 s0;
-    s1h = hi64 s1; s1l = lo64 s1;
-    s2h = hi64 s2; s2l = lo64 s2;
-    s3h = hi64 s3; s3l = lo64 s3;
-    rh = 0; rl = 0 }
+  let t = Bytes.create 32 in
+  for w = 0 to 3 do
+    set64 t (8 * w) (splitmix64 state)
+  done;
+  t
 
 let create ~seed = of_state64 (Int64.of_int seed)
 
@@ -67,59 +59,36 @@ let derive ~seed ~tag =
   let seed_mixed = splitmix64 state in
   of_state64 (Int64.logxor (fnv1a64 tag) seed_mixed)
 
-let copy t =
-  { s0h = t.s0h; s0l = t.s0l;
-    s1h = t.s1h; s1l = t.s1l;
-    s2h = t.s2h; s2l = t.s2l;
-    s3h = t.s3h; s3l = t.s3l;
-    rh = t.rh; rl = t.rl }
+let copy = Bytes.copy
 
-(* One xoshiro256++ step on the halves.  64-bit addition carries the low
-   half's bit 32 into the high half; rotl k splits across the halves
-   (k < 32 shifts within, k > 32 swaps and shifts by k - 32).  Every
-   intermediate is re-masked to 32 bits so [lsl] never walks into the
-   native int's sign bit. *)
-let[@inline] step t =
-  (* result = rotl(s0 + s3, 23) + s0 *)
-  let sum_l = t.s0l + t.s3l in
-  let sum_h = (t.s0h + t.s3h + (sum_l lsr 32)) land mask32 in
-  let sum_l = sum_l land mask32 in
-  let rot_h = ((sum_h lsl 23) lor (sum_l lsr 9)) land mask32 in
-  let rot_l = ((sum_l lsl 23) lor (sum_h lsr 9)) land mask32 in
-  let res_l = rot_l + t.s0l in
-  let res_h = (rot_h + t.s0h + (res_l lsr 32)) land mask32 in
-  let res_l = res_l land mask32 in
-  (* state update: tmp = s1 << 17; xor chain; s3 = rotl(s3, 45) *)
-  let tmp_h = ((t.s1h lsl 17) lor (t.s1l lsr 15)) land mask32 in
-  let tmp_l = (t.s1l lsl 17) land mask32 in
-  let s2h = t.s2h lxor t.s0h and s2l = t.s2l lxor t.s0l in
-  let s3h = t.s3h lxor t.s1h and s3l = t.s3l lxor t.s1l in
-  let s1h = t.s1h lxor s2h and s1l = t.s1l lxor s2l in
-  let s0h = t.s0h lxor s3h and s0l = t.s0l lxor s3l in
-  let s2h = s2h lxor tmp_h and s2l = s2l lxor tmp_l in
-  let s3h' = ((s3l lsl 13) lor (s3h lsr 19)) land mask32 in
-  let s3l' = ((s3h lsl 13) lor (s3l lsr 19)) land mask32 in
-  t.s0h <- s0h; t.s0l <- s0l;
-  t.s1h <- s1h; t.s1l <- s1l;
-  t.s2h <- s2h; t.s2l <- s2l;
-  t.s3h <- s3h'; t.s3l <- s3l';
-  t.rh <- res_h;
-  t.rl <- res_l
+let[@inline] rotl x k =
+  Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
-  step t;
-  Int64.logor (Int64.shift_left (Int64.of_int t.rh) 32) (Int64.of_int t.rl)
+(* One xoshiro256++ step: advance the state, return the output word. *)
+let[@inline] next t =
+  let open Int64 in
+  let s0 = get64 t 0 and s1 = get64 t 8 in
+  let s2 = get64 t 16 and s3 = get64 t 24 in
+  let result = add (rotl (add s0 s3) 23) s0 in
+  let s2 = logxor s2 s0 and s3 = logxor s3 s1 in
+  set64 t 0 (logxor s0 s3);
+  set64 t 8 (logxor s1 s2);
+  set64 t 16 (logxor s2 (shift_left s1 17));
+  set64 t 24 (rotl s3 45);
+  result
+
+let bits64 t = next t
 
 let split t =
   let seed = Int64.to_int (bits64 t) in
   create ~seed
 
 (* Top 53 bits -> uniform double in [0,1).  The 53-bit quantity fits a
-   native int, so this is a plain [float_of_int] — same value the int64
-   formulation's [Int64.to_float (x >> 11)] produced. *)
+   native int, so this is a plain [float_of_int] — the same value as
+   [Int64.to_float (x >> 11)], without its C call. *)
 let[@inline] float t =
-  step t;
-  float_of_int ((t.rh lsl 21) lor (t.rl lsr 11)) *. 0x1.0p-53
+  float_of_int (Int64.to_int (Int64.shift_right_logical (next t) 11))
+  *. 0x1.0p-53
 
 (* Cold continuation so the common case of [float_pos] stays a
    non-recursive, inlinable straight line. *)

@@ -3,7 +3,13 @@
     The generator is xoshiro256++ seeded through SplitMix64, giving
     high-quality 64-bit streams with a tiny state.  Every simulation in
     this repository threads an explicit [t] so that runs are exactly
-    reproducible from a seed, and independent replications use [split]. *)
+    reproducible from a seed, and independent replications use [split].
+
+    The state is the four 64-bit xoshiro words in a 32-byte [Bytes.t],
+    read and written with the unsafe 64-bit bytes primitives, so a step
+    runs on unboxed [int64]s and {!float} allocates nothing.  It is not
+    a [Bigarray], whose malloc'd custom block every new generator (one
+    {!derive} per splitting trial) and every {!copy} would pay for. *)
 
 type t
 (** Mutable generator state. *)

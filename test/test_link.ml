@@ -194,7 +194,99 @@ let test_nan_config () =
   raises "Measurement.create: sample_spacing <= 0" (fun () ->
       meas ~sample_spacing:nan ())
 
+(* ---------- decision counters ---------- *)
+
+(* A controller that counts its own [admissible] calls and its [n < m]
+   verdicts, in atomics shared by every copy (so clones and parallel
+   shards all count into one total).  It admits up to 80% of capacity
+   in unit-rate flows, so runs see both verdicts. *)
+let counting_controller () =
+  let calls = Atomic.make 0 and admits = Atomic.make 0 in
+  let rec make ~capacity =
+    let m = int_of_float (0.8 *. capacity) in
+    Mbac.Controller.make ~name:"counting" ~observe:ignore
+      ~admissible:(fun obs ->
+        Atomic.incr calls;
+        if Mbac.Observation.count obs < m then Atomic.incr admits;
+        m)
+      ~copy:(fun () -> make ~capacity)
+      ()
+  in
+  (make, calls, admits)
+
+let decision_counters () =
+  let snap = Mbac_telemetry.Snapshot.current () in
+  let get name =
+    match Mbac_telemetry.Snapshot.find snap name with
+    | Some (Mbac_telemetry.Snapshot.Counter n) -> n
+    | _ -> 0
+  in
+  (get "mbac_decisions_total", get "mbac_admit_total", get "mbac_reject_total")
+
+(* The shard's three counters move by exactly the controller's own
+   counts over [f]. *)
+let check_folded what (calls, admits) f =
+  let d0, a0, r0 = decision_counters () in
+  let c0 = Atomic.get calls and v0 = Atomic.get admits in
+  f ();
+  let d1, a1, r1 = decision_counters () in
+  let c = Atomic.get calls - c0 and v = Atomic.get admits - v0 in
+  if c = 0 || v = 0 || v = c then Alcotest.failf "%s: one verdict only" what;
+  Alcotest.(check (list int)) (what ^ ": decisions, admits, rejects")
+    [ c; v; c - v ]
+    [ d1 - d0; a1 - a0; r1 - r0 ]
+
+let rcbr rng ~start =
+  Mbac_traffic.Rcbr.create rng
+    { Mbac_traffic.Rcbr.mu = 1.0; sigma = 0.3; t_c = 1.0 }
+    ~start
+
+let test_decision_counters () =
+  Mbac_telemetry.Shard.with_current (Mbac_telemetry.Shard.create ())
+  @@ fun () ->
+  let make, calls, admits = counting_controller () in
+  let counts = (calls, admits) in
+  let cfg = { cl_cfg with CL.max_events = 5_000 } in
+  check_folded "run" counts (fun () ->
+      ignore
+        (CL.run (Mbac_stats.Rng.create ~seed:5) cfg
+           ~controller:(make ~capacity:cfg.capacity) ~make_source:rcbr));
+  check_folded "stepping" counts (fun () ->
+      let sim =
+        CL.start (Mbac_stats.Rng.create ~seed:6) cfg
+          ~controller:(make ~capacity:cfg.capacity) ~make_source:rcbr
+      in
+      let steps sim k = for _ = 1 to k do CL.step sim done in
+      steps sim 500;
+      let snap = CL.snapshot sim in
+      steps sim 200;
+      let r1 = CL.restore snap in
+      let r2 = CL.restore ~rng:(Mbac_stats.Rng.create ~seed:7) snap in
+      steps r1 300;
+      steps r2 300;
+      List.iter CL.fold_decisions [ sim; r1; r2 ]);
+  let topology =
+    Mbac_net.Topology.star ~leaves:4 ~capacity:10.0 ~rate:0.5
+  in
+  List.iter
+    (fun (shards, jobs) ->
+      check_folded
+        (Printf.sprintf "network shards=%d jobs=%d" shards jobs)
+        counts
+        (fun () ->
+          ignore
+            (Mbac_net.Network.run ~jobs ~seed:8
+               { (Mbac_net.Network.default_config ~topology
+                    ~holding_time_mean:10.0 ~target_p_q:1e-2)
+                 with
+                 Mbac_net.Network.shards;
+                 max_events = 20_000 }
+               ~make_controller:(fun ~link:_ ~capacity -> make ~capacity)
+               ~make_source:rcbr)))
+    [ (1, 1); (4, 2) ]
+
 let suite =
   [ ( "link",
       [ test_model;
-        test "NaN config values are refused" test_nan_config ] ) ]
+        test "NaN config values are refused" test_nan_config;
+        test "decision counters fold exactly" test_decision_counters ] ) ]

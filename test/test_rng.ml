@@ -19,13 +19,17 @@ let test_copy_independent () =
   let a = Rng.create ~seed:7 in
   ignore (Rng.bits64 a);
   let b = Rng.copy a in
-  let xa = Rng.bits64 a and xb = Rng.bits64 b in
-  Alcotest.(check int64) "copy continues identically" xa xb;
-  ignore (Rng.bits64 a);
-  (* advancing a does not advance b *)
-  let xa2 = Rng.bits64 a and xb2 = Rng.bits64 b in
-  Alcotest.(check bool) "copies then diverge in position" true (xa2 <> xb2 || xa2 = xb2);
-  ignore (xa2, xb2)
+  (* the original runs ahead; the copy must still replay its outputs *)
+  let ahead = List.init 8 (fun _ -> Rng.bits64 a) in
+  let replayed = List.init 8 (fun _ -> Rng.bits64 b) in
+  Alcotest.(check (list int64)) "copy replays the original's next outputs"
+    ahead replayed;
+  (* and the copy running ahead leaves the original where it was *)
+  let c = Rng.copy a in
+  let from_copy = List.init 8 (fun _ -> Rng.float c) in
+  let from_original = List.init 8 (fun _ -> Rng.float a) in
+  Alcotest.(check (list (float 0.0))) "original unmoved by its copy"
+    from_copy from_original
 
 let test_split_independence () =
   let a = Rng.create ~seed:11 in
@@ -118,10 +122,11 @@ let test_derive_no_birthday_collisions () =
   done
 
 (* Reference implementation of xoshiro256++ / SplitMix64 in plain
-   [int64], as the module was originally written.  The production
-   generator stores 32-bit hi/lo halves in native ints to keep the hot
-   path allocation-free; this differential check pins its output to the
-   canonical int64 formulation bit for bit. *)
+   [int64] record fields, as the module was originally written.  The
+   production generator keeps its state words in a [Bytes.t] behind the
+   unsafe 64-bit bytes primitives to keep the hot path allocation-free;
+   this differential check pins its output, and that of a copy taken
+   mid-stream, to the canonical int64 formulation bit for bit. *)
 module Ref_rng = struct
   type t = {
     mutable s0 : int64;
@@ -164,10 +169,12 @@ module Ref_rng = struct
   let float t =
     let x = Int64.shift_right_logical (bits64 t) 11 in
     Int64.to_float x *. 0x1.0p-53
+
+  let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
 end
 
 let test_matches_int64_reference =
-  qcheck ~count:200 "hi/lo halves match int64 reference"
+  qcheck ~count:200 "stream and copies match int64 reference"
     QCheck.(int_bound 0x3FFFFFFF)
     (fun seed ->
       let a = Rng.create ~seed and r = Ref_rng.create ~seed in
@@ -180,7 +187,17 @@ let test_matches_int64_reference =
       for _ = 1 to 500 do
         if Rng.float a <> Ref_rng.float r then ok := false
       done;
-      Rng.bits64 a = Ref_rng.bits64 r && !ok)
+      (* a copy taken mid-stream follows the reference's own copy while
+         the original moves on past it *)
+      let a' = Rng.copy a and r' = Ref_rng.copy r in
+      for _ = 1 to 100 do
+        if Rng.bits64 a <> Ref_rng.bits64 r then ok := false
+      done;
+      for _ = 1 to 100 do
+        if Rng.float a' <> Ref_rng.float r' then ok := false
+      done;
+      Rng.bits64 a' = Ref_rng.bits64 r' && Rng.bits64 a = Ref_rng.bits64 r
+      && !ok)
 
 let suite =
   [ ( "rng",
