@@ -81,16 +81,16 @@ let () =
          done));
 
   (* event heap push/pop cycle at steady size *)
-  let heap = Mbac_sim.Event_heap.create () in
+  let heap = Mbac_heap.Event_heap.create () in
   for i = 1 to 200 do
-    Mbac_sim.Event_heap.push heap ~time:(float_of_int i) i
+    Mbac_heap.Event_heap.push heap ~time:(float_of_int i) i
   done;
   report "Event_heap push+drop cycle"
     (words_per_op ~ops (fun n ->
          for _ = 1 to n do
-           let tm = Mbac_sim.Event_heap.min_time heap in
-           Mbac_sim.Event_heap.drop_min heap;
-           Mbac_sim.Event_heap.push heap ~time:(tm +. 200.0) 7
+           let tm = Mbac_heap.Event_heap.min_time heap in
+           Mbac_heap.Event_heap.drop_min heap;
+           Mbac_heap.Event_heap.push heap ~time:(tm +. 200.0) 7
          done));
 
   (* calendar queue, same hold-style cycle: steady state must be

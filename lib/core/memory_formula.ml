@@ -100,64 +100,3 @@ let overflow_cached ~p ~t_m ~alpha_ce =
       if Hashtbl.length tbl >= cache_max_entries then Hashtbl.reset tbl;
       Hashtbl.add tbl key v;
       v
-
-module Tabulated = struct
-  type t = {
-    p : Params.t;
-    t_m : float;
-    alpha_hi : float; (* upper edge of the fitted domain *)
-    table : Mbac_numerics.Cheb.t; (* interpolates log p_f in alpha *)
-  }
-
-  let alpha_max = 37.0 (* Q(37) is at the edge of the IEEE double range *)
-
-  (* p_f is analytic in alpha only away from 0: in the memoryless /
-     T_m << T_c corner the integrand's t^{-1/2} boundary layer gives
-     p_f an alpha -> 0 cusp that no polynomial degree resolves.  Every
-     controller quantile of interest satisfies alpha >= 0.5 (alpha = 0.5
-     already means p = Q(0.5) = 0.31); below the fitted edge the
-     evaluator falls back to the exact integral. *)
-  let alpha_min = 0.5
-
-  (* Only fit where p_f is comfortably above the IEEE underflow range:
-     clamping underflowed node values would put a kink in log p_f and
-     destroy the interpolant's geometric convergence everywhere. *)
-  let underflow_guard = 1e-280
-
-  let create ?(nodes = 128) ~p ~t_m () =
-    if t_m < 0.0 then
-      invalid_arg "Memory_formula.Tabulated.create: requires t_m >= 0";
-    let pf alpha_ce = overflow ~p ~t_m ~alpha_ce in
-    (* p_f is monotone decreasing in alpha; bisect for the edge beyond
-       which it leaves the representable range.  A handful of extra
-       integrals at build time, none at evaluation time. *)
-    let alpha_hi =
-      if pf alpha_max >= underflow_guard then alpha_max
-      else if pf (2.0 *. alpha_min) < underflow_guard then 2.0 *. alpha_min
-        (* degenerate parameters *)
-      else begin
-        let lo = ref (2.0 *. alpha_min) and hi = ref alpha_max in
-        while !hi -. !lo > 1e-3 do
-          let mid = 0.5 *. (!lo +. !hi) in
-          if pf mid >= underflow_guard then lo := mid else hi := mid
-        done;
-        !lo
-      end
-    in
-    (* p_f spans hundreds of decades even inside the fitted domain, so
-       the table interpolates log p_f — smooth and slowly varying — and
-       exponentiates on evaluation, which is what makes a *relative*
-       accuracy guarantee attainable. *)
-    let table =
-      Mbac_numerics.Cheb.fit ~lo:alpha_min ~hi:alpha_hi ~nodes (fun alpha_ce ->
-          log (Float.max Float.min_float (pf alpha_ce)))
-    in
-    { p; t_m; alpha_hi; table }
-
-  let exact t ~alpha_ce = overflow ~p:t.p ~t_m:t.t_m ~alpha_ce
-
-  let overflow t ~alpha_ce =
-    if alpha_ce >= alpha_min && alpha_ce <= t.alpha_hi then
-      exp (Mbac_numerics.Cheb.eval t.table alpha_ce)
-    else exact t ~alpha_ce (* outside the fitted domain: fall back *)
-end

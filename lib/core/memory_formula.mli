@@ -49,31 +49,3 @@ val overflow_cached : p:Params.t -> t_m:float -> alpha_ce:float -> float
     domain-local cache.  Use it from sweeps and robustness profiles that
     revisit the same parameter grid; repeated points cost a hash lookup
     instead of an adaptive integral. *)
-
-(** Chebyshev-tabulated eqn (37) for many-alpha workloads (inversion
-    scans, robustness sweeps over the controller quantile).  [create]
-    pays [nodes] adaptive integrations once; evaluations then cost a
-    Clenshaw recurrence — orders of magnitude faster — while staying
-    within 1e-6 relative error of {!overflow} across the fitted alpha
-    domain (the table interpolates log p_f, so the guarantee is relative
-    even hundreds of decades down).  The fitted domain is
-    [0.5, alpha_hi] with [alpha_hi <= 37] chosen at build time so p_f
-    stays clear of IEEE underflow; outside it — sub-0.5 quantiles, or
-    parameters whose p_f underflows early — evaluation silently falls
-    back to the exact integral, and {!Tabulated.exact} is the explicit
-    escape hatch for callers that always want the integral. *)
-module Tabulated : sig
-  type t
-
-  val create : ?nodes:int -> p:Params.t -> t_m:float -> unit -> t
-  (** Fit the table for fixed [p] and [t_m].  [nodes] defaults to 128.
-      @raise Invalid_argument if [t_m < 0]. *)
-
-  val overflow : t -> alpha_ce:float -> float
-  (** Tabulated eqn (37).  Outside the fitted alpha domain it falls back
-      to the exact integral. *)
-
-  val exact : t -> alpha_ce:float -> float
-  (** The adaptive integral {!Memory_formula.overflow} at the table's
-      [p] and [t_m] — the precision escape hatch. *)
-end

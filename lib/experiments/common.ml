@@ -25,7 +25,7 @@ let jobs = ref (Mbac_sim.Parallel.default_jobs ())
 (* Progress goes through Logs (stderr), never stdout: the result stream
    stays byte-identical whatever the verbosity, and --quiet silences
    sweeps entirely. *)
-let par_map ?init f xs =
+let par_map f xs =
   let n = List.length xs in
   (* Log the width the pool will actually use — [run_tasks] clamps the
      request to the task count and the domain cap, so echoing [!jobs]
@@ -34,7 +34,7 @@ let par_map ?init f xs =
   Log.info (fun m -> m "sweep: %d cell(s) on %d worker domain(s)" n width);
   let r =
     Mbac_telemetry.Profile.span "experiments.par_map" (fun () ->
-        Mbac_sim.Parallel.map ~jobs:!jobs ?init f xs)
+        Mbac_sim.Parallel.map ~jobs:!jobs f xs)
   in
   Log.info (fun m -> m "sweep: %d cell(s) done" n);
   r

@@ -34,7 +34,7 @@ val jobs : int ref
     {!Mbac_sim.Parallel.default_jobs}; set by [--jobs]).  Results are
     bit-identical for every value — [1] reproduces the serial path. *)
 
-val par_map : ?init:(unit -> unit) -> ('a -> 'b) -> 'a list -> 'b list
+val par_map : ('a -> 'b) -> 'a list -> 'b list
 (** [par_map f cells] evaluates the independent sweep cells [f cell]
     on the {!Mbac_sim.Parallel} pool of [!jobs] workers (clamped to the
     cell count and {!Mbac_sim.Parallel.domain_cap}; the log line reports
@@ -42,10 +42,7 @@ val par_map : ?init:(unit -> unit) -> ('a -> 'b) -> 'a list -> 'b list
     cell must derive its randomness from {!rng_for} with a cell-unique
     tag and must not touch shared mutable state (formatters, [csv_dir]
     output, …) — formatting belongs in the caller, after the pool
-    returns.  [init] is forwarded to the pool: it runs once per worker
-    domain before any cell, for pre-seeding domain-local caches
-    (fGn generation plans, Chebyshev tables); it must not affect cell
-    results. *)
+    returns. *)
 
 val sim_config :
   profile:profile -> p:Mbac.Params.t -> t_m:float ->

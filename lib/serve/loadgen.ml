@@ -1,5 +1,6 @@
 module Rng = Mbac_stats.Rng
 module Sample = Mbac_stats.Sample
+module CQ = Mbac_sim.Calendar_queue
 
 type workload = {
   seed : int;
@@ -20,51 +21,6 @@ type summary = {
   final_stats : Protocol.response;
 }
 
-(* Binary min-heap of scheduled departures, keyed on virtual time.  The
-   workload holds at most [requests] flows, so arrays are preallocated. *)
-module Heap = struct
-  type t = { times : float array; loads : float array; mutable size : int }
-
-  let create n = { times = Array.make (max 1 n) 0.0; loads = Array.make (max 1 n) 0.0; size = 0 }
-
-  let swap h i j =
-    let ti = h.times.(i) and li = h.loads.(i) in
-    h.times.(i) <- h.times.(j); h.loads.(i) <- h.loads.(j);
-    h.times.(j) <- ti; h.loads.(j) <- li
-
-  let push h ~time ~load =
-    let i = ref h.size in
-    h.times.(!i) <- time;
-    h.loads.(!i) <- load;
-    h.size <- h.size + 1;
-    while !i > 0 && h.times.((!i - 1) / 2) > h.times.(!i) do
-      swap h !i ((!i - 1) / 2);
-      i := (!i - 1) / 2
-    done
-
-  let min_time h = if h.size = 0 then None else Some h.times.(0)
-
-  let pop h =
-    let time = h.times.(0) and load = h.loads.(0) in
-    h.size <- h.size - 1;
-    h.times.(0) <- h.times.(h.size);
-    h.loads.(0) <- h.loads.(h.size);
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < h.size && h.times.(l) < h.times.(!smallest) then smallest := l;
-      if r < h.size && h.times.(r) < h.times.(!smallest) then smallest := r;
-      if !smallest = !i then continue := false
-      else begin
-        swap h !i !smallest;
-        i := !smallest
-      end
-    done;
-    (time, load)
-end
-
 let check name v = if not (Float.is_finite v && v > 0.0) then
   invalid_arg (Printf.sprintf "Loadgen: %s must be finite and positive" name)
 
@@ -84,7 +40,10 @@ let run client w =
   let holds = Rng.derive ~seed:w.seed ~tag:"loadgen/holds" in
   let loads = Rng.derive ~seed:w.seed ~tag:"loadgen/loads" in
   let picks = Rng.derive ~seed:w.seed ~tag:"loadgen/criteria" in
-  let heap = Heap.create w.requests in
+  (* scheduled departures: due time, payload = the arrival's index into
+     [dep_load] *)
+  let deps = CQ.create () in
+  let dep_load = Float.Array.create (max 1 w.requests) in
   let sent = ref 0 in
   let admitted = ref 0 in
   let rejected = ref 0 in
@@ -94,20 +53,17 @@ let run client w =
     Client.rpc client req
   in
   let t = ref 0.0 in
-  for _ = 1 to w.requests do
+  for k = 0 to w.requests - 1 do
     t := !t +. Sample.exponential arrivals ~mean:w.arrival_mean;
     (* retire every flow whose holding time expired before this arrival *)
-    let rec drain () =
-      match Heap.min_time heap with
-      | Some due when due <= !t ->
-          let due, load = Heap.pop heap in
-          (match send (Protocol.Subtract { load; now = due }) with
-          | Protocol.Ok_reply -> incr departures
-          | r -> fail_reply "Subtract" r);
-          drain ()
-      | _ -> ()
-    in
-    drain ();
+    while (not (CQ.is_empty deps)) && CQ.min_time deps <= !t do
+      let due = CQ.min_time deps in
+      let load = Float.Array.get dep_load (CQ.min_payload deps) in
+      CQ.drop_min deps;
+      match send (Protocol.Subtract { load; now = due }) with
+      | Protocol.Ok_reply -> incr departures
+      | r -> fail_reply "Subtract" r
+    done;
     let load = Sample.lognormal_of_moments loads ~mean:w.load_mean ~std:w.load_std in
     let criterion = Rng.int picks w.n_criteria in
     let admit =
@@ -124,7 +80,8 @@ let run client w =
       | Protocol.Ok_reply -> ()
       | r -> fail_reply "Add" r);
       let hold = Sample.exponential holds ~mean:w.hold_mean in
-      Heap.push heap ~time:(!t +. hold) ~load
+      Float.Array.set dep_load k load;
+      CQ.push deps ~time:(!t +. hold) k
     end
     else incr rejected
   done;

@@ -1,6 +1,6 @@
 (* Calendar queue: a timing wheel whose bucket width tracks the
    observed event spacing (Brown, CACM 1988), over the same unboxed
-   int-payload/float-time encoding as [Event_heap].
+   int-payload/float-time encoding as the reference heap in [test/heap].
 
    Entries live in a two-array pool — times in a [Float.Array.t], and
    (seq, payload, next-link) packed at a 4-word stride in one int array
@@ -346,8 +346,9 @@ let ensure_min t =
     done
   end
 
-(* Like [Event_heap.push], the loops live in callees taking only ints
-   so [push] itself inlines and the [time] float is stored unboxed. *)
+(* Like the reference heap's [push], the loops live in callees taking
+   only ints so [push] itself inlines and the [time] float is stored
+   unboxed. *)
 let[@inline] push t ~time payload =
   if Float.is_nan time then invalid_arg "Calendar_queue.push: NaN time";
   let e =

@@ -1,7 +1,8 @@
 (** Calendar queue (timing-wheel/calendar hybrid) keyed by event time —
     the simulator's O(1) event queue.  Ties are broken by insertion
-    order (FIFO), exactly like {!Event_heap}: the two structures
-    produce identical pop sequences for identical push sequences.
+    order (FIFO), exactly like the reference binary heap in [test/heap]:
+    the two structures produce identical pop sequences for identical
+    push sequences.
 
     Structure: entries live in a structure-of-arrays pool (unboxed
     float times, immediate-int seqs/payloads) linked into bucket chains
@@ -59,4 +60,4 @@ val drain_min : t -> f:(int -> unit) -> unit
 val clear : t -> unit
 (** Drop every pending event.  The sequence counter is preserved, so
     tie-breaking against any surviving external ordering stays
-    consistent with {!Event_heap.clear}. *)
+    consistent with the reference heap's [clear]. *)

@@ -49,23 +49,12 @@ let effective_jobs ?jobs n =
    fewer global pauses on allocation-heavy replications.  The setting is
    per-domain ([Gc.set] only affects the calling domain), so the
    submitting domain's configuration is never touched. *)
-let worker_minor_heap_words () =
-  env_int ~default:(1 lsl 21) "MBAC_POOL_MINOR_HEAP"
-
-let worker_space_overhead () = env_int ~default:0 "MBAC_POOL_SPACE_OVERHEAD"
+let worker_minor_heap_words = 1 lsl 21
 
 let tune_worker_gc () =
   let g = Gc.get () in
-  let minor = worker_minor_heap_words () in
-  let overhead = worker_space_overhead () in
-  let g =
-    if minor > g.Gc.minor_heap_size then { g with Gc.minor_heap_size = minor }
-    else g
-  in
-  let g =
-    if overhead > 0 then { g with Gc.space_overhead = overhead } else g
-  in
-  Gc.set g
+  if worker_minor_heap_words > g.Gc.minor_heap_size then
+    Gc.set { g with Gc.minor_heap_size = worker_minor_heap_words }
 
 (* ---------- the pool ---------- *)
 
@@ -86,7 +75,7 @@ type 'a cell = {
 let default_chunk ~width n =
   if width <= 1 then 1 else max 1 (min 32 (n / (width * 8)))
 
-let run_tasks ?jobs ?chunk ?init ?(count_tasks = true) tasks =
+let run_tasks ?jobs ?chunk ?(count_tasks = true) tasks =
   let tasks = Array.of_list tasks in
   let n = Array.length tasks in
   if n = 0 then []
@@ -134,7 +123,6 @@ let run_tasks ?jobs ?chunk ?init ?(count_tasks = true) tasks =
          [--jobs 1] means and what the determinism contract is checked
          against.  Cancellation applies here too: tasks after the first
          failure never start. *)
-      (match init with Some f -> f () | None -> ());
       for i = 0 to n - 1 do
         if i < Atomic.get first_failed then results.(i) <- Some (exec i)
       done
@@ -146,7 +134,6 @@ let run_tasks ?jobs ?chunk ?init ?(count_tasks = true) tasks =
       let buffers = Array.make width [] in
       let work ~helper wid =
         if helper then tune_worker_gc ();
-        (match init with Some f -> f () | None -> ());
         let acc = ref [] in
         let continue = ref true in
         while !continue do
@@ -219,5 +206,5 @@ let run_tasks ?jobs ?chunk ?init ?(count_tasks = true) tasks =
          results)
   end
 
-let map ?jobs ?chunk ?init f xs =
-  run_tasks ?jobs ?chunk ?init (List.map (fun x () -> f x) xs)
+let map ?jobs ?chunk f xs =
+  run_tasks ?jobs ?chunk (List.map (fun x () -> f x) xs)

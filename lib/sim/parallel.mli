@@ -26,19 +26,14 @@
     OS-scheduler wait and makes the pool a net loss — [--jobs] beyond
     the cap still changes nothing about the results (that is the
     determinism contract), it just stops costing anything.  Worker
-    domains start with an enlarged minor heap (see
-    [MBAC_POOL_MINOR_HEAP]) to cut the frequency of those global
-    pauses; the submitting domain's GC settings are never modified.
+    domains start with a 2M-word minor heap to cut the frequency of
+    those global pauses; the submitting domain's GC settings are never
+    modified.
 
-    Environment knobs (all optional):
-    - [MBAC_DOMAIN_CAP] — ceiling on pool width (default:
-      [min 8 (Domain.recommended_domain_count ())]; setting it above
-      the core count deliberately oversubscribes, which the test suite
-      uses to exercise real multi-domain schedules on narrow machines).
-    - [MBAC_POOL_MINOR_HEAP] — per-worker minor-heap size in words
-      (default [2_097_152]; [0] leaves the runtime default).
-    - [MBAC_POOL_SPACE_OVERHEAD] — per-worker [Gc.space_overhead]
-      (default [0] = leave the runtime default).
+    [MBAC_DOMAIN_CAP], when set, is the ceiling on pool width (default:
+    [min 8 (Domain.recommended_domain_count ())]; setting it above the
+    core count deliberately oversubscribes, which the test suite uses
+    to exercise real multi-domain schedules on narrow machines).
 
     {2 Telemetry}
 
@@ -69,8 +64,8 @@ val effective_jobs : ?jobs:int -> int -> int
     @raise Invalid_argument if [jobs < 1]. *)
 
 val run_tasks :
-  ?jobs:int -> ?chunk:int -> ?init:(unit -> unit) ->
-  ?count_tasks:bool -> (unit -> 'a) list -> 'a list
+  ?jobs:int -> ?chunk:int -> ?count_tasks:bool -> (unit -> 'a) list ->
+  'a list
 (** [run_tasks ~jobs tasks] executes every task on a pool of
     {!effective_jobs} domains and returns the results in submission
     order.
@@ -88,13 +83,6 @@ val run_tasks :
     serialize on the queue cursor while load stays balanced).  Results
     are independent of [chunk].
 
-    [init], when given, runs once in every domain that executes tasks
-    (each spawned worker, and the submitting domain) before any task
-    starts.  Use it to pre-seed domain-local caches
-    ({!Mbac_numerics.Fgn.cached_plan}, Chebyshev tables) so workers
-    don't all pay the first-touch build inside their first task.  It
-    must not affect task results.
-
     If any task raises, tasks that have not started by the time of the
     failure are skipped (contributing no telemetry), and once the pool
     drains the {e first failure in submission order} is re-raised with
@@ -104,8 +92,6 @@ val run_tasks :
     ones — is merged before the re-raise.
     @raise Invalid_argument if [jobs < 1] or [chunk < 1]. *)
 
-val map :
-  ?jobs:int -> ?chunk:int -> ?init:(unit -> unit) -> ('a -> 'b) -> 'a list ->
-  'b list
+val map : ?jobs:int -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] is [run_tasks ~jobs (List.map (fun x () -> f x) xs)]:
     the parallel [List.map] for independent simulation cells. *)

@@ -76,6 +76,31 @@ let term =
     $ series_out_arg $ series_interval_arg $ profile_arg $ profile_out_arg
     $ Logs_cli.level ())
 
+(* [-v]/[-q] as [Logs_cli.level] reads them, without its [--verbosity]. *)
+let verbosity_arg =
+  let verbose =
+    Arg.(value & flag_all
+         & info [ "v"; "verbose" ]
+             ~doc:"Increase verbosity: once for info, twice for debug.")
+  in
+  let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Log nothing.") in
+  Term.(
+    const (fun verbose quiet ->
+        if quiet then None
+        else
+          match verbose with
+          | [] -> Some Logs.Warning
+          | [ _ ] -> Some Logs.Info
+          | _ -> Some Logs.Debug)
+    $ verbose $ quiet)
+
+let output_term =
+  Term.(
+    const (fun metrics_out trace_out profile profile_out log_level ->
+        make metrics_out trace_out 1 None 100.0 profile profile_out log_level)
+    $ metrics_out_arg $ trace_out_arg $ profile_arg $ profile_out_arg
+    $ verbosity_arg)
+
 let install t =
   Mbac_telemetry.Logging.setup t.log_level;
   Mbac_telemetry.Trace.set_enabled (t.trace_out <> None);

@@ -37,6 +37,12 @@ type t = {
 
 val term : t Cmdliner.Term.t
 
+val output_term : t Cmdliner.Term.t
+(** The subset for binaries that write no series and sample no traces:
+    [--metrics-out], [--trace-out], [--profile], [--profile-out], [-v]
+    and [-q] (without [--verbosity]).  The other fields keep {!term}'s
+    defaults. *)
+
 val install : t -> unit
 (** Apply the flags: set up the [Logs] reporter/level, enable tracing
     and its sampling rate, enable the time series and set its window

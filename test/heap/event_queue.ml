@@ -7,9 +7,7 @@
    which would box the [time] float on every push and re-box the
    minimum on every read — the very allocations the hot path was
    rebuilt to avoid.  The simulator names [Calendar_queue] directly;
-   this module exists for differential testing, benchmarking both
-   sides, and any cold-path caller that wants to stay
-   implementation-agnostic. *)
+   this module exists for differential testing. *)
 
 module type S = sig
   type t
@@ -45,4 +43,4 @@ module type S = sig
 end
 
 module Heap : S = Event_heap
-module Calendar : S = Calendar_queue
+module Calendar : S = Mbac_sim.Calendar_queue

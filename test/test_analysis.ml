@@ -312,24 +312,6 @@ let test_window_rule () =
         pf)
     profile
 
-let test_tabulated_eqn37 =
-  (* Differential property: the Chebyshev table must stay within 1e-6
-     relative error of the adaptive integral everywhere in the fitted
-     alpha domain, across the parameter ranges the analyses sweep. *)
-  (* each case pays a 128-integral table build, so the count is modest *)
-  qcheck ~count:25 "tabulated eqn (37) within 1e-6 of adaptive"
-    QCheck.(
-      triple
-        (float_range 0.05 500.0) (* t_c *)
-        (float_range 0.0 500.0) (* t_m *)
-        (float_range 0.0 12.0) (* alpha_ce *))
-    (fun (t_c, t_m, alpha_ce) ->
-      let p = mk ~t_c () in
-      let tab = Mbac.Memory_formula.Tabulated.create ~p ~t_m () in
-      let approx = Mbac.Memory_formula.Tabulated.overflow tab ~alpha_ce in
-      let exact = Mbac.Memory_formula.Tabulated.exact tab ~alpha_ce in
-      exact > 0.0 && abs_float (approx -. exact) <= 1e-6 *. exact)
-
 let test_overflow_cached () =
   let p = mk () in
   let alpha = Mbac.Params.alpha_q p in
@@ -346,13 +328,7 @@ let test_overflow_cached () =
       in
       Alcotest.(check (float 0.0)) "cached = exact" direct cached;
       Alcotest.(check (float 0.0)) "cache hit stable" direct again)
-    [ 0.0; 1.0; 10.0; 100.0 ];
-  (* out-of-domain evaluation falls back to the exact integral *)
-  let tab = Mbac.Memory_formula.Tabulated.create ~p ~t_m:10.0 () in
-  Alcotest.(check (float 0.0))
-    "fallback above fitted domain"
-    (Mbac.Memory_formula.overflow ~p ~t_m:10.0 ~alpha_ce:40.0)
-    (Mbac.Memory_formula.Tabulated.overflow tab ~alpha_ce:40.0)
+    [ 0.0; 1.0; 10.0; 100.0 ]
 
 let test_utilization () =
   let p = mk () in
@@ -394,6 +370,5 @@ let suite =
         test "inversion monotone in memory" test_inversion_monotone;
         test "regimes" test_regimes;
         test "window rule" test_window_rule;
-        test_tabulated_eqn37;
         test "eqn (37) point cache" test_overflow_cached;
         test "utilization accounting" test_utilization ] ) ]

@@ -1,4 +1,4 @@
-open Mbac_sim
+open Mbac_heap
 open Test_util
 
 (* The whole suite is written against the [Event_queue.S] seam and run

@@ -196,30 +196,6 @@ let test_chunk_invariance =
       let reference = List.map f cells in
       reference = Parallel.map ~jobs ~chunk f cells)
 
-(* [init] runs in every domain that executes tasks, before any of its
-   tasks: each task checks the domain-local seed its init planted. *)
-let dls_probe : bool ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref false)
-
-let test_init_preseeds_domains () =
-  let init_runs = Atomic.make 0 in
-  let init () =
-    Atomic.incr init_runs;
-    Domain.DLS.get dls_probe := true
-  in
-  let seen =
-    Parallel.map ~jobs:4 ~init
-      (fun _ -> !(Domain.DLS.get dls_probe))
-      (List.init 32 Fun.id)
-  in
-  Alcotest.(check bool) "every task saw its domain pre-seeded" true
-    (List.for_all Fun.id seen);
-  let runs = Atomic.get init_runs in
-  Alcotest.(check bool) "init ran in each executing domain (1..width)" true
-    (runs >= 1 && runs <= Parallel.effective_jobs ~jobs:4 32);
-  (* the submitting domain was seeded too: clean up for other tests *)
-  Domain.DLS.get dls_probe := false
-
 let suite =
   [ ( "parallel",
       [ test "submission order" test_ordering;
@@ -232,5 +208,4 @@ let suite =
         test "serial cancellation" test_cancellation_serial;
         test_first_failure_deterministic;
         test "partial telemetry on failure" test_partial_telemetry_on_failure;
-        test_chunk_invariance;
-        test "per-domain init preseed" test_init_preseeds_domains ] ) ]
+        test_chunk_invariance ] ) ]
