@@ -263,6 +263,24 @@ let () =
            Mbac_telemetry.Metrics.inc "probe_string_total"
          done));
 
+  (* serving engine: one decision-log line rendered into a file sink's
+     staging buffer, with the buffer's writes to the file amortized in *)
+  let engine =
+    Mbac_serve.Engine.create ~decision_log_file:"/dev/null"
+      { Mbac_serve.Engine.capacity = 100.0;
+        criteria =
+          [ Mbac_serve.Engine.Gaussian { cname = "ce:0.01"; p_ce = 0.01 } ];
+        estimator = Mbac.Estimator.memoryless ();
+        measure_every = 0 }
+  in
+  report "Engine.log_decision (per line)"
+    (words_per_op ~ops (fun n ->
+         for i = 1 to n do
+           Mbac_serve.Engine.log_decision engine ~criterion:0
+             ~admit:(i land 1 = 0)
+         done));
+  Mbac_serve.Engine.close_log engine;
+
   (* parallel-pool bookkeeping per task: shard create + claim + cell +
      submission-order merge, measured on the serial path so the counters
      (which are per-domain) see every allocation.  The task list is

@@ -21,46 +21,42 @@ let run socket inproc capacity criteria_s estimator measure_every decision_log
       | Some _, true -> Error "--socket and --inproc are mutually exclusive"
       | transport, _ -> (
           Mbac_telemetry_cli.Flags.install tele;
-          let log_buf =
-            match (transport, decision_log) with
-            | None, Some _ -> Some (Buffer.create 4096)
-            | _ -> None
-          in
-          let client =
+          match
             match transport with
-            | Some path -> Mbac_serve.Client.connect_unix ~path ()
+            | Some path -> (Mbac_serve.Client.connect_unix ~path (), None)
             | None ->
                 let engine =
-                  Mbac_serve.Engine.create ?decision_log:log_buf
+                  Mbac_serve.Engine.create ?decision_log_file:decision_log
                     { capacity; criteria; estimator; measure_every }
                 in
-                Mbac_serve.Client.inproc engine
-          in
-          let workload =
-            { Mbac_serve.Loadgen.seed; requests; arrival_mean; hold_mean;
-              load_mean; load_std; n_criteria = List.length criteria }
-          in
-          match Mbac_serve.Loadgen.run client workload with
-          | exception (Invalid_argument msg | Failure msg) ->
-              Mbac_serve.Client.close client;
-              Error msg
-          | summary ->
-              if shutdown then
-                ignore (Mbac_serve.Client.rpc client Mbac_serve.Protocol.Shutdown);
-              Mbac_serve.Client.close client;
-              (match (decision_log, log_buf) with
-              | Some path, Some buf ->
-                  let oc = open_out path in
-                  Buffer.output_buffer oc buf;
-                  close_out oc
-              | Some _, None ->
-                  prerr_endline
-                    "mbac_loadgen: note: --decision-log only applies to \
-                     --inproc (the daemon owns the log over a socket)"
-              | None, _ -> ());
-              Mbac_serve.Loadgen.print_summary stdout summary;
-              Mbac_telemetry_cli.Flags.finish tele;
-              Ok ()))
+                (Mbac_serve.Client.inproc engine, Some engine)
+          with
+          | exception Invalid_argument msg -> Error msg
+          | exception Sys_error msg -> Error ("--decision-log: " ^ msg)
+          | client, engine -> (
+              let workload =
+                { Mbac_serve.Loadgen.seed; requests; arrival_mean; hold_mean;
+                  load_mean; load_std; n_criteria = List.length criteria }
+              in
+              match Mbac_serve.Loadgen.run client workload with
+              | exception (Invalid_argument msg | Failure msg) ->
+                  Mbac_serve.Client.close client;
+                  Error msg
+              | summary ->
+                  if shutdown then
+                    ignore
+                      (Mbac_serve.Client.rpc client Mbac_serve.Protocol.Shutdown);
+                  Mbac_serve.Client.close client;
+                  (match (engine, decision_log) with
+                  | Some engine, _ -> Mbac_serve.Engine.close_log engine
+                  | None, Some _ ->
+                      prerr_endline
+                        "mbac_loadgen: note: --decision-log only applies to \
+                         --inproc (the daemon owns the log over a socket)"
+                  | None, None -> ());
+                  Mbac_serve.Loadgen.print_summary stdout summary;
+                  Mbac_telemetry_cli.Flags.finish tele;
+                  Ok ())))
 
 let fopt name default doc =
   Arg.(value & opt float default & info [ name ] ~docv:"X" ~doc)
@@ -90,8 +86,9 @@ let cmd =
                  ~doc:"Measurement cadence (--inproc engine).")
       $ Arg.(value & opt (some string) None
              & info [ "decision-log" ] ~docv:"FILE"
-                 ~doc:"Write the --inproc engine's JSONL decision log to \
-                       FILE.")
+                 ~doc:"Stream the --inproc engine's JSONL decision log \
+                       to FILE, created at start (64 KiB at a time, the \
+                       rest at exit).")
       $ Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"RNG seed.")
       $ Arg.(value & opt int 1000
              & info [ "requests" ] ~docv:"N"

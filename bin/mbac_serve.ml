@@ -20,12 +20,12 @@ let run socket capacity criteria estimator measure_every measure_interval
       then Error "--measure-interval must be > 0"
       else begin
         Mbac_telemetry_cli.Flags.install tele;
-        let log_buf = Option.map (fun _ -> Buffer.create 4096) decision_log in
         match
-          Mbac_serve.Engine.create ?decision_log:log_buf
+          Mbac_serve.Engine.create ?decision_log_file:decision_log
             { capacity; criteria; estimator; measure_every }
         with
         | exception Invalid_argument msg -> Error msg
+        | exception Sys_error msg -> Error ("--decision-log: " ^ msg)
         | engine ->
             (match measure_interval with
             | Some interval ->
@@ -36,12 +36,7 @@ let run socket capacity criteria estimator measure_every measure_interval
             (match measure_interval with
             | Some _ -> Mbac_serve.Engine.stop_background engine
             | None -> ());
-            (match (decision_log, log_buf) with
-            | Some path, Some buf ->
-                let oc = open_out path in
-                Buffer.output_buffer oc buf;
-                close_out oc
-            | _ -> ());
+            Mbac_serve.Engine.close_log engine;
             Mbac_telemetry_cli.Flags.finish tele;
             Ok ()
       end)
@@ -77,8 +72,11 @@ let cmd =
                        wall-clock seconds.")
       $ Arg.(value & opt (some string) None
              & info [ "decision-log" ] ~docv:"FILE"
-                 ~doc:"Write the JSONL decision log (one line per \
-                       Log_decision request) to FILE on shutdown.")
+                 ~doc:"Stream the JSONL decision log (one line per \
+                       Log_decision request) to FILE, created at start. \
+                       Lines reach the file 64 KiB at a time and at \
+                       shutdown; a killed daemon loses at most the last \
+                       64 KiB.")
       $ Mbac_telemetry_cli.Flags.term)
   in
   Cmd.v

@@ -40,24 +40,69 @@ let fp_sq fp =
   let l = fp_to_float fp in
   int_of_float (Float.round (l *. l *. fp_scale_f))
 
+(* ---------- decision-log lines ---------- *)
+
+(* A line is rendered straight into the sink's buffer: the escaped
+   criterion fragment is built once per criterion, and the two integers
+   are written digit by digit, so a line allocates nothing. *)
+module Log_line = struct
+  type criterion = string
+
+  let criterion name = ",\"criterion\":" ^ Mbac_telemetry.Json.string name
+
+  (* Digits of [n <= 0], most significant first.  Working on the
+     non-positive side covers [min_int], whose negation overflows. *)
+  let rec add_digits buf n =
+    if n <= -10 then add_digits buf (n / 10);
+    Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+
+  let add_int buf n =
+    if n < 0 then begin
+      Buffer.add_char buf '-';
+      add_digits buf n
+    end
+    else add_digits buf (-n)
+
+  let add buf ~seq criterion ~admit ~flows =
+    Buffer.add_string buf "{\"seq\":";
+    add_int buf seq;
+    Buffer.add_string buf criterion;
+    Buffer.add_string buf
+      (if admit then ",\"admit\":true,\"flows\":"
+       else ",\"admit\":false,\"flows\":");
+    add_int buf flows;
+    Buffer.add_string buf "}\n"
+
+  (* The longest line [add] writes for [criterion]: the fixed text plus
+     two integers of at most 20 characters ("-" and 19 digits). *)
+  let max_bytes criterion =
+    let fixed = String.length "{\"seq\":,\"admit\":false,\"flows\":}\n" in
+    fixed + String.length criterion + (2 * 20)
+end
+
 (* ---------- compiled criteria ---------- *)
 
 (* [sigma_override = nan] means "use the measured sigma"; Hoeffding's
    distribution-free bound replaces sigma*alpha by
    peak * sqrt(ln(1/p)/2) with alpha = 1 (same quadratic). *)
-type crit = { cr_name : string; cr_alpha : float; cr_sigma_override : float }
+type crit = {
+  cr_name : string;
+  cr_log : Log_line.criterion;
+  cr_alpha : float;
+  cr_sigma_override : float;
+}
 
 let compile_criterion = function
   | Gaussian { cname; p_ce } ->
       if not (p_ce > 0.0 && p_ce <= 0.5) then
         invalid_arg "Engine: criterion requires 0 < p_ce <= 0.5";
-      { cr_name = cname; cr_alpha = Mbac_stats.Gaussian.q_inv p_ce;
-        cr_sigma_override = nan }
+      { cr_name = cname; cr_log = Log_line.criterion cname;
+        cr_alpha = Mbac_stats.Gaussian.q_inv p_ce; cr_sigma_override = nan }
   | Hoeffding { cname; p_ce; peak } ->
       if not (p_ce > 0.0 && p_ce <= 0.5) then
         invalid_arg "Engine: criterion requires 0 < p_ce <= 0.5";
       if not (peak > 0.0) then invalid_arg "Engine: criterion requires peak > 0";
-      { cr_name = cname; cr_alpha = 1.0;
+      { cr_name = cname; cr_log = Log_line.criterion cname; cr_alpha = 1.0;
         cr_sigma_override = peak *. sqrt (log (1.0 /. p_ce) /. 2.0) }
 
 (* ---------- the published estimate record ---------- *)
@@ -79,6 +124,17 @@ type background = {
   bg_domain : Mbac_telemetry.Shard.t Domain.t;
 }
 
+(* The decision log's sink.  In memory, [lines] is the caller's buffer
+   and keeps every line.  With a file, [lines] is a staging buffer of
+   [log_staging_bytes]; it is written to [file] before a line that might
+   not fit, so it never grows and holds at most one staging buffer of
+   lines. *)
+type log_sink = {
+  lines : Buffer.t;
+  file : out_channel option;
+  room : int;  (* write [lines] out once it holds more bytes than this *)
+}
+
 type t = {
   crits : crit array;
   estimator : Mbac.Estimator.t;
@@ -97,7 +153,7 @@ type t = {
   (* measurement-path state (everything below the mutex) *)
   meas_mutex : Mutex.t;
   log_mutex : Mutex.t;
-  decision_log : Buffer.t option;
+  log : log_sink option;
   mutable bg : background option;
 }
 
@@ -123,14 +179,32 @@ let bootstrap ~capacity ~updates =
   { p_capacity = capacity; p_capacity_fp = fp_of_load capacity; p_mu = nan;
     p_sigma = nan; p_m = [||]; p_updates = updates }
 
-let create ?decision_log (config : config) =
+let log_staging_bytes = 65536
+
+let open_log ?decision_log ?decision_log_file crits =
+  match (decision_log, decision_log_file) with
+  | None, None -> None
+  | Some lines, None -> Some { lines; file = None; room = max_int }
+  | None, Some path ->
+      let longest =
+        Array.fold_left (fun m c -> max m (Log_line.max_bytes c.cr_log)) 0 crits
+      in
+      Some
+        { lines = Buffer.create log_staging_bytes;
+          file = Some (open_out_bin path);
+          room = max 0 (log_staging_bytes - longest) }
+  | Some _, Some _ ->
+      invalid_arg "Engine: decision_log and decision_log_file are exclusive"
+
+let create ?decision_log ?decision_log_file (config : config) =
   check_capacity config.capacity;
   if config.criteria = [] then invalid_arg "Engine: criteria must be nonempty";
   if List.length config.criteria > 0xFFFF then
     invalid_arg "Engine: at most 65535 criteria (u16 on the wire)";
   if config.measure_every < 0 then
     invalid_arg "Engine: measure_every must be >= 0";
-  { crits = Array.of_list (List.map compile_criterion config.criteria);
+  let crits = Array.of_list (List.map compile_criterion config.criteria) in
+  { crits;
     estimator = config.estimator;
     measure_every = config.measure_every;
     flows = Atomic.make 0;
@@ -144,7 +218,7 @@ let create ?decision_log (config : config) =
     log_seq = Atomic.make 0;
     meas_mutex = Mutex.create ();
     log_mutex = Mutex.create ();
-    decision_log;
+    log = open_log ?decision_log ?decision_log_file crits;
     bg = None }
 
 let criterion_names t = Array.map (fun c -> c.cr_name) t.crits
@@ -246,22 +320,41 @@ let subtract t ~load ~now =
 
 (* ---------- decision log ---------- *)
 
+(* Hands the staged lines to the kernel; the caller holds [log_mutex]. *)
+let write_out sink =
+  match sink.file with
+  | Some oc when Buffer.length sink.lines > 0 ->
+      Buffer.output_buffer oc sink.lines;
+      flush oc;
+      Buffer.clear sink.lines
+  | Some _ | None -> ()
+
+(* This runs once per Log_decision request, so the mutex is taken by
+   hand: [Mutex.protect] would allocate a closure per line. *)
 let log_decision t ~criterion ~admit =
   let seq = Atomic.fetch_and_add t.log_seq 1 in
-  match t.decision_log with
+  match t.log with
   | None -> ()
-  | Some buf ->
-      let line =
-        Mbac_telemetry.Json.(
-          obj
-            [ ("seq", int seq);
-              ("criterion", string t.crits.(criterion).cr_name);
-              ("admit", bool admit);
-              ("flows", int (Atomic.get t.flows)) ])
-      in
+  | Some sink -> (
+      let criterion = t.crits.(criterion).cr_log in
+      let flows = Atomic.get t.flows in
+      Mutex.lock t.log_mutex;
+      match
+        if Buffer.length sink.lines > sink.room then write_out sink;
+        Log_line.add sink.lines ~seq criterion ~admit ~flows
+      with
+      | () -> Mutex.unlock t.log_mutex
+      | exception e ->
+          Mutex.unlock t.log_mutex;
+          raise e)
+
+let close_log t =
+  match t.log with
+  | Some ({ file = Some oc; _ } as sink) ->
       Mutex.protect t.log_mutex (fun () ->
-          Buffer.add_string buf line;
-          Buffer.add_char buf '\n')
+          write_out sink;
+          close_out oc)
+  | Some { file = None; _ } | None -> ()
 
 (* ---------- stats / dispatch ---------- *)
 
@@ -315,13 +408,14 @@ let handle t (req : Protocol.request) : Protocol.response =
         subtract t ~load ~now;
         Protocol.Ok_reply
       end
-  | Protocol.Log_decision { criterion; admit } ->
+  | Protocol.Log_decision { criterion; admit } -> (
       if criterion >= Array.length t.crits then
         Protocol.Error_reply { code = 2; message = "criterion out of range" }
-      else begin
-        log_decision t ~criterion ~admit;
-        Protocol.Ok_reply
-      end
+      else
+        match log_decision t ~criterion ~admit with
+        | () -> Protocol.Ok_reply
+        | exception Sys_error msg ->
+            Protocol.Error_reply { code = 4; message = "decision log: " ^ msg })
   | Protocol.Stats ->
       let s = stats t in
       Protocol.Stats_reply

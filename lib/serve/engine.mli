@@ -65,10 +65,23 @@ type stats = {
 val fp_scale : int
 (** Fixed-point units per load unit (2{^20}). *)
 
-val create : ?decision_log:Buffer.t -> config -> t
-(** @raise Invalid_argument on empty criteria, [p_ce] outside (0, 0.5],
+val create :
+  ?decision_log:Buffer.t -> ?decision_log_file:string -> config -> t
+(** The decision log ({!log_decision}) goes to one of two sinks.
+    [decision_log] keeps every line in the caller's buffer.
+    [decision_log_file] is created (or truncated) here and streamed to:
+    lines are staged in a buffer of {!log_staging_bytes}, which is
+    written to the file whenever the next line might not fit, and by
+    {!close_log}.  Both give the same bytes.
+    @raise Invalid_argument on empty criteria, [p_ce] outside (0, 0.5],
     non-positive [peak], non-finite or non-positive [capacity], negative
-    [measure_every], or more than 65535 criteria. *)
+    [measure_every], more than 65535 criteria, or both sinks.
+    @raise Sys_error if [decision_log_file] cannot be opened for
+    writing. *)
+
+val log_staging_bytes : int
+(** Size of a file sink's staging buffer (64 KiB): the most decision-log
+    bytes an engine holds in memory, and so the most a kill loses. *)
 
 val criterion_names : t -> string array
 
@@ -95,7 +108,27 @@ val subtract : t -> load:float -> now:float -> unit
 
 val log_decision : t -> criterion:int -> admit:bool -> unit
 (** Append one JSONL line (server-assigned [seq]) to the decision log;
-    no-op (but still sequence-advancing) without one. *)
+    no-op (but still sequence-advancing) without one.  Rendering the
+    line allocates nothing.
+    @raise Sys_error if writing the staged lines to the file fails; the
+    line is then not logged. *)
+
+val close_log : t -> unit
+(** Write the staged lines to the decision-log file and close it.  No-op
+    for an in-memory log or none, and on a second call; the engine must
+    not log after it. *)
+
+(** One decision-log line, rendered without building a JSON tree: the
+    bytes of [Mbac_telemetry.Json.obj] over [seq], [criterion], [admit]
+    and [flows], then a newline. *)
+module Log_line : sig
+  type criterion
+  (** A criterion name's escaped ["criterion":…] fragment. *)
+
+  val criterion : string -> criterion
+
+  val add : Buffer.t -> seq:int -> criterion -> admit:bool -> flows:int -> unit
+end
 
 val run_measurement : t -> now:float -> unit
 (** One measurement pass (serialized by an internal mutex): counters →
@@ -108,8 +141,10 @@ val handle : t -> Protocol.request -> Protocol.response
 (** Full request dispatch with wire-input validation: out-of-range
     criterion indices and non-finite/negative loads or capacities come
     back as [Error_reply] (codes 1 capacity, 2 criterion, 3 load), not
-    exceptions.  [Shutdown] answers [Ok_reply]; acting on it is the
-    transport's job. *)
+    exceptions; so does a [Log_decision] whose staged lines cannot be
+    written to the decision-log file (code 4; that line is lost, and
+    its [seq] is skipped).  [Shutdown] answers [Ok_reply]; acting on it
+    is the transport's job. *)
 
 val start_background : t -> interval:float -> unit
 (** Spawn a measurement domain running {!run_measurement} every

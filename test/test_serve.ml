@@ -1,7 +1,7 @@
 (* The serving engine: fixed-point accounting, bootstrap and published
    estimates, initialize semantics, wire-input validation through
-   [handle], decision-log determinism across transports, and a
-   multi-domain accounting smoke test. *)
+   [handle], decision-log determinism across transports, the streamed
+   decision log, and a multi-domain accounting smoke test. *)
 
 open Test_util
 module E = Mbac_serve.Engine
@@ -143,6 +143,84 @@ let test_loadgen_replay_identical () =
     (List.length
        (String.split_on_char '\n' log1 |> List.filter (fun l -> l <> "")))
 
+(* ---------- streamed decision log ---------- *)
+
+(* The line as the engine first rendered it, through a JSON tree: the
+   oracle for the direct renderer. *)
+let json_line ~seq ~name ~admit ~flows =
+  Mbac_telemetry.Json.(
+    obj
+      [ ("seq", int seq); ("criterion", string name); ("admit", bool admit);
+        ("flows", int flows) ])
+  ^ "\n"
+
+let arb_log_line =
+  let open QCheck.Gen in
+  let int = oneof [ int; oneofl [ min_int; max_int; 0; -1; 9; 10; -10 ] ] in
+  let name_char =
+    frequency
+      [ (3, printable);
+        (2, oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '\000'; '\031'; '\127' ]);
+        (1, char) ]
+  in
+  QCheck.make
+    ~print:(fun (seq, name, admit, flows) ->
+      Printf.sprintf "seq=%d name=%S admit=%b flows=%d" seq name admit flows)
+    (quad int (string_size ~gen:name_char (0 -- 16)) bool int)
+
+let prop_log_line (seq, name, admit, flows) =
+  let b = Buffer.create 64 in
+  E.Log_line.add b ~seq (E.Log_line.criterion name) ~admit ~flows;
+  Buffer.contents b = json_line ~seq ~name ~admit ~flows
+
+(* A file sink holds back at most one staging buffer while the engine is
+   live, and after [close_log] the file is the in-memory log. *)
+let test_file_log_streams () =
+  let replay engine =
+    let client = Mbac_serve.Client.inproc engine in
+    ignore
+      (Mbac_serve.Loadgen.run client
+         { Mbac_serve.Loadgen.seed = 7; requests = 3000; arrival_mean = 1.0;
+           hold_mean = 50.0; load_mean = 1.0; load_std = 0.3; n_criteria = 2 });
+    Mbac_serve.Client.close client
+  in
+  let mem = Buffer.create 1024 in
+  replay (E.create ~decision_log:mem (config ~measure_every:16 ()));
+  let path = Filename.temp_file "mbac_decisions" ".jsonl" in
+  let engine = E.create ~decision_log_file:path (config ~measure_every:16 ()) in
+  replay engine;
+  let live = (Unix.stat path).Unix.st_size in
+  E.close_log engine;
+  let logged = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  let total = Buffer.length mem in
+  Alcotest.(check bool) "the replay logs more than one staging buffer" true
+    (total > E.log_staging_bytes);
+  Alcotest.(check bool) "lines reach the file while the engine is live" true
+    (live > 0);
+  Alcotest.(check bool) "at most one staging buffer held back" true
+    (total - live <= E.log_staging_bytes);
+  Alcotest.(check string) "the closed file is the in-memory log"
+    (Buffer.contents mem) logged
+
+(* A file that cannot take the staged lines (a full device) fails the
+   Log_decision that meets the error with a typed reply, not an
+   exception out of [handle]. *)
+let test_file_log_write_error () =
+  if Sys.file_exists "/dev/full" then begin
+    let e = E.create ~decision_log_file:"/dev/full" (config ()) in
+    let replies =
+      List.init 2000 (fun _ ->
+          E.handle e (P.Log_decision { criterion = 0; admit = true }))
+    in
+    Alcotest.(check bool) "lines are staged before the first write" true
+      (List.hd replies = P.Ok_reply);
+    Alcotest.(check bool) "the failed write is answered with code 4" true
+      (List.exists
+         (function P.Error_reply { code = 4; _ } -> true | _ -> false)
+         replies)
+  end
+
 (* ---------- cross-domain accounting smoke ---------- *)
 
 let test_parallel_accounting () =
@@ -181,5 +259,11 @@ let suite =
         test "handle validates wire input as typed replies"
           test_handle_validation;
         test "loadgen replay is byte-identical" test_loadgen_replay_identical;
+        qcheck "log line renders as its JSON object" arb_log_line
+          prop_log_line;
+        test "file log streams the in-memory log's bytes"
+          test_file_log_streams;
+        test "file log write error is a typed reply"
+          test_file_log_write_error;
         test "parallel accounting is lock-free and exact"
           test_parallel_accounting ] ) ]
