@@ -20,6 +20,9 @@ let run socket inproc capacity criteria_s estimator measure_every decision_log
       | None, false -> Error "pick a transport: --socket PATH or --inproc"
       | Some _, true -> Error "--socket and --inproc are mutually exclusive"
       | transport, _ -> (
+          (* a write to a daemon that went away then fails with EPIPE,
+             which the client reports as its own Failure *)
+          Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
           Mbac_telemetry_cli.Flags.install tele;
           match
             match transport with

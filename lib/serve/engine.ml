@@ -304,12 +304,27 @@ let maybe_measure t ~now =
     if (k + 1) mod t.measure_every = 0 then run_measurement t ~now
   end
 
+(* [counter + d] for [d >= 0], refused (false, counter unchanged) when
+   the sum would pass [max_int]: a compare-and-set loop, so a wrapped
+   sum is never published, not even for a moment. *)
+let rec add_within counter d =
+  let cur = Atomic.get counter in
+  if cur > max_int - d then false
+  else Atomic.compare_and_set counter cur (cur + d) || add_within counter d
+
 let add t ~load ~now =
   let fp = fp_of_load load in
-  ignore (Atomic.fetch_and_add t.flows 1);
-  ignore (Atomic.fetch_and_add t.load_fp fp);
-  ignore (Atomic.fetch_and_add t.sumsq_fp (fp_sq fp));
-  maybe_measure t ~now
+  let sq = fp_sq fp in
+  if not (add_within t.load_fp fp) then false
+  else if not (add_within t.sumsq_fp sq) then begin
+    ignore (Atomic.fetch_and_add t.load_fp (-fp));
+    false
+  end
+  else begin
+    ignore (Atomic.fetch_and_add t.flows 1);
+    maybe_measure t ~now;
+    true
+  end
 
 let subtract t ~load ~now =
   let fp = fp_of_load load in
@@ -368,8 +383,10 @@ let stats t =
     admits = Atomic.get t.admits;
     updates = pub.p_updates }
 
-(* The upper bound keeps the fixed-point square (load² · fp_scale) well
-   inside the 63-bit integer range even after many flows accumulate. *)
+(* The upper bound keeps one flow's fixed-point square (load² · fp_scale,
+   at most ~1.05e18) inside the 63-bit integer range.  It does not bound
+   the sums: four flows at the cap fit, a fifth would pass max_int, and
+   [add] refuses it. *)
 let valid_load load = Float.is_finite load && load >= 0.0 && load <= 1e6
 
 let handle t (req : Protocol.request) : Protocol.response =
@@ -397,10 +414,10 @@ let handle t (req : Protocol.request) : Protocol.response =
   | Protocol.Add { load; now } ->
       if not (valid_load load) then
         Protocol.Error_reply { code = 3; message = "load out of range" }
-      else begin
-        add t ~load ~now;
-        Protocol.Ok_reply
-      end
+      else if add t ~load ~now then Protocol.Ok_reply
+      else
+        Protocol.Error_reply
+          { code = 3; message = "load overflows the admitted-load sums" }
   | Protocol.Subtract { load; now } ->
       if not (valid_load load) then
         Protocol.Error_reply { code = 3; message = "load out of range" }

@@ -10,7 +10,8 @@
       ([Atomic.get] of an immutable value) and never takes a lock,
       blocks, or allocates anything but its small result;
     - the {e accounting path} ({!add}/{!subtract}) is lock-free —
-      fetch-and-add on the counters;
+      fetch-and-add on the counters, and compare-and-set where {!add}
+      must refuse a flow that would overflow the sums;
     - the {e measurement path} ({!run_measurement}) is the only place
       the estimator state is touched.  It reads the counters as one
       cross-section, feeds the estimator, recomputes every criterion's
@@ -99,10 +100,12 @@ val decide : t -> criterion:int -> load:float -> decision
     is responsible for [criterion] being in range and [load] being
     finite and non-negative ({!handle} validates wire input). *)
 
-val add : t -> load:float -> now:float -> unit
+val add : t -> load:float -> now:float -> bool
 (** Lock-free accounting of an admitted flow; [now] is the virtual (or
     wall) time stamped on the cross-section if this call triggers an
-    inline measurement pass. *)
+    inline measurement pass.  Returns [false], and changes no counter,
+    when the flow would take the fixed-point load sum or sum of squares
+    past [max_int]. *)
 
 val subtract : t -> load:float -> now:float -> unit
 
@@ -141,9 +144,10 @@ val handle : t -> Protocol.request -> Protocol.response
 (** Full request dispatch with wire-input validation: out-of-range
     criterion indices and non-finite/negative loads or capacities come
     back as [Error_reply] (codes 1 capacity, 2 criterion, 3 load), not
-    exceptions; so does a [Log_decision] whose staged lines cannot be
-    written to the decision-log file (code 4; that line is lost, and
-    its [seq] is skipped).  [Shutdown] answers [Ok_reply]; acting on it
+    exceptions; so does an [Add] that {!add} refuses (code 3), and a
+    [Log_decision] whose staged lines cannot be written to the
+    decision-log file (code 4; that line is lost, and its [seq] is
+    skipped).  [Shutdown] answers [Ok_reply]; acting on it
     is the transport's job. *)
 
 val start_background : t -> interval:float -> unit

@@ -48,10 +48,15 @@ let run client w =
   let admitted = ref 0 in
   let rejected = ref 0 in
   let departures = ref 0 in
-  let send req =
+  (* Only Decide and the closing Stats wait for their replies; the
+     bookkeeping is posted and rides in front of the next one. *)
+  let call f req =
     incr sent;
-    Client.rpc client req
+    try f client req
+    with Client.Post_failed (posted, r) ->
+      fail_reply (Protocol.request_name posted) r
   in
+  let send = call Client.rpc and post = call Client.post in
   let t = ref 0.0 in
   for k = 0 to w.requests - 1 do
     t := !t +. Sample.exponential arrivals ~mean:w.arrival_mean;
@@ -60,9 +65,8 @@ let run client w =
       let due = CQ.min_time deps in
       let load = Float.Array.get dep_load (CQ.min_payload deps) in
       CQ.drop_min deps;
-      match send (Protocol.Subtract { load; now = due }) with
-      | Protocol.Ok_reply -> incr departures
-      | r -> fail_reply "Subtract" r
+      post (Protocol.Subtract { load; now = due });
+      incr departures
     done;
     let load = Sample.lognormal_of_moments loads ~mean:w.load_mean ~std:w.load_std in
     let criterion = Rng.int picks w.n_criteria in
@@ -71,14 +75,10 @@ let run client w =
       | Protocol.Decision { admit; _ } -> admit
       | r -> fail_reply "Decide" r
     in
-    (match send (Protocol.Log_decision { criterion; admit }) with
-    | Protocol.Ok_reply -> ()
-    | r -> fail_reply "Log_decision" r);
+    post (Protocol.Log_decision { criterion; admit });
     if admit then begin
       incr admitted;
-      (match send (Protocol.Add { load; now = !t }) with
-      | Protocol.Ok_reply -> ()
-      | r -> fail_reply "Add" r);
+      post (Protocol.Add { load; now = !t });
       let hold = Sample.exponential holds ~mean:w.hold_mean in
       Float.Array.set dep_load k load;
       CQ.push deps ~time:(!t +. hold) k

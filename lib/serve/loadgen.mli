@@ -8,7 +8,13 @@
     holding time.  All randomness comes from streams derived from
     [seed], and time is {e virtual} — the same seed and request count
     produce the same request bytes on any transport, which is what the
-    determinism cram locks down. *)
+    determinism cram locks down.
+
+    Only [Decide] and the closing [Stats] are round trips
+    ({!Client.rpc}); [Subtract], [Log_decision] and [Add] are posted
+    ({!Client.post}) and travel with the next round trip, so one arrival
+    costs one round trip.  The engine sees the same requests in the same
+    order either way. *)
 
 type workload = {
   seed : int;
@@ -31,7 +37,9 @@ type summary = {
 
 val run : Client.t -> workload -> summary
 (** @raise Invalid_argument on non-positive workload parameters.
-    @raise Failure if the server answers a request with an error. *)
+    @raise Failure if the server answers a request with an error
+    (["Loadgen: <request> failed: server error <code> (<message>)"]; a
+    posted request's error surfaces at the next round trip). *)
 
 val print_summary : out_channel -> summary -> unit
 (** Deterministic textual summary (no wall-clock numbers). *)

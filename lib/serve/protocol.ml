@@ -57,6 +57,15 @@ let request_tag = function
   | Stats -> tag_stats
   | Shutdown -> tag_shutdown
 
+let request_name = function
+  | Initialize _ -> "Initialize"
+  | Decide _ -> "Decide"
+  | Add _ -> "Add"
+  | Subtract _ -> "Subtract"
+  | Log_decision _ -> "Log_decision"
+  | Stats -> "Stats"
+  | Shutdown -> "Shutdown"
+
 let response_tag = function
   | Ok_reply -> tag_ok
   | Decision _ -> tag_decision

@@ -93,4 +93,8 @@ val decode_request : Bytes.t -> pos:int -> avail:int -> (request * int, error) r
 val decode_response : Bytes.t -> pos:int -> avail:int -> (response * int, error) result
 
 val request_tag : request -> int
+
+val request_name : request -> string
+(** The constructor's name (["Log_decision"], ...), for messages. *)
+
 val response_tag : response -> int

@@ -20,11 +20,51 @@ let handle_frame engine bytes ~pos ~avail out =
 
 let conn_opened () = H.inc m_connections
 
-let conn_closed ~peer ~requests =
+let conn_closed ~peer ~requests ~batches =
   if Mbac_telemetry.Trace.enabled () then
     Mbac_telemetry.Trace.emit ~t:0.0 ~kind:"serve_conn"
       [ ("peer", Mbac_telemetry.Trace.Str peer);
-        ("requests", Mbac_telemetry.Trace.Int requests) ]
+        ("requests", Mbac_telemetry.Trace.Int requests);
+        ("batches", Mbac_telemetry.Trace.Int batches) ]
+
+(* ---------- the batch loop ---------- *)
+
+type session = {
+  engine : Engine.t;
+  mutable requests : int;  (* frames answered *)
+  mutable batches : int;  (* [answer] calls that answered a frame *)
+  mutable stop : [ `Open | `Shutdown | `Failed ];
+}
+
+let session engine = { engine; requests = 0; batches = 0; stop = `Open }
+
+(* A while loop over refs rather than a local recursive function: the
+   closure would be allocated on every call, and the in-process
+   transport calls this once per round trip. *)
+let answer s bytes ~pos ~avail out =
+  let limit = pos + avail in
+  let p = ref pos and frames = ref 0 and more = ref true in
+  while !more && !p < limit do
+    match handle_frame s.engine bytes ~pos:!p ~avail:(limit - !p) out with
+    | Ok (consumed, `Continue) ->
+        p := !p + consumed;
+        incr frames
+    | Ok (consumed, `Shutdown) ->
+        p := !p + consumed;
+        incr frames;
+        s.stop <- `Shutdown;
+        more := false
+    | Error (Protocol.Truncated _) -> more := false
+    | Error e ->
+        Protocol.encode_response out
+          (Protocol.Error_reply
+             { code = 255; message = Protocol.error_to_string e });
+        s.stop <- `Failed;
+        more := false
+  done;
+  s.requests <- s.requests + !frames;
+  if !frames > 0 then s.batches <- s.batches + 1;
+  !p - pos
 
 (* ---------- socket transport ---------- *)
 
@@ -41,36 +81,17 @@ let serve_connection engine fd ~peer =
   let fill = ref 0 in
   let out = Buffer.create 512 in
   let outbytes = ref (Bytes.create 512) in
-  let requests = ref 0 in
-  let result = ref `Closed in
-  let continue = ref true in
+  let s = session engine in
+  let is_open () = match s.stop with `Open -> true | `Shutdown | `Failed -> false in
+  let eof = ref false in
   (try
-     while !continue do
-       (* drain every complete frame currently buffered *)
+     while is_open () && not !eof do
+       (* answer every complete frame currently buffered, in one write *)
        Buffer.clear out;
-       let pos = ref 0 in
-       let progress = ref true in
-       while !progress do
-         match handle_frame engine inbuf ~pos:!pos ~avail:(!fill - !pos) out with
-         | Ok (consumed, what) ->
-             incr requests;
-             pos := !pos + consumed;
-             if what = `Shutdown then begin
-               result := `Shutdown;
-               continue := false;
-               progress := false
-             end
-         | Error (Protocol.Truncated _) -> progress := false
-         | Error e ->
-             Protocol.encode_response out
-               (Protocol.Error_reply
-                  { code = 255; message = Protocol.error_to_string e });
-             continue := false;
-             progress := false
-       done;
-       if !pos > 0 then begin
-         Bytes.blit inbuf !pos inbuf 0 (!fill - !pos);
-         fill := !fill - !pos
+       let consumed = answer s inbuf ~pos:0 ~avail:!fill out in
+       if consumed > 0 then begin
+         Bytes.blit inbuf consumed inbuf 0 (!fill - consumed);
+         fill := !fill - consumed
        end;
        let n_out = Buffer.length out in
        if n_out > 0 then begin
@@ -79,15 +100,15 @@ let serve_connection engine fd ~peer =
          Buffer.blit out 0 !outbytes 0 n_out;
          write_all fd !outbytes n_out
        end;
-       if !continue then begin
+       if is_open () then begin
          let n = Unix.read fd inbuf !fill (Bytes.length inbuf - !fill) in
-         if n = 0 then continue := false else fill := !fill + n
+         if n = 0 then eof := true else fill := !fill + n
        end
      done
    with Unix.Unix_error _ | End_of_file -> ());
   (try Unix.close fd with Unix.Unix_error _ -> ());
-  conn_closed ~peer ~requests:!requests;
-  !result
+  conn_closed ~peer ~requests:s.requests ~batches:s.batches;
+  match s.stop with `Shutdown -> `Shutdown | `Open | `Failed -> `Closed
 
 (* Wake a blocked [accept] after shutdown was requested from a service
    thread: connect-and-close a throwaway client.  (Closing the listening
@@ -101,6 +122,9 @@ let wake path =
   with Unix.Unix_error _ -> ()
 
 let run_unix engine ~path =
+  (* a reply to a peer that hung up must fail as EPIPE on that
+     connection, not kill the daemon *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let stop = Atomic.make false in

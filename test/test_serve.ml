@@ -1,7 +1,10 @@
-(* The serving engine: fixed-point accounting, bootstrap and published
-   estimates, initialize semantics, wire-input validation through
-   [handle], decision-log determinism across transports, the streamed
-   decision log, and a multi-domain accounting smoke test. *)
+(* The serving engine: fixed-point accounting and its overflow refusal,
+   bootstrap and published estimates, initialize semantics, wire-input
+   validation through [handle], decision-log determinism across
+   transports, the streamed decision log, and a multi-domain accounting
+   smoke test.  Then the client: pipelined posts in-process, and over a
+   real socket the post contract, the batch budget, and peers that hang
+   up on either side. *)
 
 open Test_util
 module E = Mbac_serve.Engine
@@ -17,12 +20,14 @@ let config ?(capacity = 100.0) ?(measure_every = 0) () =
 
 (* ---------- fixed-point accounting ---------- *)
 
+let add e ~load ~now = if not (E.add e ~load ~now) then Alcotest.fail "add refused"
+
 let test_accounting_roundtrip () =
   let e = E.create (config ()) in
   (* loads that are not multiples of 2^-20: add then subtract must
      cancel exactly because both paths quantize identically *)
   let loads = [ 0.1; 0.3; 1.7; 2.9999999; 0.123456789 ] in
-  List.iter (fun load -> E.add e ~load ~now:0.0) loads;
+  List.iter (fun load -> add e ~load ~now:0.0) loads;
   let s = E.stats e in
   Alcotest.(check int) "flows" (List.length loads) s.E.flows;
   check_close ~tol:1e-5 "admitted load"
@@ -33,6 +38,42 @@ let test_accounting_roundtrip () =
   Alcotest.(check int) "flows back to zero" 0 s.E.flows;
   check_close_abs "load back to exactly zero" 0.0 s.E.admitted_load
 
+(* Four flows at the load cap fit the 63-bit sum of squares; a fifth
+   would wrap it negative, and every later measurement pass skipped its
+   cross-section.  The refused Add must leave no trace: the engine goes
+   on exactly like a twin that never saw it. *)
+let test_add_overflow_refused () =
+  let e = E.create (config ~capacity:1e7 ~measure_every:1 ()) in
+  let twin = E.create (config ~capacity:1e7 ~measure_every:1 ()) in
+  let both load = add e ~load ~now:0.0; add twin ~load ~now:0.0 in
+  let refused load =
+    match E.handle e (P.Add { load; now = 0.0 }) with
+    | P.Error_reply { code = 3; _ } -> ()
+    | _ -> Alcotest.failf "an Add of %g past max_int must answer code 3" load
+  in
+  for _ = 1 to 4 do both 1e6 done;
+  refused 1e6;
+  (* ~4.17e17 fixed-point units of headroom are left: a flow of 630,000
+     (square ~4.16e17) fits, one of 632,000 (~4.19e17) does not *)
+  refused 632_000.0;
+  both 630_000.0;
+  for _ = 1 to 2_000 do both 1.0 done;
+  let s = E.stats e and s' = E.stats twin in
+  Alcotest.(check int) "flows" 2_005 s.E.flows;
+  Alcotest.(check int) "flows as the twin" s'.E.flows s.E.flows;
+  Alcotest.(check (float 0.0)) "admitted load as the twin" s'.E.admitted_load
+    s.E.admitted_load;
+  Alcotest.(check int) "measurement passes as the twin" s'.E.updates
+    s.E.updates;
+  for criterion = 0 to 1 do
+    let d = E.decide e ~criterion ~load:1.0
+    and d' = E.decide twin ~criterion ~load:1.0 in
+    Alcotest.(check int) "admissible count as the twin" d'.E.admissible
+      d.E.admissible;
+    Alcotest.(check bool) "the estimate still follows the flows" true
+      (d.E.admissible > s.E.flows)
+  done
+
 (* ---------- bootstrap and published estimates ---------- *)
 
 let test_bootstrap_one_at_a_time () =
@@ -42,7 +83,7 @@ let test_bootstrap_one_at_a_time () =
   let d = E.decide e ~criterion:0 ~load:1.0 in
   Alcotest.(check bool) "first flow admitted" true d.E.admit;
   Alcotest.(check int) "bootstrap M = n+1" 1 d.E.admissible;
-  E.add e ~load:1.0 ~now:0.0;
+  add e ~load:1.0 ~now:0.0;
   let d = E.decide e ~criterion:0 ~load:1.0 in
   Alcotest.(check bool) "second flow admitted" true d.E.admit;
   Alcotest.(check int) "bootstrap M tracks n" 2 d.E.admissible
@@ -56,7 +97,7 @@ let test_bootstrap_capacity_backstop () =
 let test_published_estimate_drives_decide () =
   let e = E.create (config ~capacity:100.0 ()) in
   for _ = 1 to 50 do
-    E.add e ~load:1.0 ~now:0.0
+    add e ~load:1.0 ~now:0.0
   done;
   E.run_measurement e ~now:0.0;
   (* memoryless estimator over 50 identical unit flows: mu = 1, sigma = 0
@@ -73,7 +114,7 @@ let test_published_estimate_drives_decide () =
 let test_measure_every_cadence () =
   let e = E.create (config ~measure_every:4 ()) in
   for i = 1 to 12 do
-    E.add e ~load:1.0 ~now:(float_of_int i)
+    add e ~load:1.0 ~now:(float_of_int i)
   done;
   let s = E.stats e in
   Alcotest.(check int) "one pass per 4 accounting calls" 3 s.E.updates
@@ -81,7 +122,7 @@ let test_measure_every_cadence () =
 let test_initialize_resets () =
   let e = E.create (config ~capacity:100.0 ()) in
   for _ = 1 to 10 do
-    E.add e ~load:1.0 ~now:0.0
+    add e ~load:1.0 ~now:0.0
   done;
   E.run_measurement e ~now:0.0;
   E.initialize e ~capacity:5.0;
@@ -230,7 +271,7 @@ let test_parallel_accounting () =
     Array.init 4 (fun _ ->
         Domain.spawn (fun () ->
             for i = 1 to per_domain do
-              E.add e ~load:1.5 ~now:(float_of_int i)
+              add e ~load:1.5 ~now:(float_of_int i)
             done;
             for i = 1 to per_domain / 2 do
               E.subtract e ~load:1.5 ~now:(float_of_int i)
@@ -243,6 +284,210 @@ let test_parallel_accounting () =
   check_close ~tol:1e-9 "admitted load survives contention"
     (1.5 *. float_of_int (4 * per_domain / 2))
     s.E.admitted_load
+
+(* ---------- pipelining ---------- *)
+
+module C = Mbac_serve.Client
+
+(* A random request stream, each postable request marked post or rpc:
+   loads stay valid, so every posted request is answered [Ok_reply].  A
+   third of the streams post almost everything, past the client's
+   16 KiB batch budget between two rpcs. *)
+let arb_pipeline =
+  let open QCheck.Gen in
+  let load = float_range 0.0 5.0 and now = float_range 0.0 1e3 in
+  let postable =
+    [ (6, map2 (fun load now -> P.Add { load; now }) load now);
+      (4, map2 (fun load now -> P.Subtract { load; now }) load now);
+      (6, map2 (fun criterion admit -> P.Log_decision { criterion; admit })
+            (0 -- 1) bool);
+      (1, map (fun capacity -> P.Initialize { capacity })
+            (float_range 10.0 100.0)) ]
+  in
+  let rpc_only =
+    [ (4, map3 (fun criterion load now -> P.Decide { criterion; load; now })
+            (0 -- 1) load now);
+      (1, return P.Stats) ]
+  in
+  let stream size reqs post =
+    list_size size (pair (frequency reqs) (frequencyl [ (post, true); (1, false) ]))
+  in
+  QCheck.make
+    ~print:(fun l -> Printf.sprintf "%d requests" (List.length l))
+    (frequency
+       [ (1, stream (0 -- 50) (postable @ rpc_only) 4);
+         (1, stream (0 -- 2_000) (postable @ rpc_only) 4);
+         (1, stream (1_500 -- 3_000) postable 1_000) ])
+
+let postable = function
+  | P.Initialize _ | P.Add _ | P.Subtract _ | P.Log_decision _ -> true
+  | P.Decide _ | P.Stats | P.Shutdown -> false
+
+(* Posting changes when replies are read, never what the engine sees:
+   the replies to the rpcs, the final Stats and the decision log equal a
+   run with one rpc per request. *)
+let prop_pipeline steps =
+  let run pipelined =
+    let log = Buffer.create 1024 in
+    let c = C.inproc (E.create ~decision_log:log (config ~measure_every:3 ())) in
+    let replies =
+      List.filter_map
+        (fun (req, post) ->
+          if pipelined && post && postable req then (C.post c req; None)
+          else Some (C.rpc c req))
+        steps
+    in
+    let final = C.rpc c P.Stats in
+    C.close c;
+    (replies, final, Buffer.contents log)
+  in
+  let replies, final, log = run true in
+  let replies', final', log' = run false in
+  let rpc_replies =
+    List.concat
+      (List.map2
+         (fun (req, post) r -> if post && postable req then [] else [ r ])
+         steps replies')
+  in
+  replies = rpc_replies && final = final' && log = log'
+
+let test_post_refuses_round_trip_requests () =
+  let c = C.inproc (E.create (config ())) in
+  List.iter
+    (fun req ->
+      match C.post c req with
+      | () -> Alcotest.failf "post %s must be refused" (P.request_name req)
+      | exception Invalid_argument _ -> ())
+    [ P.Decide { criterion = 0; load = 1.0; now = 0.0 }; P.Stats; P.Shutdown ];
+  C.close c
+
+(* ---------- over a real socket ---------- *)
+
+let socket_path =
+  let k = ref 0 in
+  fun () ->
+    incr k;
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "mbac-test-%d-%d.sock" (Unix.getpid ()) !k)
+
+(* [f ~path ~connect] against a daemon ([Server.run_unix]) on a thread
+   of this process.  Afterwards every client [connect] made is closed
+   (the daemon joins its connections' threads) and the daemon is shut
+   down if [f] left it up.  An alarm turns a deadlock into a failed run
+   instead of a hung one. *)
+let with_daemon f =
+  let path = socket_path () in
+  let engine = E.create (config ()) in
+  let th = Thread.create (fun () -> Mbac_serve.Server.run_unix engine ~path) () in
+  ignore (Unix.alarm 120);
+  let clients = ref [] in
+  let connect () =
+    let c = C.connect_unix ~path () in
+    clients := c :: !clients;
+    c
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter C.close !clients;
+      (match C.connect_unix ~retries:0 ~path () with
+      | c -> (
+          (try ignore (C.rpc c P.Shutdown) with Failure _ -> ());
+          C.close c)
+      | exception (Failure _ | Unix.Unix_error _) -> ());
+      Thread.join th;
+      ignore (Unix.alarm 0))
+    (fun () ->
+      (* listening once a client gets through *)
+      C.close (connect ());
+      f ~path ~connect)
+
+(* The flows and requests of a Stats reply. *)
+let stats_reply c =
+  match C.rpc c P.Stats with
+  | P.Stats_reply { flows; requests; _ } -> (flows, requests)
+  | _ -> Alcotest.fail "Stats must answer Stats_reply"
+
+let test_socket_post_failure () =
+  with_daemon (fun ~path:_ ~connect ->
+      let c = connect () in
+      C.post c (P.Add { load = 1.0; now = 0.0 });
+      C.post c (P.Add { load = nan; now = 0.0 });
+      C.post c (P.Add { load = 2.0; now = 0.0 });
+      (match C.rpc c P.Stats with
+      | _ -> Alcotest.fail "the posted NaN Add must fail the next rpc"
+      | exception C.Post_failed (P.Add _, P.Error_reply { code = 3; _ }) -> ());
+      let flows, requests = stats_reply c in
+      Alcotest.(check int) "the stream stays in step" 5 requests;
+      Alcotest.(check int) "the good Adds were applied" 2 flows)
+
+let test_socket_post_past_budget () =
+  with_daemon (fun ~path:_ ~connect ->
+      let c = connect () in
+      (* megabytes of posts: replies the client did not read would fill
+         both socket buffers long before the last one is written *)
+      let n = 200_000 in
+      for i = 1 to n do
+        C.post c (P.Add { load = 1.0; now = float_of_int i })
+      done;
+      let flows, requests = stats_reply c in
+      Alcotest.(check int) "every posted Add arrived" n flows;
+      Alcotest.(check int) "and nothing else" (n + 1) requests)
+
+let stats_frame =
+  let b = Buffer.create 8 in
+  P.encode_request b P.Stats;
+  Buffer.to_bytes b
+
+(* A client that sends Stats and hangs up before the reply.  Shutting
+   its read side first makes the daemon's reply meet the hung-up peer
+   every time, not only when the close wins the race. *)
+let test_daemon_survives_hang_up () =
+  with_daemon (fun ~path ~connect ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      Unix.shutdown fd Unix.SHUTDOWN_RECEIVE;
+      ignore (Unix.write fd stats_frame 0 (Bytes.length stats_frame));
+      Unix.close fd;
+      let c = connect () in
+      ignore (stats_reply c);
+      Alcotest.(check bool) "the daemon still takes Shutdown" true
+        (C.rpc c P.Shutdown = P.Ok_reply))
+
+(* A peer that takes one request and closes without reading it: the
+   client's read then fails with ECONNRESET, and its next write with
+   EPIPE; either is the client's own Failure. *)
+let test_client_peer_vanishes () =
+  let path = socket_path () in
+  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind sock (Unix.ADDR_UNIX path);
+  Unix.listen sock 1;
+  let th =
+    Thread.create
+      (fun () ->
+        let fd, _ = Unix.accept sock in
+        ignore (Unix.select [ fd ] [] [] (-1.0));
+        Unix.close fd)
+      ()
+  in
+  let pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.set_signal Sys.sigpipe pipe;
+      Thread.join th;
+      Unix.close sock;
+      Sys.remove path)
+    (fun () ->
+      let c = C.connect_unix ~path () in
+      let failed () =
+        match C.rpc c P.Stats with
+        | _ -> Alcotest.fail "a vanished daemon cannot answer"
+        | exception Failure msg ->
+            Alcotest.(check string) "the client's own Failure"
+              "Client: peer closed mid-response" msg
+      in
+      failed ();
+      failed ();
+      C.close c)
 
 let suite =
   [ ( "serve_engine",
@@ -266,4 +511,19 @@ let suite =
         test "file log write error is a typed reply"
           test_file_log_write_error;
         test "parallel accounting is lock-free and exact"
-          test_parallel_accounting ] ) ]
+          test_parallel_accounting;
+        test "an Add past the fixed-point sums is refused"
+          test_add_overflow_refused ] );
+    ( "serve_client",
+      [ qcheck ~count:100 "posting never changes what the engine sees"
+          arb_pipeline prop_pipeline;
+        test "post refuses requests that need a reply"
+          test_post_refuses_round_trip_requests;
+        test "a failed post surfaces at the next rpc"
+          test_socket_post_failure;
+        test "posts past the byte budget do not deadlock"
+          test_socket_post_past_budget;
+        test "the daemon survives a client that hangs up"
+          test_daemon_survives_hang_up;
+        test "a vanished daemon is the client's Failure"
+          test_client_peer_vanishes ] ) ]
