@@ -257,11 +257,6 @@ let () =
          for _ = 1 to n do
            Mbac_telemetry.Metrics.Handle.inc h
          done));
-  report "Metrics.inc (string lookup)"
-    (words_per_op ~ops (fun n ->
-         for _ = 1 to n do
-           Mbac_telemetry.Metrics.inc "probe_string_total"
-         done));
 
   (* serving engine: one decision-log line rendered into a file sink's
      staging buffer, with the buffer's writes to the file amortized in *)

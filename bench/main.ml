@@ -469,11 +469,7 @@ let serve fmt ~toy =
         "serve_decision_latency_seconds"
     with
     | Some (Mbac_telemetry.Snapshot.Qhistogram h) ->
-        fun p ->
-          Mbac_telemetry.Quantile_histogram.quantile_of ~lo:h.q_lo
-            ~buckets_per_decade:h.q_buckets_per_decade ~decades:h.q_decades
-            ~underflow:h.q_underflow ~overflow:h.q_overflow
-            ~counts:h.q_counts p
+        Mbac_telemetry.Quantile_histogram.quantile h
     | _ -> fun _ -> nan
   in
   let admit_rate = float_of_int !admits /. float_of_int decides in

@@ -9,13 +9,6 @@ let run_experiments list_only ids all analysis_only full seed jobs csv_dir tele
     =
   match jobs with
   | Some j when j < 1 -> Error "--jobs must be >= 1"
-  | _ when tele.Mbac_telemetry_cli.Flags.trace_sample < 1 ->
-      Error "--trace-sample must be >= 1"
-  | _
-    when not
-           (Float.is_finite tele.Mbac_telemetry_cli.Flags.series_interval
-           && tele.Mbac_telemetry_cli.Flags.series_interval > 0.0) ->
-      Error "--series-interval must be finite and > 0"
   | _ ->
   Mbac_telemetry_cli.Flags.install tele;
   Mbac_experiments.Common.seed := seed;

@@ -50,16 +50,21 @@ let run socket inproc capacity criteria_s estimator measure_every decision_log
                     ignore
                       (Mbac_serve.Client.rpc client Mbac_serve.Protocol.Shutdown);
                   Mbac_serve.Client.close client;
-                  (match (engine, decision_log) with
-                  | Some engine, _ -> Mbac_serve.Engine.close_log engine
-                  | None, Some _ ->
-                      prerr_endline
-                        "mbac_loadgen: note: --decision-log only applies to \
-                         --inproc (the daemon owns the log over a socket)"
-                  | None, None -> ());
-                  Mbac_serve.Loadgen.print_summary stdout summary;
-                  Mbac_telemetry_cli.Flags.finish tele;
-                  Ok ())))
+                  match
+                    match (engine, decision_log) with
+                    | Some engine, _ -> Mbac_serve.Engine.close_log engine
+                    | None, Some _ ->
+                        prerr_endline
+                          "mbac_loadgen: note: --decision-log only applies \
+                           to --inproc (the daemon owns the log over a \
+                           socket)"
+                    | None, None -> ()
+                  with
+                  | exception Sys_error msg -> Error ("--decision-log: " ^ msg)
+                  | () ->
+                      Mbac_serve.Loadgen.print_summary stdout summary;
+                      Mbac_telemetry_cli.Flags.finish tele;
+                      Ok ())))
 
 let fopt name default doc =
   Arg.(value & opt float default & info [ name ] ~docv:"X" ~doc)

@@ -36,9 +36,11 @@ let run socket capacity criteria estimator measure_every measure_interval
             (match measure_interval with
             | Some _ -> Mbac_serve.Engine.stop_background engine
             | None -> ());
-            Mbac_serve.Engine.close_log engine;
-            Mbac_telemetry_cli.Flags.finish tele;
-            Ok ()
+            match Mbac_serve.Engine.close_log engine with
+            | exception Sys_error msg -> Error ("--decision-log: " ^ msg)
+            | () ->
+                Mbac_telemetry_cli.Flags.finish tele;
+                Ok ()
       end)
 
 let cmd =

@@ -78,13 +78,6 @@ let run_sim controller_name source_kind n mu sigma_ratio t_h t_c p_q t_m
   | Error _ as e -> e
   | Ok _ when reps < 1 -> Error "--reps must be >= 1"
   | Ok _ when jobs < 1 -> Error "--jobs must be >= 1"
-  | Ok _ when tele.Mbac_telemetry_cli.Flags.trace_sample < 1 ->
-      Error "--trace-sample must be >= 1"
-  | Ok _
-    when not
-           (Float.is_finite tele.Mbac_telemetry_cli.Flags.series_interval
-           && tele.Mbac_telemetry_cli.Flags.series_interval > 0.0) ->
-      Error "--series-interval must be finite and > 0"
   | Ok make_controller ->
       Mbac_telemetry_cli.Flags.install tele;
       let lrd_trace =
@@ -351,13 +344,6 @@ let run_network topo_spec topo_file shards controller_name source_kind n mu
         (Printf.sprintf "--shards must be <= min(links, 256) = %d here"
            (min (Mbac_net.Topology.num_links t) 256))
   | Ok _ when jobs < 1 -> Error "--jobs must be >= 1"
-  | Ok _ when tele.Mbac_telemetry_cli.Flags.trace_sample < 1 ->
-      Error "--trace-sample must be >= 1"
-  | Ok _
-    when not
-           (Float.is_finite tele.Mbac_telemetry_cli.Flags.series_interval
-           && tele.Mbac_telemetry_cli.Flags.series_interval > 0.0) ->
-      Error "--series-interval must be finite and > 0"
   | Ok topology -> (
       match build_controller ~capacity with
       | Error _ as e -> e

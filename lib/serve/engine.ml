@@ -113,8 +113,6 @@ let compile_criterion = function
 type published = {
   p_capacity : float;
   p_capacity_fp : int;
-  p_mu : float;     (* nan during bootstrap *)
-  p_sigma : float;
   p_m : int array;
   p_updates : int;
 }
@@ -176,8 +174,8 @@ let check_capacity capacity =
     invalid_arg "Engine: capacity must be finite and positive"
 
 let bootstrap ~capacity ~updates =
-  { p_capacity = capacity; p_capacity_fp = fp_of_load capacity; p_mu = nan;
-    p_sigma = nan; p_m = [||]; p_updates = updates }
+  { p_capacity = capacity; p_capacity_fp = fp_of_load capacity; p_m = [||];
+    p_updates = updates }
 
 let log_staging_bytes = 65536
 
@@ -254,11 +252,9 @@ let run_measurement t ~now =
                     ~sigma:s ~alpha:c.cr_alpha)
                 t.crits
             in
-            { prev with p_mu = mu; p_sigma = sigma; p_m = m;
-              p_updates = prev.p_updates + 1 }
+            { prev with p_m = m; p_updates = prev.p_updates + 1 }
         | Some _ | None ->
-            { prev with p_mu = nan; p_sigma = nan; p_m = [||];
-              p_updates = prev.p_updates + 1 }
+            { prev with p_m = [||]; p_updates = prev.p_updates + 1 }
       in
       Atomic.set t.published next;
       H.inc m_updates;
@@ -326,12 +322,30 @@ let add t ~load ~now =
     true
   end
 
+(* [counter - d] for [d >= 0], refused (false, counter unchanged) when
+   it would go below zero. *)
+let rec sub_within counter d =
+  let cur = Atomic.get counter in
+  if cur < d then false
+  else Atomic.compare_and_set counter cur (cur - d) || sub_within counter d
+
 let subtract t ~load ~now =
   let fp = fp_of_load load in
-  ignore (Atomic.fetch_and_add t.flows (-1));
-  ignore (Atomic.fetch_and_add t.load_fp (-fp));
-  ignore (Atomic.fetch_and_add t.sumsq_fp (-fp_sq fp));
-  maybe_measure t ~now
+  let sq = fp_sq fp in
+  if not (sub_within t.flows 1) then false
+  else if not (sub_within t.load_fp fp) then begin
+    Atomic.incr t.flows;
+    false
+  end
+  else if not (sub_within t.sumsq_fp sq) then begin
+    Atomic.incr t.flows;
+    ignore (Atomic.fetch_and_add t.load_fp fp);
+    false
+  end
+  else begin
+    maybe_measure t ~now;
+    true
+  end
 
 (* ---------- decision log ---------- *)
 
@@ -367,8 +381,11 @@ let close_log t =
   match t.log with
   | Some ({ file = Some oc; _ } as sink) ->
       Mutex.protect t.log_mutex (fun () ->
-          write_out sink;
-          close_out oc)
+          match write_out sink; close_out oc with
+          | () -> ()
+          | exception (Sys_error _ as e) ->
+              close_out_noerr oc;
+              raise e)
   | Some { file = None; _ } | None -> ()
 
 (* ---------- stats / dispatch ---------- *)
@@ -421,10 +438,10 @@ let handle t (req : Protocol.request) : Protocol.response =
   | Protocol.Subtract { load; now } ->
       if not (valid_load load) then
         Protocol.Error_reply { code = 3; message = "load out of range" }
-      else begin
-        subtract t ~load ~now;
-        Protocol.Ok_reply
-      end
+      else if subtract t ~load ~now then Protocol.Ok_reply
+      else
+        Protocol.Error_reply
+          { code = 3; message = "departure of a flow that was not admitted" }
   | Protocol.Log_decision { criterion; admit } -> (
       if criterion >= Array.length t.crits then
         Protocol.Error_reply { code = 2; message = "criterion out of range" }

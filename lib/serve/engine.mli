@@ -10,8 +10,9 @@
       ([Atomic.get] of an immutable value) and never takes a lock,
       blocks, or allocates anything but its small result;
     - the {e accounting path} ({!add}/{!subtract}) is lock-free —
-      fetch-and-add on the counters, and compare-and-set where {!add}
-      must refuse a flow that would overflow the sums;
+      compare-and-set on the counters, so {!add} can refuse a flow that
+      would overflow the sums and {!subtract} a departure that would
+      take them below zero;
     - the {e measurement path} ({!run_measurement}) is the only place
       the estimator state is touched.  It reads the counters as one
       cross-section, feeds the estimator, recomputes every criterion's
@@ -107,7 +108,11 @@ val add : t -> load:float -> now:float -> bool
     when the flow would take the fixed-point load sum or sum of squares
     past [max_int]. *)
 
-val subtract : t -> load:float -> now:float -> unit
+val subtract : t -> load:float -> now:float -> bool
+(** Lock-free accounting of a departed flow, the inverse of {!add}.
+    Returns [false], and changes no counter, when no flow is admitted or
+    the departure would take the fixed-point load sum or sum of squares
+    below zero: a departure no [add] matched. *)
 
 val log_decision : t -> criterion:int -> admit:bool -> unit
 (** Append one JSONL line (server-assigned [seq]) to the decision log;
@@ -119,7 +124,9 @@ val log_decision : t -> criterion:int -> admit:bool -> unit
 val close_log : t -> unit
 (** Write the staged lines to the decision-log file and close it.  No-op
     for an in-memory log or none, and on a second call; the engine must
-    not log after it. *)
+    not log after it.
+    @raise Sys_error if that last write fails (a full disk); the file is
+    closed all the same, and the staged lines are lost. *)
 
 (** One decision-log line, rendered without building a JSON tree: the
     bytes of [Mbac_telemetry.Json.obj] over [seq], [criterion], [admit]
@@ -144,7 +151,8 @@ val handle : t -> Protocol.request -> Protocol.response
 (** Full request dispatch with wire-input validation: out-of-range
     criterion indices and non-finite/negative loads or capacities come
     back as [Error_reply] (codes 1 capacity, 2 criterion, 3 load), not
-    exceptions; so does an [Add] that {!add} refuses (code 3), and a
+    exceptions; so do an [Add] that {!add} refuses and a [Subtract] that
+    {!subtract} refuses (code 3), and a
     [Log_decision] whose staged lines cannot be written to the
     decision-log file (code 4; that line is lost, and its [seq] is
     skipped).  [Shutdown] answers [Ok_reply]; acting on it

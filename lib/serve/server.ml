@@ -106,7 +106,6 @@ let serve_connection engine fd ~peer =
        end
      done
    with Unix.Unix_error _ | End_of_file -> ());
-  (try Unix.close fd with Unix.Unix_error _ -> ());
   conn_closed ~peer ~requests:s.requests ~batches:s.batches;
   match s.stop with `Shutdown -> `Shutdown | `Open | `Failed -> `Closed
 
@@ -128,6 +127,14 @@ let run_unix engine ~path =
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let stop = Atomic.make false in
+  (* The descriptors of the connections being served.  A service thread
+     takes its own out before closing it, so the shutdown below never
+     reaches a descriptor number the kernel has handed out again. *)
+  let live = ref [] and live_mutex = Mutex.create () in
+  let release fd =
+    Mutex.protect live_mutex (fun () -> live := List.filter (( <> ) fd) !live);
+    try Unix.close fd with Unix.Unix_error _ -> ()
+  in
   Fun.protect
     ~finally:(fun () ->
       (try Unix.close sock with Unix.Unix_error _ -> ());
@@ -145,10 +152,13 @@ let run_unix engine ~path =
              conn_opened ();
              incr conn_id;
              let peer = Printf.sprintf "unix-%d" !conn_id in
+             Mutex.protect live_mutex (fun () -> live := fd :: !live);
              let th =
                Thread.create
                  (fun () ->
-                   match serve_connection engine fd ~peer with
+                   let ending = serve_connection engine fd ~peer in
+                   release fd;
+                   match ending with
                    | `Shutdown ->
                        Atomic.set stop true;
                        wake path
@@ -159,4 +169,12 @@ let run_unix engine ~path =
            end
          done
        with Unix.Unix_error _ -> ());
+      (* A client that stays connected but idle has its thread blocked in
+         [read]: end every stream still open so those reads return. *)
+      Mutex.protect live_mutex (fun () ->
+          List.iter
+            (fun fd ->
+              try Unix.shutdown fd Unix.SHUTDOWN_ALL
+              with Unix.Unix_error _ -> ())
+            !live);
       List.iter Thread.join !threads)

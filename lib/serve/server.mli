@@ -48,13 +48,15 @@ val serve_connection : Engine.t -> Unix.file_descr -> peer:string -> [ `Closed |
     request.  Each read is answered by {!answer}, all its replies in
     one write; the trace event counts as [batches] the reads that
     carried at least one complete frame.  A write or read error on the
-    descriptor (a peer that hung up) ends this connection only.  Closes
-    the descriptor. *)
+    descriptor (a peer that hung up) ends this connection only.  The
+    descriptor is left open for the caller to close. *)
 
 val run_unix : Engine.t -> path:string -> unit
 (** Bind [path] (replacing any stale socket file), accept connections
     (one service thread each), and block until some connection sends
-    [Shutdown]; then join the service threads and remove the socket
-    file.  It sets SIGPIPE to ignored for the whole process, so a
-    reply written to a client that hung up fails with [EPIPE] and
-    closes that connection, instead of killing the process. *)
+    [Shutdown]; then shut down the connections still open (an idle
+    client does not hold the daemon up: its stream ends), join the
+    service threads and remove the socket file.  It sets SIGPIPE to
+    ignored for the whole process, so a reply written to a client that
+    hung up fails with [EPIPE] and closes that connection, instead of
+    killing the process. *)

@@ -130,6 +130,14 @@ let m_reneg_failures =
   Mbac_telemetry.Metrics.Handle.counter "sim_reneg_failures_total"
 let m_time = Mbac_telemetry.Metrics.Handle.sum "sim_time_simulated"
 
+(* Recorded once per run, at its end. *)
+let m_runs = Mbac_telemetry.Metrics.Handle.counter "sim_runs_total"
+let m_lost_volume = Mbac_telemetry.Metrics.Handle.sum "sim_buffer_lost_volume"
+let m_loss_time = Mbac_telemetry.Metrics.Handle.sum "sim_buffer_loss_time"
+let g_last_p_f = Mbac_telemetry.Metrics.Handle.gauge "sim_last_p_f"
+let g_last_utilization =
+  Mbac_telemetry.Metrics.Handle.gauge "sim_last_utilization"
+
 (* Sampled at each window close, for the series' gauge section. *)
 let g_window_flows = Mbac_telemetry.Metrics.Handle.gauge "sim_window_flows"
 let g_window_load = Mbac_telemetry.Metrics.Handle.gauge "sim_window_load"
@@ -488,12 +496,12 @@ let run rng cfg ~controller ~make_source =
      instead of per-event increments on the hot path). *)
   Link.finish l;
   sync_counters s ~upto:l.hot.now;
-  Mbac_telemetry.Metrics.inc "sim_runs_total";
+  Mbac_telemetry.Metrics.Handle.inc m_runs;
   (match s.buffer with
   | Some b ->
-      Mbac_telemetry.Metrics.add "sim_buffer_lost_volume"
+      Mbac_telemetry.Metrics.Handle.add m_lost_volume
         (Fluid_buffer.lost_volume b);
-      Mbac_telemetry.Metrics.add "sim_buffer_loss_time" (Fluid_buffer.loss_time b)
+      Mbac_telemetry.Metrics.Handle.add m_loss_time (Fluid_buffer.loss_time b)
   | None -> ());
   let p_f, estimate_kind, converged, ci_rel =
     match !stopped with
@@ -538,8 +546,8 @@ let run rng cfg ~controller ~make_source =
     sim_time = l.hot.now;
     events = l.events }
   in
-  Mbac_telemetry.Metrics.set_gauge "sim_last_p_f" result.p_f;
-  Mbac_telemetry.Metrics.set_gauge "sim_last_utilization" result.utilization;
+  Mbac_telemetry.Metrics.Handle.set_gauge g_last_p_f result.p_f;
+  Mbac_telemetry.Metrics.Handle.set_gauge g_last_utilization result.utilization;
   Mbac_telemetry.Trace.emit ~t:l.hot.now ~kind:"run_end"
     [ ("controller", Mbac_telemetry.Trace.Str (Mbac.Controller.name controller));
       ("p_f", Mbac_telemetry.Trace.Float result.p_f);

@@ -14,6 +14,12 @@ let m_m0_fraction =
   Mbac_telemetry.Metrics.Handle.histogram "impulsive_m0_fraction" ~lo:0.0
     ~hi:1.05 ~bins:21
 
+let m_overflow_samples =
+  Mbac_telemetry.Metrics.Handle.counter "impulsive_overflow_samples_total"
+
+let m_overflow_hits =
+  Mbac_telemetry.Metrics.Handle.counter "impulsive_overflow_hits_total"
+
 let admit_burst rng ~n_offered ~capacity ~alpha_ce ~make_source =
   if n_offered < 2 then invalid_arg "Impulsive_driver: requires n_offered >= 2";
   let sources = Array.init n_offered (fun _ -> make_source rng ~start:0.0) in
@@ -123,9 +129,9 @@ let steady_state_overflow rng ~replications ~n_offered ~capacity ~alpha_ce
     done;
     Mbac_stats.Welford.add per_rep
       (float_of_int !hits /. float_of_int samples_per_replication);
-    Mbac_telemetry.Metrics.inc ~by:samples_per_replication
-      "impulsive_overflow_samples_total";
-    Mbac_telemetry.Metrics.inc ~by:!hits "impulsive_overflow_hits_total";
+    Mbac_telemetry.Metrics.Handle.inc m_overflow_samples
+      ~by:samples_per_replication;
+    Mbac_telemetry.Metrics.Handle.inc m_overflow_hits ~by:!hits;
     series_tick ~stride rep
   done;
   series_finish ~stride ~replications;

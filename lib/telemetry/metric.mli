@@ -1,5 +1,8 @@
 (** Telemetry metric cells: counters, float sums, gauges, and
-    fixed-bucket histograms.
+    fixed-bucket and quantile histograms.  A cell is the only
+    representation of a metric: {!Metrics.Handle} records into one,
+    {!Snapshot} holds copies of them, and {!merge_into} is the only
+    merge.
 
     A cell is a single-domain mutable value.  Cross-domain aggregation
     never shares a cell: each task mutates its own shard's cells and

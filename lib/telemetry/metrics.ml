@@ -3,44 +3,6 @@ let kind_error name cell want =
     (Printf.sprintf "Mbac_telemetry.Metrics: %S is a %s, not a %s" name
        (Metric.kind_name cell) want)
 
-let inc ?(by = 1) name =
-  let shard = Shard.current () in
-  match Shard.get_or_create shard name (fun () -> Metric.Counter (ref 0)) with
-  | Metric.Counter r -> r := !r + by
-  | cell -> kind_error name cell "counter"
-
-let add name x =
-  let shard = Shard.current () in
-  match Shard.get_or_create shard name (fun () -> Metric.Sum (ref 0.0)) with
-  | Metric.Sum r -> r := !r +. x
-  | cell -> kind_error name cell "sum"
-
-let set_gauge name x =
-  let shard = Shard.current () in
-  match Shard.get_or_create shard name (fun () -> Metric.Gauge (ref x)) with
-  | Metric.Gauge r -> r := x
-  | cell -> kind_error name cell "gauge"
-
-let observe name ~lo ~hi ~bins x =
-  let shard = Shard.current () in
-  match
-    Shard.get_or_create shard name (fun () ->
-        Metric.Hist (Metric.Histogram.create ~lo ~hi ~bins))
-  with
-  | Metric.Hist h -> Metric.Histogram.observe h x
-  | cell -> kind_error name cell "histogram"
-
-(* Quantile histograms always use the default (wide) geometry, so every
-   call site of every name shares one shape and shards always merge. *)
-let observe_q name x =
-  let shard = Shard.current () in
-  match
-    Shard.get_or_create shard name (fun () ->
-        Metric.Qhist (Quantile_histogram.create ()))
-  with
-  | Metric.Qhist h -> Quantile_histogram.observe h x
-  | cell -> kind_error name cell "quantile_histogram"
-
 (* Pre-resolved handles: the name -> cell binding is established once
    per (handle, shard) pair instead of once per call, so hot-path
    updates skip the string hash and table probe.  A handle records only
@@ -77,8 +39,9 @@ module Handle = struct
     | Qhist -> Metric.Qhist (Quantile_histogram.create ())
 
   (* First touch of this handle in the current shard: bind through the
-     string table (existing cell wins, exactly like the name-based API)
-     and cache the resolved cell under the handle id. *)
+     string table (an existing cell of the name wins, so two handles of
+     one name share a cell) and cache the resolved cell under the handle
+     id. *)
   let resolve_slow h shard =
     let m = Shard.get_or_create shard h.name (fun () -> build h.spec) in
     Shard.set_cell shard ~id:h.id m;

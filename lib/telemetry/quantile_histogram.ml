@@ -72,12 +72,10 @@ let max_rel_error_of ~buckets_per_decade =
 
 let max_rel_error t = max_rel_error_of ~buckets_per_decade:t.buckets_per_decade
 
-let quantile_of ~lo ~buckets_per_decade ~decades ~underflow ~overflow ~counts q
-    =
+let quantile t q =
   if not (Float.is_finite q && q >= 0.0 && q <= 1.0) then
     invalid_arg "Quantile_histogram.quantile: q outside [0, 1]";
-  let in_range = Array.fold_left ( + ) 0 counts in
-  let n = underflow + in_range + overflow in
+  let n = t.underflow + Array.fold_left ( + ) 0 t.counts + t.overflow in
   if n = 0 then nan
   else begin
     (* Rank of the empirical q-quantile: the smallest observation with at
@@ -85,31 +83,14 @@ let quantile_of ~lo ~buckets_per_decade ~decades ~underflow ~overflow ~counts q
        q = 0), walked through the cumulative counts.  Integer ranks over
        integer counts: deterministic on every platform. *)
     let rank = max 1 (min n (int_of_float (Float.ceil (q *. float_of_int n)))) in
-    if rank <= underflow then lo
-    else begin
-      let log_lo = Float.log10 lo in
-      let cum = ref underflow in
-      let result = ref nan in
-      let i = ref 0 in
-      let nbuckets = Array.length counts in
-      while Float.is_nan !result && !i < nbuckets do
-        cum := !cum + counts.(!i);
-        if rank <= !cum then
-          result :=
-            10.0
-            ** (log_lo
-               +. ((float_of_int !i +. 0.5) /. float_of_int buckets_per_decade));
-        incr i
-      done;
-      if Float.is_nan !result then lo *. (10.0 ** float_of_int decades)
-      else !result
-    end
+    let rec walk i cum =
+      if i = Array.length t.counts then t.hi
+      else
+        let cum = cum + t.counts.(i) in
+        if rank <= cum then bucket_mid t i else walk (i + 1) cum
+    in
+    if rank <= t.underflow then t.lo else walk 0 t.underflow
   end
-
-let quantile t q =
-  quantile_of ~lo:t.lo ~buckets_per_decade:t.buckets_per_decade
-    ~decades:t.decades ~underflow:t.underflow ~overflow:t.overflow
-    ~counts:t.counts q
 
 let copy t = { t with counts = Array.copy t.counts }
 

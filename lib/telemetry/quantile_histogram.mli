@@ -42,18 +42,6 @@ val quantile : t -> float -> float
     out-of-range ranks clamped to [lo] / [hi]; [nan] when empty.
     @raise Invalid_argument if [q] is outside [\[0, 1\]]. *)
 
-val quantile_of :
-  lo:float ->
-  buckets_per_decade:int ->
-  decades:int ->
-  underflow:int ->
-  overflow:int ->
-  counts:int array ->
-  float ->
-  float
-(** {!quantile} over raw parts — the same readout for consumers holding
-    a snapshot of the bucket counts rather than a live histogram. *)
-
 val max_rel_error : t -> float
 (** Worst-case relative error of {!quantile} against the exact
     empirical quantile, for in-range observations:

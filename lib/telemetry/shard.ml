@@ -19,9 +19,9 @@ type t = {
   (* Per-shard cache of handle-resolved metrics, indexed by the global
      handle id (see [Metrics.Handle]).  Purely an accelerator: the
      string [table] stays the source of truth for snapshots and merges,
-     so cached and name-based access always hit the same cell.  The
-     cache lives in the shard — which is domain-local — so handle reads
-     never race across domains. *)
+     so handles of one name always hit the same cell.  The cache lives
+     in the shard — which is domain-local — so handle reads never race
+     across domains. *)
   mutable cells : Metric.t option array;
 }
 

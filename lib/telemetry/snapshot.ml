@@ -1,149 +1,27 @@
-type histogram = {
-  lo : float;
-  hi : float;
-  counts : int array;
-  underflow : int;
-  overflow : int;
-  sum : float;
-  count : int;
-}
-
-type qhistogram = {
-  q_lo : float;
-  q_buckets_per_decade : int;
-  q_decades : int;
-  q_counts : int array;
-  q_underflow : int;
-  q_overflow : int;
-  q_sum : float;
-  q_count : int;
-}
-
 type value =
   | Counter of int
   | Sum of float
   | Gauge of float
-  | Histogram of histogram
-  | Qhistogram of qhistogram
+  | Histogram of Metric.Histogram.t
+  | Qhistogram of Quantile_histogram.t
 
-module M = Map.Make (String)
-
-type t = value M.t
-
-let empty = M.empty
-
-let kind_name = function
-  | Counter _ -> "counter"
-  | Sum _ -> "sum"
-  | Gauge _ -> "gauge"
-  | Histogram _ -> "histogram"
-  | Qhistogram _ -> "quantile_histogram"
-
-let merge_values name a b =
-  match (a, b) with
-  | Counter x, Counter y -> Counter (x + y)
-  | Sum x, Sum y -> Sum (x +. y)
-  | Gauge _, Gauge y -> Gauge y
-  | Histogram x, Histogram y ->
-      if x.lo <> y.lo || x.hi <> y.hi
-         || Array.length x.counts <> Array.length y.counts
-      then
-        invalid_arg
-          (Printf.sprintf "Snapshot.merge: histogram %S shape mismatch" name);
-      Histogram
-        { x with
-          counts = Array.map2 ( + ) x.counts y.counts;
-          underflow = x.underflow + y.underflow;
-          overflow = x.overflow + y.overflow;
-          sum = x.sum +. y.sum;
-          count = x.count + y.count }
-  | Qhistogram x, Qhistogram y ->
-      if
-        x.q_lo <> y.q_lo
-        || x.q_buckets_per_decade <> y.q_buckets_per_decade
-        || x.q_decades <> y.q_decades
-      then
-        invalid_arg
-          (Printf.sprintf "Snapshot.merge: quantile histogram %S shape mismatch"
-             name);
-      Qhistogram
-        { x with
-          q_counts = Array.map2 ( + ) x.q_counts y.q_counts;
-          q_underflow = x.q_underflow + y.q_underflow;
-          q_overflow = x.q_overflow + y.q_overflow;
-          q_sum = x.q_sum +. y.q_sum;
-          q_count = x.q_count + y.q_count }
-  | (Counter _ | Sum _ | Gauge _ | Histogram _ | Qhistogram _), _ ->
-      invalid_arg
-        (Printf.sprintf "Snapshot.merge: %S kind mismatch (%s vs %s)" name
-           (kind_name a) (kind_name b))
-
-let add_binding acc (name, v) =
-  M.update name
-    (function None -> Some v | Some prev -> Some (merge_values name prev v))
-    acc
-
-let of_list l = List.fold_left add_binding empty l
+(* Sorted by name, as [Shard.metrics] lists the cells. *)
+type t = (string * value) list
 
 let value_of_cell = function
   | Metric.Counter r -> Counter !r
   | Metric.Sum r -> Sum !r
   | Metric.Gauge r -> Gauge !r
-  | Metric.Hist h ->
-      Histogram
-        { lo = Metric.Histogram.lo h;
-          hi = Metric.Histogram.hi h;
-          counts = Metric.Histogram.counts h;
-          underflow = Metric.Histogram.underflow h;
-          overflow = Metric.Histogram.overflow h;
-          sum = Metric.Histogram.sum h;
-          count = Metric.Histogram.count h }
-  | Metric.Qhist h ->
-      Qhistogram
-        { q_lo = Quantile_histogram.lo h;
-          q_buckets_per_decade = Quantile_histogram.buckets_per_decade h;
-          q_decades = Quantile_histogram.decades h;
-          q_counts = Quantile_histogram.counts h;
-          q_underflow = Quantile_histogram.underflow h;
-          q_overflow = Quantile_histogram.overflow h;
-          q_sum = Quantile_histogram.sum h;
-          q_count = Quantile_histogram.count h }
+  | Metric.Hist h -> Histogram (Metric.Histogram.copy h)
+  | Metric.Qhist h -> Qhistogram (Quantile_histogram.copy h)
 
 let current () =
-  of_list
-    (List.map
-       (fun (name, cell) -> (name, value_of_cell cell))
-       (Shard.metrics (Shard.current ())))
+  List.map
+    (fun (name, cell) -> (name, value_of_cell cell))
+    (Shard.metrics (Shard.current ()))
 
-let names t = List.map fst (M.bindings t)
-let find t name = M.find_opt name t
-let bindings t = M.bindings t
-
-let merge a b = M.fold (fun name v acc -> add_binding acc (name, v)) b a
-
-let equal_value a b =
-  match (a, b) with
-  | Counter x, Counter y -> x = y
-  | Sum x, Sum y -> x = y
-  | Gauge x, Gauge y -> x = y
-  | Histogram x, Histogram y ->
-      x.lo = y.lo && x.hi = y.hi && x.counts = y.counts
-      && x.underflow = y.underflow && x.overflow = y.overflow
-      && x.sum = y.sum && x.count = y.count
-  | Qhistogram x, Qhistogram y ->
-      x.q_lo = y.q_lo
-      && x.q_buckets_per_decade = y.q_buckets_per_decade
-      && x.q_decades = y.q_decades && x.q_counts = y.q_counts
-      && x.q_underflow = y.q_underflow && x.q_overflow = y.q_overflow
-      && x.q_sum = y.q_sum && x.q_count = y.q_count
-  | (Counter _ | Sum _ | Gauge _ | Histogram _ | Qhistogram _), _ -> false
-
-let equal a b = M.equal equal_value a b
-
-let qhist_quantile h q =
-  Quantile_histogram.quantile_of ~lo:h.q_lo
-    ~buckets_per_decade:h.q_buckets_per_decade ~decades:h.q_decades
-    ~underflow:h.q_underflow ~overflow:h.q_overflow ~counts:h.q_counts q
+let find t name = List.assoc_opt name t
+let bindings t = t
 
 (* Sparse rendering for the 480-bucket default geometry: only the
    non-zero buckets, as [index, count] pairs. *)
@@ -160,35 +38,36 @@ let json_of_value = function
   | Sum s -> Json.obj [ ("kind", Json.string "sum"); ("value", Json.float s) ]
   | Gauge g -> Json.obj [ ("kind", Json.string "gauge"); ("value", Json.float g) ]
   | Histogram h ->
+      let module H = Metric.Histogram in
       Json.obj
         [ ("kind", Json.string "histogram");
-          ("lo", Json.float h.lo);
-          ("hi", Json.float h.hi);
-          ("bins", Json.int (Array.length h.counts));
-          ("underflow", Json.int h.underflow);
-          ("overflow", Json.int h.overflow);
-          ("counts", Json.arr (List.map Json.int (Array.to_list h.counts)));
-          ("sum", Json.float h.sum);
-          ("count", Json.int h.count) ]
+          ("lo", Json.float (H.lo h));
+          ("hi", Json.float (H.hi h));
+          ("bins", Json.int (H.bins h));
+          ("underflow", Json.int (H.underflow h));
+          ("overflow", Json.int (H.overflow h));
+          ("counts", Json.arr (List.map Json.int (Array.to_list (H.counts h))));
+          ("sum", Json.float (H.sum h));
+          ("count", Json.int (H.count h)) ]
   | Qhistogram h ->
+      let module Q = Quantile_histogram in
       Json.obj
         [ ("kind", Json.string "quantile_histogram");
-          ("lo", Json.float h.q_lo);
-          ("buckets_per_decade", Json.int h.q_buckets_per_decade);
-          ("decades", Json.int h.q_decades);
-          ("underflow", Json.int h.q_underflow);
-          ("overflow", Json.int h.q_overflow);
-          ("p50", Json.float (qhist_quantile h 0.5));
-          ("p90", Json.float (qhist_quantile h 0.9));
-          ("p99", Json.float (qhist_quantile h 0.99));
-          ("p999", Json.float (qhist_quantile h 0.999));
-          ("buckets", sparse_buckets h.q_counts);
-          ("sum", Json.float h.q_sum);
-          ("count", Json.int h.q_count) ]
+          ("lo", Json.float (Q.lo h));
+          ("buckets_per_decade", Json.int (Q.buckets_per_decade h));
+          ("decades", Json.int (Q.decades h));
+          ("underflow", Json.int (Q.underflow h));
+          ("overflow", Json.int (Q.overflow h));
+          ("p50", Json.float (Q.quantile h 0.5));
+          ("p90", Json.float (Q.quantile h 0.9));
+          ("p99", Json.float (Q.quantile h 0.99));
+          ("p999", Json.float (Q.quantile h 0.999));
+          ("buckets", sparse_buckets (Q.counts h));
+          ("sum", Json.float (Q.sum h));
+          ("count", Json.int (Q.count h)) ]
 
 let to_json t =
-  Json.obj (List.map (fun (name, v) -> (name, json_of_value v)) (M.bindings t))
-  ^ "\n"
+  Json.obj (List.map (fun (name, v) -> (name, json_of_value v)) t) ^ "\n"
 
 (* Prometheus metric names must match [a-zA-Z_:][a-zA-Z0-9_:]*; ours are
    already snake_case, but sanitize defensively. *)
@@ -208,9 +87,22 @@ let prom_float x =
 
 let to_prometheus t =
   let b = Buffer.create 1024 in
-  M.iter
-    (fun name v ->
+  List.iter
+    (fun (name, v) ->
       let name = prom_name name in
+      let out_of_range ~underflow ~overflow =
+        (* Cumulative buckets fold underflow in and cap overflow at +Inf,
+           so out-of-range observations are invisible there; expose them
+           as explicit companion counters. *)
+        Buffer.add_string b
+          (Printf.sprintf "# TYPE %s_underflow_total counter\n" name);
+        Buffer.add_string b
+          (Printf.sprintf "%s_underflow_total %d\n" name underflow);
+        Buffer.add_string b
+          (Printf.sprintf "# TYPE %s_overflow_total counter\n" name);
+        Buffer.add_string b
+          (Printf.sprintf "%s_overflow_total %d\n" name overflow)
+      in
       match v with
       | Counter c ->
           Buffer.add_string b (Printf.sprintf "# TYPE %s counter\n" name);
@@ -222,35 +114,28 @@ let to_prometheus t =
           Buffer.add_string b (Printf.sprintf "# TYPE %s gauge\n" name);
           Buffer.add_string b (Printf.sprintf "%s %s\n" name (prom_float g))
       | Histogram h ->
+          let module H = Metric.Histogram in
           Buffer.add_string b (Printf.sprintf "# TYPE %s histogram\n" name);
-          let bins = Array.length h.counts in
-          let width = (h.hi -. h.lo) /. float_of_int bins in
-          let cumulative = ref h.underflow in
+          let counts = H.counts h in
+          let bins = Array.length counts in
+          let width = (H.hi h -. H.lo h) /. float_of_int bins in
+          let cumulative = ref (H.underflow h) in
           for i = 0 to bins - 1 do
-            cumulative := !cumulative + h.counts.(i);
-            let le = h.lo +. (float_of_int (i + 1) *. width) in
+            cumulative := !cumulative + counts.(i);
+            let le = H.lo h +. (float_of_int (i + 1) *. width) in
             Buffer.add_string b
               (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" name (prom_float le)
                  !cumulative)
           done;
-          cumulative := !cumulative + h.overflow;
+          cumulative := !cumulative + H.overflow h;
           Buffer.add_string b
             (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" name !cumulative);
           Buffer.add_string b
-            (Printf.sprintf "%s_sum %s\n" name (prom_float h.sum));
-          Buffer.add_string b (Printf.sprintf "%s_count %d\n" name h.count);
-          (* The cumulative buckets fold underflow in and cap overflow at
-             +Inf, so out-of-range observations are invisible there;
-             expose them as explicit companion counters. *)
-          Buffer.add_string b
-            (Printf.sprintf "# TYPE %s_underflow_total counter\n" name);
-          Buffer.add_string b
-            (Printf.sprintf "%s_underflow_total %d\n" name h.underflow);
-          Buffer.add_string b
-            (Printf.sprintf "# TYPE %s_overflow_total counter\n" name);
-          Buffer.add_string b
-            (Printf.sprintf "%s_overflow_total %d\n" name h.overflow)
+            (Printf.sprintf "%s_sum %s\n" name (prom_float (H.sum h)));
+          Buffer.add_string b (Printf.sprintf "%s_count %d\n" name (H.count h));
+          out_of_range ~underflow:(H.underflow h) ~overflow:(H.overflow h)
       | Qhistogram h ->
+          let module Q = Quantile_histogram in
           (* Rendered as a Prometheus summary: pre-computed quantiles
              rather than 480 mostly-empty le-buckets. *)
           Buffer.add_string b (Printf.sprintf "# TYPE %s summary\n" name);
@@ -258,19 +143,12 @@ let to_prometheus t =
             (fun (label, q) ->
               Buffer.add_string b
                 (Printf.sprintf "%s{quantile=\"%s\"} %s\n" name label
-                   (prom_float (qhist_quantile h q))))
+                   (prom_float (Q.quantile h q))))
             [ ("0.5", 0.5); ("0.9", 0.9); ("0.99", 0.99); ("0.999", 0.999) ];
           Buffer.add_string b
-            (Printf.sprintf "%s_sum %s\n" name (prom_float h.q_sum));
-          Buffer.add_string b (Printf.sprintf "%s_count %d\n" name h.q_count);
-          Buffer.add_string b
-            (Printf.sprintf "# TYPE %s_underflow_total counter\n" name);
-          Buffer.add_string b
-            (Printf.sprintf "%s_underflow_total %d\n" name h.q_underflow);
-          Buffer.add_string b
-            (Printf.sprintf "# TYPE %s_overflow_total counter\n" name);
-          Buffer.add_string b
-            (Printf.sprintf "%s_overflow_total %d\n" name h.q_overflow))
+            (Printf.sprintf "%s_sum %s\n" name (prom_float (Q.sum h)));
+          Buffer.add_string b (Printf.sprintf "%s_count %d\n" name (Q.count h));
+          out_of_range ~underflow:(Q.underflow h) ~overflow:(Q.overflow h))
     t;
   Buffer.contents b
 

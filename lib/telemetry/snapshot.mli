@@ -1,60 +1,25 @@
-(** Immutable, name-sorted snapshots of a metric table, with JSON and
+(** Name-sorted snapshots of a shard's metric table, with JSON and
     Prometheus-style renderings.
 
-    A snapshot is a pure value: taking one never perturbs the shard it
-    came from, and merging is a total function used both by tests and by
-    tools that aggregate snapshots across processes. *)
-
-type histogram = {
-  lo : float;
-  hi : float;
-  counts : int array;   (** in-range buckets, length [bins] *)
-  underflow : int;
-  overflow : int;
-  sum : float;
-  count : int;          (** includes out-of-range and non-finite *)
-}
-
-type qhistogram = {
-  q_lo : float;
-  q_buckets_per_decade : int;
-  q_decades : int;
-  q_counts : int array;  (** dense in-range buckets (see {!Quantile_histogram}) *)
-  q_underflow : int;
-  q_overflow : int;
-  q_sum : float;
-  q_count : int;
-}
+    A snapshot holds copies of the shard's cells: taking one never
+    perturbs the shard it came from, and recording after it never
+    changes the snapshot.  Snapshots do not merge; shards do, at the
+    pool join ({!Shard.merge_into_current}). *)
 
 type value =
   | Counter of int
   | Sum of float
   | Gauge of float
-  | Histogram of histogram
-  | Qhistogram of qhistogram
+  | Histogram of Metric.Histogram.t
+  | Qhistogram of Quantile_histogram.t
 
 type t
-
-val empty : t
-
-val of_list : (string * value) list -> t
-(** Build a snapshot from explicit bindings (later bindings of a
-    duplicated name are merged into earlier ones per {!merge}). *)
 
 val current : unit -> t
 (** Snapshot the calling domain's current shard. *)
 
-val names : t -> string list
 val find : t -> string -> value option
 val bindings : t -> (string * value) list
-
-val merge : t -> t -> t
-(** Union by name; counters/sums/histograms add (associative and
-    commutative), gauges take the right operand's value (associative;
-    order-sensitive by design — submission order defines the winner).
-    @raise Invalid_argument on kind or histogram-shape conflicts. *)
-
-val equal : t -> t -> bool
 
 val to_json : t -> string
 (** One JSON object keyed by metric name, names sorted; each value

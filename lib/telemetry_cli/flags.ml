@@ -70,11 +70,21 @@ let make metrics_out trace_out trace_sample series_out series_interval profile
   { metrics_out; trace_out; trace_sample; series_out; series_interval;
     profile; profile_out; log_level }
 
+(* The values {!install} would refuse, as usage errors of every binary
+   that takes the flags. *)
+let check t =
+  if t.trace_sample < 1 then Error "--trace-sample must be >= 1"
+  else if not (Float.is_finite t.series_interval && t.series_interval > 0.0)
+  then Error "--series-interval must be finite and > 0"
+  else Ok t
+
 let term =
   Term.(
-    const make $ metrics_out_arg $ trace_out_arg $ trace_sample_arg
-    $ series_out_arg $ series_interval_arg $ profile_arg $ profile_out_arg
-    $ Logs_cli.level ())
+    term_result' ~usage:true
+      (const check
+      $ (const make $ metrics_out_arg $ trace_out_arg $ trace_sample_arg
+        $ series_out_arg $ series_interval_arg $ profile_arg
+        $ profile_out_arg $ Logs_cli.level ())))
 
 (* [-v]/[-q] as [Logs_cli.level] reads them, without its [--verbosity]. *)
 let verbosity_arg =

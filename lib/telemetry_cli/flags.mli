@@ -21,8 +21,7 @@
 
     Usage: include {!term} in the binary's cmdliner term, call
     {!install} first thing in the main function, and {!finish} after the
-    work is done.  Binaries should reject [trace_sample < 1] and
-    [series_interval <= 0] before calling {!install}. *)
+    work is done. *)
 
 type t = {
   metrics_out : string option;
@@ -36,6 +35,9 @@ type t = {
 }
 
 val term : t Cmdliner.Term.t
+(** Rejects [--trace-sample] below 1 and a non-finite or non-positive
+    [--series-interval] as usage errors (exit 124), for every binary
+    that takes it. *)
 
 val output_term : t Cmdliner.Term.t
 (** The subset for binaries that write no series and sample no traces:

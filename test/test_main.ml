@@ -2,9 +2,9 @@ let () =
   Alcotest.run "mbac"
     (Test_special.suite @ Test_gaussian.suite @ Test_rng.suite
    @ Test_sample.suite @ Test_welford.suite @ Test_descriptive.suite
-   @ Test_batch_means.suite @ Test_distributions.suite @ Test_histogram.suite
+   @ Test_batch_means.suite @ Test_distributions.suite
    @ Test_integrate.suite @ Test_roots.suite @ Test_fft.suite
-   @ Test_fgn.suite @ Test_interp.suite @ Test_linalg.suite
+   @ Test_fgn.suite @ Test_linalg.suite
    @ Test_sources.suite @ Test_trace.suite @ Test_event_queue.suite
    @ Test_parallel.suite
    @ Test_measurement.suite @ Test_link.suite @ Test_core_basics.suite @ Test_estimator.suite

@@ -161,13 +161,16 @@ let test_first_failure_deterministic =
 
 (* Partial telemetry from executed tasks — including the failing one —
    is merged; skipped tasks contribute nothing and are counted. *)
+let m_cancel_probe =
+  Mbac_telemetry.Metrics.Handle.counter "test_cancel_probe_total"
+
 let test_partial_telemetry_on_failure () =
   Mbac_telemetry.Shard.reset_current ();
   (try
      ignore
        (Parallel.map ~jobs:1
           (fun i ->
-            Mbac_telemetry.Metrics.inc "test_cancel_probe_total";
+            Mbac_telemetry.Metrics.Handle.inc m_cancel_probe;
             if i = 4 then failwith "stop")
           (List.init 12 Fun.id));
      Alcotest.fail "expected failure"

@@ -22,6 +22,9 @@ let config ?(capacity = 100.0) ?(measure_every = 0) () =
 
 let add e ~load ~now = if not (E.add e ~load ~now) then Alcotest.fail "add refused"
 
+let subtract e ~load ~now =
+  if not (E.subtract e ~load ~now) then Alcotest.fail "subtract refused"
+
 let test_accounting_roundtrip () =
   let e = E.create (config ()) in
   (* loads that are not multiples of 2^-20: add then subtract must
@@ -33,7 +36,7 @@ let test_accounting_roundtrip () =
   check_close ~tol:1e-5 "admitted load"
     (List.fold_left ( +. ) 0.0 loads)
     s.E.admitted_load;
-  List.iter (fun load -> E.subtract e ~load ~now:1.0) loads;
+  List.iter (fun load -> subtract e ~load ~now:1.0) loads;
   let s = E.stats e in
   Alcotest.(check int) "flows back to zero" 0 s.E.flows;
   check_close_abs "load back to exactly zero" 0.0 s.E.admitted_load
@@ -73,6 +76,45 @@ let test_add_overflow_refused () =
     Alcotest.(check bool) "the estimate still follows the flows" true
       (d.E.admissible > s.E.flows)
   done
+
+(* A departure no Add matched would take the flow count and the sums
+   negative (the wire's u32 flows then read 4294967295).  It is refused
+   with code 3 and leaves every counter as it was, whichever of the
+   three would go below zero.  Through the in-process client, so the
+   replies cross the wire codec. *)
+let test_subtract_unmatched_refused () =
+  let e = E.create (config ~measure_every:1 ()) in
+  let c = Mbac_serve.Client.inproc e in
+  let refused load =
+    match Mbac_serve.Client.rpc c (P.Subtract { load; now = 0.0 }) with
+    | P.Error_reply { code = 3; _ } -> ()
+    | _ ->
+        Alcotest.failf "a Subtract of %g no Add matched must answer code 3"
+          load
+  in
+  let stats () =
+    match Mbac_serve.Client.rpc c P.Stats with
+    | P.Stats_reply { flows; admitted_load; updates; _ } ->
+        (flows, admitted_load, updates)
+    | _ -> Alcotest.fail "Stats must answer Stats_reply"
+  in
+  refused 1.0;
+  Alcotest.(check (triple int (float 0.0) int)) "a fresh engine stays empty"
+    (0, 0.0, 0) (stats ());
+  add e ~load:1.0 ~now:0.0;
+  (* one flow admitted: the load sum cannot give 2 *)
+  refused 2.0;
+  add e ~load:1.0 ~now:0.0;
+  (* loads 1 and 1: the sum gives 1.5, the sum of squares (2) cannot
+     give 2.25 *)
+  refused 1.5;
+  Alcotest.(check (triple int (float 0.0) int)) "refusals change no counter"
+    (2, 2.0, 2) (stats ());
+  subtract e ~load:1.0 ~now:0.0;
+  subtract e ~load:1.0 ~now:0.0;
+  Alcotest.(check (triple int (float 0.0) int)) "matched departures still apply"
+    (0, 0.0, 4) (stats ());
+  Mbac_serve.Client.close c
 
 (* ---------- bootstrap and published estimates ---------- *)
 
@@ -274,7 +316,7 @@ let test_parallel_accounting () =
               add e ~load:1.5 ~now:(float_of_int i)
             done;
             for i = 1 to per_domain / 2 do
-              E.subtract e ~load:1.5 ~now:(float_of_int i)
+              subtract e ~load:1.5 ~now:(float_of_int i)
             done))
   in
   Array.iter Domain.join workers;
@@ -289,10 +331,29 @@ let test_parallel_accounting () =
 
 module C = Mbac_serve.Client
 
+(* As in [Loadgen.run], a Subtract retires a flow the stream admitted
+   since the last Initialize (here the latest one still in); a Subtract
+   with no flow to retire is dropped. *)
+let matched_departures steps =
+  let rec go admitted acc = function
+    | [] -> List.rev acc
+    | ((P.Add { load; _ }, _) as step) :: rest ->
+        go (load :: admitted) (step :: acc) rest
+    | (P.Subtract { now; _ }, post) :: rest -> (
+        match admitted with
+        | load :: admitted ->
+            go admitted ((P.Subtract { load; now }, post) :: acc) rest
+        | [] -> go admitted acc rest)
+    | ((P.Initialize _, _) as step) :: rest -> go [] (step :: acc) rest
+    | step :: rest -> go admitted (step :: acc) rest
+  in
+  go [] [] steps
+
 (* A random request stream, each postable request marked post or rpc:
-   loads stay valid, so every posted request is answered [Ok_reply].  A
-   third of the streams post almost everything, past the client's
-   16 KiB batch budget between two rpcs. *)
+   loads stay valid and departures match admissions, so every posted
+   request is answered [Ok_reply].  A third of the streams post almost
+   everything, past the client's 16 KiB batch budget between two
+   rpcs. *)
 let arb_pipeline =
   let open QCheck.Gen in
   let load = float_range 0.0 5.0 and now = float_range 0.0 1e3 in
@@ -310,7 +371,9 @@ let arb_pipeline =
       (1, return P.Stats) ]
   in
   let stream size reqs post =
-    list_size size (pair (frequency reqs) (frequencyl [ (post, true); (1, false) ]))
+    map matched_departures
+      (list_size size
+         (pair (frequency reqs) (frequencyl [ (post, true); (1, false) ])))
   in
   QCheck.make
     ~print:(fun l -> Printf.sprintf "%d requests" (List.length l))
@@ -453,6 +516,54 @@ let test_daemon_survives_hang_up () =
       Alcotest.(check bool) "the daemon still takes Shutdown" true
         (C.rpc c P.Shutdown = P.Ok_reply))
 
+(* A client that stays connected and idle does not hold the daemon up:
+   after another client's Shutdown, [run_unix] ends the idle stream and
+   returns.  The idle client is served once first, so its connection is
+   accepted and its service thread waits in [read]. *)
+let test_shutdown_with_idle_client () =
+  let path = socket_path () in
+  let engine = E.create (config ()) in
+  let returned = Atomic.make false in
+  let th =
+    Thread.create
+      (fun () ->
+        Mbac_serve.Server.run_unix engine ~path;
+        Atomic.set returned true)
+      ()
+  in
+  ignore (Unix.alarm 120);
+  let idle = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close idle;
+      Thread.join th;
+      ignore (Unix.alarm 0))
+    (fun () ->
+      let c = C.connect_unix ~path () in
+      Unix.connect idle (Unix.ADDR_UNIX path);
+      ignore (Unix.write idle stats_frame 0 (Bytes.length stats_frame));
+      (* the Stats reply: 4 + 53 bytes *)
+      let reply = Bytes.create 57 in
+      let got = ref 0 in
+      while !got < 57 do
+        let n = Unix.read idle reply !got (57 - !got) in
+        if n = 0 then Alcotest.fail "the daemon closed the idle client early";
+        got := !got + n
+      done;
+      Alcotest.(check bool) "Shutdown is acknowledged" true
+        (C.rpc c P.Shutdown = P.Ok_reply);
+      C.close c;
+      let t0 = Unix.gettimeofday () in
+      while (not (Atomic.get returned)) && Unix.gettimeofday () -. t0 < 2.0 do
+        Thread.delay 0.01
+      done;
+      Alcotest.(check bool) "run_unix returns within 2 s" true
+        (Atomic.get returned);
+      Alcotest.(check bool) "the socket file is removed" false
+        (Sys.file_exists path);
+      Alcotest.(check int) "the idle client's stream is ended" 0
+        (Unix.read idle reply 0 1))
+
 (* A peer that takes one request and closes without reading it: the
    client's read then fails with ECONNRESET, and its next write with
    EPIPE; either is the client's own Failure. *)
@@ -513,7 +624,9 @@ let suite =
         test "parallel accounting is lock-free and exact"
           test_parallel_accounting;
         test "an Add past the fixed-point sums is refused"
-          test_add_overflow_refused ] );
+          test_add_overflow_refused;
+        test "a Subtract no Add matched is refused"
+          test_subtract_unmatched_refused ] );
     ( "serve_client",
       [ qcheck ~count:100 "posting never changes what the engine sees"
           arb_pipeline prop_pipeline;
@@ -525,5 +638,7 @@ let suite =
           test_socket_post_past_budget;
         test "the daemon survives a client that hangs up"
           test_daemon_survives_hang_up;
+        test "Shutdown stops the daemon while a client idles"
+          test_shutdown_with_idle_client;
         test "a vanished daemon is the client's Failure"
           test_client_peer_vanishes ] ) ]

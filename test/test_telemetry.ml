@@ -1,5 +1,6 @@
-(* The telemetry layer: histogram bucket edges, snapshot merge algebra,
-   sharded-counter determinism under the parallel engine. *)
+(* The telemetry layer: histogram bucket edges, the shard merge algebra
+   the pool's join runs, sharded-counter determinism under the parallel
+   engine. *)
 
 open Mbac_telemetry
 open Test_util
@@ -41,38 +42,55 @@ let test_histogram_merge_shape_mismatch () =
     (Invalid_argument "Metric.Histogram.merge_into: shape mismatch")
     (fun () -> Metric.Histogram.merge_into ~into:a b)
 
-(* ---------- Snapshot merge algebra ---------- *)
+(* ---------- Merge algebra ---------- *)
 
-let hist_of observations =
-  let h = Metric.Histogram.create ~lo:0.0 ~hi:1.0 ~bins:4 in
-  List.iter (Metric.Histogram.observe h) observations;
-  Snapshot.Histogram
-    { Snapshot.lo = Metric.Histogram.lo h;
-      hi = Metric.Histogram.hi h;
-      counts = Metric.Histogram.counts h;
-      underflow = Metric.Histogram.underflow h;
-      overflow = Metric.Histogram.overflow h;
-      sum = Metric.Histogram.sum h;
-      count = Metric.Histogram.count h }
+(* The merge the pool's join runs ([Shard.merge_into_current], cell by
+   cell [Metric.merge_into]), read back through snapshots. *)
 
-let snap_a =
-  Snapshot.of_list
-    [ ("c", Snapshot.Counter 3); ("s", Snapshot.Sum 1.5);
-      ("g", Snapshot.Gauge 10.0); ("h", hist_of [ 0.1; 0.6 ]) ]
+module H = Metrics.Handle
 
-let snap_b =
-  Snapshot.of_list
-    [ ("c", Snapshot.Counter 4); ("s", Snapshot.Sum 0.25);
-      ("g", Snapshot.Gauge 20.0); ("h", hist_of [ 0.6; 2.0 ]);
-      ("only_b", Snapshot.Counter 1) ]
+let h_c = H.counter "c"
+let h_s = H.sum "s"
+let h_g = H.gauge "g"
+let h_h = H.histogram "h" ~lo:0.0 ~hi:1.0 ~bins:4
+let h_only_b = H.counter "only_b"
 
-let snap_c =
-  Snapshot.of_list
-    [ ("c", Snapshot.Counter 5); ("g", Snapshot.Gauge 30.0);
-      ("h", hist_of [ -1.0 ]) ]
+(* A shard holding what [record] records. *)
+let shard record =
+  let s = Shard.create () in
+  Shard.with_current s record;
+  s
+
+let shard_a () =
+  shard (fun () ->
+      H.inc ~by:3 h_c;
+      H.add h_s 1.5;
+      H.set_gauge h_g 10.0;
+      List.iter (H.observe h_h) [ 0.1; 0.6; -0.5 ])
+
+let shard_b () =
+  shard (fun () ->
+      H.inc ~by:4 h_c;
+      H.add h_s 0.25;
+      H.set_gauge h_g 20.0;
+      List.iter (H.observe h_h) [ 0.6; 2.0; -3.0 ];
+      H.inc h_only_b)
+
+let shard_c () =
+  shard (fun () ->
+      H.inc ~by:5 h_c;
+      H.set_gauge h_g 30.0;
+      H.observe h_h (-1.0))
+
+(* A fresh shard with [shards] merged into it, in order. *)
+let merged shards =
+  shard (fun () -> List.iter Shard.merge_into_current shards)
+
+let snapshot s = Shard.with_current s Snapshot.current
+let bindings s = Snapshot.bindings (snapshot s)
 
 let test_merge_values () =
-  let m = Snapshot.merge snap_a snap_b in
+  let m = snapshot (merged [ shard_a (); shard_b () ]) in
   Alcotest.(check bool) "counter adds" true
     (Snapshot.find m "c" = Some (Snapshot.Counter 7));
   Alcotest.(check bool) "sum adds" true
@@ -84,39 +102,79 @@ let test_merge_values () =
   match Snapshot.find m "h" with
   | Some (Snapshot.Histogram h) ->
       Alcotest.(check (array int)) "histogram buckets add"
-        [| 1; 0; 2; 0 |] h.Snapshot.counts;
-      Alcotest.(check int) "histogram overflow adds" 1 h.Snapshot.overflow;
-      Alcotest.(check int) "histogram count adds" 4 h.Snapshot.count
+        [| 1; 0; 2; 0 |] (Metric.Histogram.counts h);
+      Alcotest.(check int) "histogram underflow adds" 2
+        (Metric.Histogram.underflow h);
+      Alcotest.(check int) "histogram overflow adds" 1
+        (Metric.Histogram.overflow h);
+      Alcotest.(check int) "histogram count adds" 6 (Metric.Histogram.count h);
+      check_close "histogram sum adds" (-0.2) (Metric.Histogram.sum h)
   | _ -> Alcotest.fail "merged histogram missing"
 
 let test_merge_associative () =
-  let left = Snapshot.merge (Snapshot.merge snap_a snap_b) snap_c in
-  let right = Snapshot.merge snap_a (Snapshot.merge snap_b snap_c) in
+  let a = shard_a () and b = shard_b () and c = shard_c () in
+  let left = merged [ merged [ a; b ]; c ] in
+  let right = merged [ a; merged [ b; c ] ] in
   Alcotest.(check bool) "(a+b)+c = a+(b+c), all kinds" true
-    (Snapshot.equal left right)
+    (bindings left = bindings right);
+  Alcotest.(check bool) "merging leaves the sources as they were" true
+    (bindings a = bindings (shard_a ()))
 
 let test_merge_commutative_except_gauge () =
   (* Counters, sums, and histograms commute; gauges deliberately do not
      (right operand wins), so compare with the gauge dropped. *)
-  let drop_gauge s =
-    Snapshot.of_list
-      (List.filter
-         (fun (_, v) -> match v with Snapshot.Gauge _ -> false | _ -> true)
-         (Snapshot.bindings s))
+  let drop_gauge =
+    List.filter (fun (_, v) ->
+        match v with Snapshot.Gauge _ -> false | _ -> true)
   in
-  let ab = Snapshot.merge snap_a snap_b and ba = Snapshot.merge snap_b snap_a in
+  let ab = bindings (merged [ shard_a (); shard_b () ])
+  and ba = bindings (merged [ shard_b (); shard_a () ]) in
   Alcotest.(check bool) "a+b = b+a modulo gauges" true
-    (Snapshot.equal (drop_gauge ab) (drop_gauge ba));
+    (drop_gauge ab = drop_gauge ba);
   Alcotest.(check bool) "gauge is order-sensitive" true
-    (Snapshot.find ab "g" <> Snapshot.find ba "g")
+    (List.assoc "g" ab <> List.assoc "g" ba)
 
 let test_merge_empty_identity () =
-  Alcotest.(check bool) "empty is a left identity" true
-    (Snapshot.equal snap_b (Snapshot.merge Snapshot.empty snap_b));
-  Alcotest.(check bool) "empty is a right identity" true
-    (Snapshot.equal snap_b (Snapshot.merge snap_b Snapshot.empty))
+  let b = bindings (shard_b ()) in
+  Alcotest.(check bool) "an empty shard is a left identity" true
+    (b = bindings (merged [ Shard.create (); shard_b () ]));
+  Alcotest.(check bool) "an empty shard is a right identity" true
+    (b = bindings (merged [ shard_b (); Shard.create () ]))
+
+let test_merge_mismatch () =
+  Alcotest.check_raises "kinds must match"
+    (Invalid_argument "Metric.merge_into: kind mismatch (counter vs sum)")
+    (fun () ->
+      Metric.merge_into ~into:(Metric.Counter (ref 0)) (Metric.Sum (ref 1.0)));
+  (* the same name at another shape in another shard: the join refuses *)
+  let h_wide = H.histogram "h" ~lo:0.0 ~hi:2.0 ~bins:4 in
+  let wide = shard (fun () -> H.observe h_wide 0.5) in
+  Alcotest.check_raises "a shard of another shape refuses to merge"
+    (Invalid_argument "Metric.Histogram.merge_into: shape mismatch")
+    (fun () -> ignore (merged [ shard_a (); wide ]))
+
+(* A snapshot holds copies of the cells: recording into the shard after
+   it leaves the snapshot as it was, and the other way round. *)
+let test_snapshot_copies_cells () =
+  let a = shard_a () in
+  let snap = snapshot a in
+  let json = Snapshot.to_json snap in
+  Shard.with_current a (fun () ->
+      H.inc h_c;
+      H.observe h_h 0.2);
+  Alcotest.(check string) "recording after a snapshot leaves it as it was"
+    json (Snapshot.to_json snap);
+  (match Snapshot.find snap "h" with
+  | Some (Snapshot.Histogram h) -> Metric.Histogram.observe h 0.9
+  | _ -> Alcotest.fail "histogram missing");
+  match Snapshot.find (snapshot a) "h" with
+  | Some (Snapshot.Histogram h) ->
+      Alcotest.(check int) "the shard's histogram is its own" 4
+        (Metric.Histogram.count h)
+  | _ -> Alcotest.fail "histogram missing"
 
 let test_json_deterministic () =
+  let snap_a = snapshot (shard_a ()) in
   let j = Snapshot.to_json snap_a in
   Alcotest.(check string) "rendering is stable" j (Snapshot.to_json snap_a);
   (* names appear in sorted order *)
@@ -142,6 +200,8 @@ let counter_value snapshot name =
   | Some (Snapshot.Counter n) -> n
   | _ -> 0
 
+let m_sharded = H.counter "qcheck_sharded_total"
+
 let test_sharded_counters_qcheck =
   (* Whatever the per-task increments and the pool width, the merged
      counter equals the serial total. *)
@@ -152,11 +212,16 @@ let test_sharded_counters_qcheck =
       ignore
         (Mbac_sim.Parallel.run_tasks ~jobs
            (List.map
-              (fun by () -> Metrics.inc ~by "qcheck_sharded_total")
+              (fun by () -> H.inc ~by m_sharded)
               increments));
       let merged = counter_value (Snapshot.current ()) "qcheck_sharded_total" in
       Shard.reset_current ();
       merged = List.fold_left ( + ) 0 increments)
+
+let snap_counter = H.counter "snap_counter"
+let snap_sum = H.sum "snap_sum"
+let snap_gauge = H.gauge "snap_gauge"
+let snap_hist = H.histogram "snap_hist" ~lo:0.0 ~hi:12.0 ~bins:6
 
 let test_jobs_invariant_snapshot () =
   (* Full-snapshot determinism: metrics recorded by parallel tasks
@@ -167,11 +232,10 @@ let test_jobs_invariant_snapshot () =
     ignore
       (Mbac_sim.Parallel.run_tasks ~jobs
          (List.init 12 (fun i () ->
-              Metrics.inc ~by:(i + 1) "snap_counter";
-              Metrics.add "snap_sum" (0.5 *. float_of_int i);
-              Metrics.set_gauge "snap_gauge" (float_of_int i);
-              Metrics.observe "snap_hist" ~lo:0.0 ~hi:12.0 ~bins:6
-                (float_of_int i))));
+              H.inc ~by:(i + 1) snap_counter;
+              H.add snap_sum (0.5 *. float_of_int i);
+              H.set_gauge snap_gauge (float_of_int i);
+              H.observe snap_hist (float_of_int i))));
     let s = Snapshot.current () in
     Shard.reset_current ();
     s
@@ -184,7 +248,7 @@ let test_jobs_invariant_snapshot () =
       Alcotest.(check bool)
         (Printf.sprintf "jobs=%d snapshot equals jobs=1" jobs)
         true
-        (Snapshot.equal reference (run jobs));
+        (Snapshot.bindings reference = Snapshot.bindings (run jobs));
       Alcotest.(check string)
         (Printf.sprintf "jobs=%d JSON byte-identical" jobs)
         (Snapshot.to_json reference)
@@ -200,6 +264,8 @@ let suite =
         test "snapshot merge associative" test_merge_associative;
         test "snapshot merge commutative" test_merge_commutative_except_gauge;
         test "snapshot merge identity" test_merge_empty_identity;
+        test "merge refuses kind and shape mismatches" test_merge_mismatch;
+        test "snapshot holds copies of the cells" test_snapshot_copies_cells;
         test "snapshot JSON deterministic" test_json_deterministic;
         test_sharded_counters_qcheck;
         test "jobs-invariant snapshot" test_jobs_invariant_snapshot ] ) ]

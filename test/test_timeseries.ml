@@ -43,16 +43,25 @@ let num_entry obj name =
   | Some e -> J.to_float e
   | None -> None
 
+(* The metrics these tests record. *)
+let tsu_c = Metrics.Handle.counter "tsu_c"
+let tsu_s = Metrics.Handle.sum "tsu_s"
+let tsu_g = Metrics.Handle.gauge "tsu_g"
+let tsu_q = Metrics.Handle.qhist "tsu_q"
+let tsu_off_c = Metrics.Handle.counter "tsu_off_c"
+let tsu_par_c = Metrics.Handle.counter "tsu_par_c"
+let tsu_par_q = Metrics.Handle.qhist "tsu_par_q"
+
 let test_window_deltas () =
   with_series (fun () ->
       Timeseries.start_run ~label:"r";
-      Metrics.inc ~by:3 "tsu_c";
-      Metrics.add "tsu_s" 1.5;
-      Metrics.set_gauge "tsu_g" 2.0;
-      Metrics.observe_q "tsu_q" 4.0;
+      Metrics.Handle.inc ~by:3 tsu_c;
+      Metrics.Handle.add tsu_s 1.5;
+      Metrics.Handle.set_gauge tsu_g 2.0;
+      Metrics.Handle.observe_q tsu_q 4.0;
       Timeseries.emit_window ~t:10.0;
-      Metrics.inc ~by:2 "tsu_c";
-      Metrics.set_gauge "tsu_g" 7.0;
+      Metrics.Handle.inc ~by:2 tsu_c;
+      Metrics.Handle.set_gauge tsu_g 7.0;
       Timeseries.emit_window ~t:20.0;
       match parse_lines (Timeseries.contents ()) with
       | [ w0; w1 ] ->
@@ -123,7 +132,7 @@ let test_empty_window_still_renders () =
 let test_disabled_is_inert () =
   Shard.reset_current ();
   Timeseries.start_run ~label:"ignored";
-  Metrics.inc "tsu_off_c";
+  Metrics.Handle.inc tsu_off_c;
   Timeseries.emit_window ~t:1.0;
   Alcotest.(check string) "nothing recorded when disabled" ""
     (Timeseries.contents ());
@@ -147,10 +156,10 @@ let test_jobs_invariant_series_qcheck =
       let tasks =
         List.init n_tasks (fun i () ->
             Timeseries.start_run ~label:(Printf.sprintf "task%d" i);
-            Metrics.inc ~by:(i + 1) "tsu_par_c";
-            Metrics.observe_q "tsu_par_q" (float_of_int (i + 1));
+            Metrics.Handle.inc ~by:(i + 1) tsu_par_c;
+            Metrics.Handle.observe_q tsu_par_q (float_of_int (i + 1));
             Timeseries.emit_window ~t:(float_of_int (i + 1));
-            Metrics.inc ~by:1 "tsu_par_c";
+            Metrics.Handle.inc ~by:1 tsu_par_c;
             Timeseries.emit_window ~t:(float_of_int (i + 2)))
       in
       let run jobs =
