@@ -34,7 +34,7 @@ let run socket inproc capacity criteria_s estimator measure_every decision_log
                 in
                 (Mbac_serve.Client.inproc engine, Some engine)
           with
-          | exception Invalid_argument msg -> Error msg
+          | exception (Invalid_argument msg | Failure msg) -> Error msg
           | exception Sys_error msg -> Error ("--decision-log: " ^ msg)
           | client, engine -> (
               let workload =

@@ -54,10 +54,6 @@ let make ?(on_admit = nop) ?(on_depart = nop) ?(reset = fun () -> ()) ?copy
   { name; observe; admissible = instrument ~name admissible;
     on_admit; on_depart; reset; copy }
 
-let check_p_ce p_ce =
-  if not (p_ce > 0.0 && p_ce <= 0.5) then
-    invalid_arg "Controller: requires 0 < p_ce <= 0.5"
-
 (* Controllers hide their mutable state in closures (estimators, refs),
    so each scheme provides ~copy by re-invoking its own constructor on a
    deep copy of that state — copies of copies then work for free. *)
@@ -67,26 +63,37 @@ let rec perfect p =
   make ~name:"perfect" ~observe:nop ~admissible:(fun _ -> m)
     ~copy:(fun () -> perfect p) ()
 
-let rec certainty_equivalent ~capacity ~p_ce estimator =
-  check_p_ce p_ce;
-  let alpha = Mbac_stats.Gaussian.q_inv p_ce in
-  let admissible obs =
-    match Estimator.current estimator with
-    | Some { Estimator.mu_hat; var_hat } when mu_hat > 0.0 ->
-        Criterion.admissible ~capacity ~mu:mu_hat ~sigma:(sqrt var_hat) ~alpha
-    | Some _ | None ->
-        (* Cautious bootstrap: admit one flow at a time until the
-           estimator produces a usable estimate. *)
-        Observation.count obs + 1
+let of_rule ?(back_off = false) ~name ~capacity rule estimator =
+  let rec build ~blocked0 estimator =
+    let blocked = ref blocked0 in
+    let admissible obs =
+      let n = Observation.count obs in
+      if !blocked then n
+      else begin
+        let m =
+          match Estimator.current estimator with
+          | Some { Estimator.mu_hat; var_hat } when Criterion.usable mu_hat ->
+              Criterion.limit rule ~capacity ~mu:mu_hat ~var:var_hat
+          | Some _ | None -> Criterion.bootstrap n
+        in
+        if back_off && m <= n then blocked := true;
+        m
+      end
+    in
+    make ~name ~observe:(Estimator.observe estimator) ~admissible
+      ~on_depart:(fun _ -> blocked := false)
+      ~reset:(fun () ->
+        blocked := false;
+        Estimator.reset estimator)
+      ~copy:(fun () -> build ~blocked0:!blocked (Estimator.copy estimator))
+      ()
   in
-  make
+  build ~blocked0:false estimator
+
+let certainty_equivalent ~capacity ~p_ce estimator =
+  of_rule
     ~name:(Printf.sprintf "ce[%s,p_ce=%.2g]" (Estimator.name estimator) p_ce)
-    ~observe:(Estimator.observe estimator)
-    ~admissible
-    ~reset:(fun () -> Estimator.reset estimator)
-    ~copy:(fun () ->
-      certainty_equivalent ~capacity ~p_ce (Estimator.copy estimator))
-    ()
+    ~capacity (Criterion.gaussian ~p_ce) estimator
 
 let memoryless ~capacity ~p_ce =
   certainty_equivalent ~capacity ~p_ce (Estimator.memoryless ())
@@ -100,24 +107,10 @@ let robust p =
   (* Guard the degenerate deep-repair case where no adjustment is needed:
      alpha_ce = 0 would mean p_ce = 0.5; never run below the QoS target. *)
   let alpha_ce = Float.max alpha_ce (Params.alpha_q p) in
-  let capacity = Params.capacity p in
-  let rec build estimator =
-    let admissible obs =
-      match Estimator.current estimator with
-      | Some { Estimator.mu_hat; var_hat } when mu_hat > 0.0 ->
-          Criterion.admissible ~capacity ~mu:mu_hat ~sigma:(sqrt var_hat)
-            ~alpha:alpha_ce
-      | Some _ | None -> Observation.count obs + 1
-    in
-    make
-      ~name:(Printf.sprintf "robust[T_m=%.3g,alpha_ce=%.3g]" t_m alpha_ce)
-      ~observe:(Estimator.observe estimator)
-      ~admissible
-      ~reset:(fun () -> Estimator.reset estimator)
-      ~copy:(fun () -> build (Estimator.copy estimator))
-      ()
-  in
-  build (Estimator.ewma ~t_m)
+  of_rule
+    ~name:(Printf.sprintf "robust[T_m=%.3g,alpha_ce=%.3g]" t_m alpha_ce)
+    ~capacity:(Params.capacity p) (Criterion.adjusted ~alpha_ce)
+    (Estimator.ewma ~t_m)
 
 let rec peak_rate ~capacity ~peak =
   let m = Criterion.peak_rate_count ~capacity ~peak in
@@ -175,12 +168,12 @@ let measured_sum ~capacity ~utilization_target ~window ~peak =
       Windowed_max.add wm ~now:obs.Observation.now obs.Observation.sum_rate
     in
     let admissible obs =
+      let n = Observation.count obs in
       let max_load = Windowed_max.current wm in
-      if max_load = neg_infinity then Observation.count obs + 1
+      if max_load = neg_infinity then Criterion.bootstrap n
       else begin
         let headroom = (utilization_target *. capacity) -. max_load in
-        if headroom < peak then Observation.count obs
-        else Observation.count obs + int_of_float (headroom /. peak)
+        if headroom < peak then n else n + int_of_float (headroom /. peak)
       end
     in
     make
@@ -193,83 +186,23 @@ let measured_sum ~capacity ~utilization_target ~window ~peak =
   in
   build (Windowed_max.create ~window ~n_blocks:8)
 
-let rec hoeffding ~capacity ~p_ce ~peak estimator =
-  check_p_ce p_ce;
-  if peak <= 0.0 then invalid_arg "Controller.hoeffding: peak <= 0";
-  (* M mu + b sqrt M <= c with b = peak sqrt(ln(1/p)/2): same quadratic as
-     the Gaussian criterion with (sigma alpha) |-> b. *)
-  let bound = peak *. sqrt (log (1.0 /. p_ce) /. 2.0) in
-  let admissible obs =
-    match Estimator.current estimator with
-    | Some { Estimator.mu_hat; _ } when mu_hat > 0.0 ->
-        Criterion.admissible ~capacity ~mu:mu_hat ~sigma:bound ~alpha:1.0
-    | Some _ | None -> Observation.count obs + 1
-  in
-  make
-    ~name:(Printf.sprintf "hoeffding[p=%.2g]" p_ce)
-    ~observe:(Estimator.observe estimator)
-    ~admissible
-    ~reset:(fun () -> Estimator.reset estimator)
-    ~copy:(fun () -> hoeffding ~capacity ~p_ce ~peak (Estimator.copy estimator))
-    ()
+let hoeffding ~capacity ~p_ce ~peak estimator =
+  of_rule ~name:(Printf.sprintf "hoeffding[p=%.2g]" p_ce) ~capacity
+    (Criterion.hoeffding ~p_ce ~peak) estimator
 
-let rec chernoff ~capacity ~p_ce estimator =
-  check_p_ce p_ce;
-  let alpha = Effective_bandwidth.gaussian_alpha_of_p p_ce in
-  let admissible obs =
-    match Estimator.current estimator with
-    | Some { Estimator.mu_hat; var_hat } when mu_hat > 0.0 ->
-        Criterion.admissible ~capacity ~mu:mu_hat ~sigma:(sqrt var_hat) ~alpha
-    | Some _ | None -> Observation.count obs + 1
-  in
-  make
-    ~name:(Printf.sprintf "chernoff[p=%.2g]" p_ce)
-    ~observe:(Estimator.observe estimator)
-    ~admissible
-    ~reset:(fun () -> Estimator.reset estimator)
-    ~copy:(fun () -> chernoff ~capacity ~p_ce (Estimator.copy estimator))
-    ()
+let chernoff ~capacity ~p_ce estimator =
+  of_rule ~name:(Printf.sprintf "chernoff[p=%.2g]" p_ce) ~capacity
+    (Criterion.chernoff ~p_ce) estimator
 
 let gkk ~capacity ~p_ce ~prior_mu ~prior_var ~prior_weight =
-  check_p_ce p_ce;
+  let rule = Criterion.gaussian ~p_ce in
   if not (prior_weight >= 0.0 && prior_weight <= 1.0) then
     invalid_arg "Controller.gkk: prior_weight outside [0,1]";
-  let alpha = Mbac_stats.Gaussian.q_inv p_ce in
   (* "One out, one in": after the criterion rejects (system judged full),
      no further admissions until a departure frees a slot.  This damps
      the admission rate when the system hovers at the boundary. *)
-  let rec build ~blocked0 estimator =
-    let blocked = ref blocked0 in
-    let admissible obs =
-      if !blocked then Observation.count obs
-      else begin
-        let m =
-          match Estimator.current estimator with
-          | Some { Estimator.mu_hat; var_hat } ->
-              let mu =
-                (prior_weight *. prior_mu) +. ((1.0 -. prior_weight) *. mu_hat)
-              in
-              let var =
-                (prior_weight *. prior_var)
-                +. ((1.0 -. prior_weight) *. var_hat)
-              in
-              if mu <= 0.0 then Observation.count obs + 1
-              else Criterion.admissible ~capacity ~mu ~sigma:(sqrt var) ~alpha
-          | None -> Observation.count obs + 1
-        in
-        if m <= Observation.count obs then blocked := true;
-        m
-      end
-    in
-    make
-      ~name:(Printf.sprintf "gkk[w=%.2f]" prior_weight)
-      ~observe:(Estimator.observe estimator)
-      ~admissible
-      ~on_depart:(fun _ -> blocked := false)
-      ~reset:(fun () ->
-        blocked := false;
-        Estimator.reset estimator)
-      ~copy:(fun () -> build ~blocked0:!blocked (Estimator.copy estimator))
-      ()
-  in
-  build ~blocked0:false (Estimator.memoryless ())
+  of_rule ~back_off:true
+    ~name:(Printf.sprintf "gkk[w=%.2f]" prior_weight)
+    ~capacity rule
+    (Estimator.with_prior ~mu:prior_mu ~var:prior_var ~weight:prior_weight
+       (Estimator.memoryless ()))

@@ -59,11 +59,20 @@ val perfect : Params.t -> t
 (** Omniscient admission control: always allows exactly m* (eqn (4)).
     The yardstick every measurement-based scheme is compared against. *)
 
+val of_rule :
+  ?back_off:bool -> name:string -> capacity:float -> Criterion.rule ->
+  Estimator.t -> t
+(** The certainty-equivalent controller every measurement-based scheme
+    below is: [admissible] is {!Criterion.limit} of [rule] on the
+    estimator's current estimate, or the cautious {!Criterion.bootstrap}
+    while that is not {!Criterion.usable}.  [name] labels it in traces,
+    series and banners.  [~back_off:true] adds the "one out, one in"
+    rule: once M <= n, it answers n until the next departure. *)
+
 val certainty_equivalent : capacity:float -> p_ce:float -> Estimator.t -> t
 (** The generic certainty-equivalent MBAC: plug any estimator into the
-    Gaussian criterion (eqn (6)) run at target [p_ce].  While the
-    estimator has no estimate yet the controller admits one flow at a
-    time (cautious bootstrap).
+    Gaussian criterion (eqn (6)) run at target [p_ce]
+    ({!Criterion.gaussian}).
     @raise Invalid_argument if [p_ce] is outside (0, 0.5]. *)
 
 val memoryless : capacity:float -> p_ce:float -> t
@@ -75,8 +84,9 @@ val with_memory : capacity:float -> p_ce:float -> t_m:float -> t
 
 val robust : Params.t -> t
 (** The paper's recommended design (§5.3): memory window T_m = T~_h and
-    the adjusted target p_ce from inverting eqn (38) — delivers ~p_q
-    across a wide range of unknown correlation time-scales. *)
+    the adjusted target p_ce from inverting eqn (38)
+    ({!Criterion.adjusted}, never below alpha_q) — delivers ~p_q across
+    a wide range of unknown correlation time-scales. *)
 
 (** {1 Baselines from related work (§6)} *)
 
@@ -96,10 +106,13 @@ val measured_sum :
 
 val hoeffding :
   capacity:float -> p_ce:float -> peak:float -> Estimator.t -> t
-(** Hoeffding-bound acceptance region: admit while
-    M mu_hat + peak sqrt(M ln(1/p_ce) / 2) <= capacity — a conservative
-    distribution-free criterion (cf. Floyd's admission-control note),
-    using only the measured mean and the declared peak. *)
+(** Hoeffding-bound acceptance region ({!Criterion.hoeffding}): admit
+    while M mu_hat + peak sqrt(M ln(1/p_ce) / 2) <= capacity — a
+    conservative distribution-free criterion (cf. Floyd's
+    admission-control note), using only the measured mean and the
+    declared peak.
+    @raise Invalid_argument if [p_ce] is outside (0, 0.5] or
+    [peak <= 0] (or NaN). *)
 
 val chernoff :
   capacity:float -> p_ce:float -> Estimator.t -> t
@@ -107,13 +120,16 @@ val chernoff :
     MGF built from the measured mean and variance: the paper's criterion
     run at alpha = sqrt(2 ln(1/p_ce)) — uniformly more conservative than
     the Q^{-1}(p_ce) criterion, exact in exponential order in the
-    large-deviations regime. *)
+    large-deviations regime ({!Criterion.chernoff}).
+    @raise Invalid_argument if [p_ce] is outside (0, 0.5]. *)
 
 val gkk :
   capacity:float -> p_ce:float -> prior_mu:float -> prior_var:float ->
   prior_weight:float -> t
 (** A Gibbens–Kelly–Key-style scheme: memoryless estimates smoothed
-    toward a fixed prior (weight in [0,1]) plus the "one-out, one-in"
-    back-off — after every admission, further admissions are blocked
-    until a departure.
-    @raise Invalid_argument if [prior_weight] outside [0,1]. *)
+    toward a fixed prior ({!Estimator.with_prior}, weight in [0,1])
+    under the Gaussian criterion at [p_ce], plus the "one out, one in"
+    back-off of {!of_rule}: once the criterion judges the system full,
+    admissions are blocked until a departure.
+    @raise Invalid_argument if [p_ce] is outside (0, 0.5] or
+    [prior_weight] outside [0,1]. *)

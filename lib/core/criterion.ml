@@ -16,6 +16,40 @@ let[@inline] admissible ~capacity ~mu ~sigma ~alpha =
   let m = admissible_real ~capacity ~mu ~sigma ~alpha in
   if m <= 0.0 then 0 else int_of_float m
 
+type spread = Measured | Fixed of float
+type rule = { alpha : float; spread : spread }
+
+let check_p_ce p_ce =
+  if not (p_ce > 0.0 && p_ce <= 0.5) then
+    invalid_arg "Criterion: requires 0 < p_ce <= 0.5"
+
+let gaussian ~p_ce =
+  check_p_ce p_ce;
+  { alpha = Mbac_stats.Gaussian.q_inv p_ce; spread = Measured }
+
+let adjusted ~alpha_ce = { alpha = alpha_ce; spread = Measured }
+
+let chernoff ~p_ce =
+  check_p_ce p_ce;
+  { alpha = Effective_bandwidth.gaussian_alpha_of_p p_ce; spread = Measured }
+
+(* M mu + b sqrt M <= c with b = peak sqrt(ln(1/p)/2): the Gaussian
+   quadratic with (sigma alpha) |-> b. *)
+let hoeffding ~p_ce ~peak =
+  check_p_ce p_ce;
+  if not (peak > 0.0) then invalid_arg "Criterion: requires peak > 0";
+  { alpha = 1.0; spread = Fixed (peak *. sqrt (log (1.0 /. p_ce) /. 2.0)) }
+
+let[@inline] usable mu = mu > 0.0
+let[@inline] bootstrap n = n + 1
+
+(* One [admissible] per branch: a float bound by a match whose arms
+   differ in boxing would be boxed, allocating on every decision. *)
+let[@inline] limit rule ~capacity ~mu ~var =
+  match rule.spread with
+  | Measured -> admissible ~capacity ~mu ~sigma:(sqrt var) ~alpha:rule.alpha
+  | Fixed spread -> admissible ~capacity ~mu ~sigma:spread ~alpha:rule.alpha
+
 let overflow_probability ~capacity ~mu ~sigma ~m =
   if m <= 0.0 then 0.0
   else

@@ -16,6 +16,49 @@ val admissible_real : capacity:float -> mu:float -> sigma:float -> alpha:float -
 val admissible : capacity:float -> mu:float -> sigma:float -> alpha:float -> int
 (** Integer part of {!admissible_real} (never negative). *)
 
+(** {1 The certainty-equivalent admission rule}
+
+    Every measurement-based scheme admits while [n < M], where M solves
+    eqn (6) for the current estimate: eqn (42) with [sigma alpha]
+    replaced by [spread alpha].  A {!rule} is that [alpha] and spread;
+    the robust recipe (§5.3) and the §6 Chernoff baseline change only
+    [alpha], the Hoeffding baseline only the spread.
+
+    An estimate is {e usable} when μ̂ > 0.  Until one exists every scheme
+    follows the {e cautious bootstrap} M = n + 1, admitting one flow at
+    a time. *)
+
+type rule
+
+val gaussian : p_ce:float -> rule
+(** alpha = Q{^-1}(p_ce), spread σ̂: the paper's criterion.
+    @raise Invalid_argument unless 0 < p_ce <= 0.5. *)
+
+val adjusted : alpha_ce:float -> rule
+(** alpha = [alpha_ce] given directly, spread σ̂: the robust recipe and
+    the memory sweeps, whose Q(alpha_ce) may underflow. *)
+
+val chernoff : p_ce:float -> rule
+(** alpha = sqrt(2 ln(1/p_ce)), spread σ̂: Chernoff acceptance with a
+    Gaussian MGF.  @raise Invalid_argument unless 0 < p_ce <= 0.5. *)
+
+val hoeffding : p_ce:float -> peak:float -> rule
+(** alpha = 1, fixed spread peak sqrt(ln(1/p_ce) / 2): Hoeffding's
+    distribution-free bound for flows of peak rate [peak].
+    @raise Invalid_argument unless 0 < p_ce <= 0.5 and [peak > 0]. *)
+
+val usable : float -> bool
+(** [usable mu_hat] is [mu_hat > 0.] (false for NaN). *)
+
+val bootstrap : int -> int
+(** [bootstrap n = n + 1]: M with [n] flows and no usable estimate. *)
+
+val limit : rule -> capacity:float -> mu:float -> var:float -> int
+(** M under [rule] for the usable estimate ([mu], [var]): {!admissible}
+    at the rule's alpha and spread ([sqrt var] when measured).  Inlined
+    and allocation-free, for the per-decision path.
+    @raise Invalid_argument if [mu <= 0]. *)
+
 val overflow_probability : capacity:float -> mu:float -> sigma:float -> m:float -> float
 (** p_f(mu, sigma, m) = Q((c - m mu)/(sigma sqrt m)) — the §3.1 map from a
     flow count to an overflow probability under the Gaussian

@@ -67,6 +67,21 @@ let memoryless () =
   in
   build ~mu0:0.0 ~var0:0.0 ~have0:false
 
+let rec with_prior ~mu ~var ~weight e =
+  let est, some_est = cache () in
+  let current () =
+    match e.current () with
+    | Some x ->
+        est.mu_hat <- (weight *. mu) +. ((1.0 -. weight) *. x.mu_hat);
+        est.var_hat <- (weight *. var) +. ((1.0 -. weight) *. x.var_hat);
+        some_est
+    | None -> None
+  in
+  { e with
+    name = Printf.sprintf "prior(%s,w=%g)" e.name weight;
+    current;
+    copy = (fun () -> with_prior ~mu ~var ~weight (e.copy ())) }
+
 (* Exact advance of the first-order filter over a piecewise-constant input:
    while the input holds value [x], est(t + dt) = x + (est(t) - x) e^{-dt/Tm}.
    All-float record: the per-event stores stay unboxed. *)

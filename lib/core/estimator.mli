@@ -54,6 +54,11 @@ val memoryless : unit -> t
 (** The paper's memoryless estimator (eqns (7)/(23)): the estimate is the
     cross-sectional mean/variance of the {e latest} observation. *)
 
+val with_prior : mu:float -> var:float -> weight:float -> t -> t
+(** [e]'s estimates smoothed toward the fixed prior ([mu], [var]):
+    [weight *. mu +. (1. -. weight) *. mu_hat], the same for the
+    variance, and no estimate while [e] has none. *)
+
 val ewma : t_m:float -> t
 (** First-order auto-regressive (exponentially weighted) filter with
     impulse response h(t) = (1/T_m) exp(-t/T_m) (§4.3), applied to the

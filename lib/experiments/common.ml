@@ -66,26 +66,13 @@ let rcbr_factory ~p rng ~start =
     ~start
 
 let ce_controller ~capacity ~t_m ~alpha_ce =
-  let p_ce = Mbac_stats.Gaussian.q alpha_ce in
-  (* Extremely small adjusted targets underflow Q; the criterion only needs
-     alpha, so build the controller directly from the estimator.  The
-     recursive build gives the controller a [copy] (needed by the
-     rare-event splitting engine's clone trials). *)
-  let rec build estimator =
-    Mbac.Controller.make
-      ~name:(Printf.sprintf "ce[t_m=%g,alpha=%.3g,p_ce=%.3g]" t_m alpha_ce p_ce)
-      ~observe:(Mbac.Estimator.observe estimator)
-      ~admissible:(fun obs ->
-        match Mbac.Estimator.current estimator with
-        | Some { Mbac.Estimator.mu_hat; var_hat } when mu_hat > 0.0 ->
-            Mbac.Criterion.admissible ~capacity ~mu:mu_hat
-              ~sigma:(sqrt var_hat) ~alpha:alpha_ce
-        | Some _ | None -> Mbac.Observation.count obs + 1)
-      ~reset:(fun () -> Mbac.Estimator.reset estimator)
-      ~copy:(fun () -> build (Mbac.Estimator.copy estimator))
-      ()
-  in
-  build (Mbac.Estimator.ewma ~t_m)
+  (* Extremely small adjusted targets underflow Q, so the rule is given
+     alpha directly; p_ce only labels the controller. *)
+  Mbac.Controller.of_rule
+    ~name:
+      (Printf.sprintf "ce[t_m=%g,alpha=%.3g,p_ce=%.3g]" t_m alpha_ce
+         (Mbac_stats.Gaussian.q alpha_ce))
+    ~capacity (Mbac.Criterion.adjusted ~alpha_ce) (Mbac.Estimator.ewma ~t_m)
 
 let run_mbac ~profile ~p ~t_m ~alpha_ce ~tag =
   let capacity = Mbac.Params.capacity p in

@@ -38,7 +38,7 @@ let compute ~profile ~memoryless =
   let trace_mu = Mbac_traffic.Trace.mean trace in
   let trace_sigma = sqrt (Mbac_traffic.Trace.variance trace) in
   let make_source rng ~start = Mbac_traffic.Trace_source.create rng trace ~start in
-  let alpha = Mbac_stats.Gaussian.q_inv p_ce in
+  let rule = Mbac.Criterion.gaussian ~p_ce in
   let capacity = n *. trace_mu in
   (* The renegotiated trace is immutable and shared read-only by every
      cell; each cell's playback offset comes from its own stream. *)
@@ -51,19 +51,10 @@ let compute ~profile ~memoryless =
       in
       let t_h_tilde = Mbac.Params.t_h_tilde p in
       let t_m = if memoryless then 0.0 else t_h_tilde in
-      let estimator = Mbac.Estimator.ewma ~t_m in
       let controller =
-        Mbac.Controller.make
+        Mbac.Controller.of_rule
           ~name:(Printf.sprintf "starwars[t_m=%g]" t_m)
-          ~observe:(Mbac.Estimator.observe estimator)
-          ~admissible:(fun obs ->
-            match Mbac.Estimator.current estimator with
-            | Some { Mbac.Estimator.mu_hat; var_hat } when mu_hat > 0.0 ->
-                Mbac.Criterion.admissible ~capacity ~mu:mu_hat
-                  ~sigma:(sqrt var_hat) ~alpha
-            | Some _ | None -> Mbac.Observation.count obs + 1)
-          ~reset:(fun () -> Mbac.Estimator.reset estimator)
-          ()
+          ~capacity rule (Mbac.Estimator.ewma ~t_m)
       in
       let cfg = Common.sim_config ~profile ~p ~t_m in
       let tag =

@@ -82,28 +82,20 @@ end
 
 (* ---------- compiled criteria ---------- *)
 
-(* [sigma_override = nan] means "use the measured sigma"; Hoeffding's
-   distribution-free bound replaces sigma*alpha by
-   peak * sqrt(ln(1/p)/2) with alpha = 1 (same quadratic). *)
 type crit = {
   cr_name : string;
   cr_log : Log_line.criterion;
-  cr_alpha : float;
-  cr_sigma_override : float;
+  cr_rule : Mbac.Criterion.rule;
 }
 
-let compile_criterion = function
-  | Gaussian { cname; p_ce } ->
-      if not (p_ce > 0.0 && p_ce <= 0.5) then
-        invalid_arg "Engine: criterion requires 0 < p_ce <= 0.5";
-      { cr_name = cname; cr_log = Log_line.criterion cname;
-        cr_alpha = Mbac_stats.Gaussian.q_inv p_ce; cr_sigma_override = nan }
-  | Hoeffding { cname; p_ce; peak } ->
-      if not (p_ce > 0.0 && p_ce <= 0.5) then
-        invalid_arg "Engine: criterion requires 0 < p_ce <= 0.5";
-      if not (peak > 0.0) then invalid_arg "Engine: criterion requires peak > 0";
-      { cr_name = cname; cr_log = Log_line.criterion cname; cr_alpha = 1.0;
-        cr_sigma_override = peak *. sqrt (log (1.0 /. p_ce) /. 2.0) }
+let compile_criterion spec =
+  let cr_name, cr_rule =
+    match spec with
+    | Gaussian { cname; p_ce } -> (cname, Mbac.Criterion.gaussian ~p_ce)
+    | Hoeffding { cname; p_ce; peak } ->
+        (cname, Mbac.Criterion.hoeffding ~p_ce ~peak)
+  in
+  { cr_name; cr_log = Log_line.criterion cr_name; cr_rule }
 
 (* ---------- the published estimate record ---------- *)
 
@@ -239,17 +231,12 @@ let run_measurement t ~now =
       let prev = Atomic.get t.published in
       let next =
         match Mbac.Estimator.snapshot_estimate t.estimator with
-        | Some { Mbac.Estimator.mu; var } when mu > 0.0 ->
-            let sigma = sqrt (Float.max 0.0 var) in
+        | Some { Mbac.Estimator.mu; var } when Mbac.Criterion.usable mu ->
             let m =
               Array.map
                 (fun c ->
-                  let s =
-                    if Float.is_nan c.cr_sigma_override then sigma
-                    else c.cr_sigma_override
-                  in
-                  Mbac.Criterion.admissible ~capacity:prev.p_capacity ~mu
-                    ~sigma:s ~alpha:c.cr_alpha)
+                  Mbac.Criterion.limit c.cr_rule ~capacity:prev.p_capacity ~mu
+                    ~var)
                 t.crits
             in
             { prev with p_m = m; p_updates = prev.p_updates + 1 }
@@ -281,7 +268,7 @@ let decide t ~criterion ~load =
   let pub = Atomic.get t.published in
   let n = Atomic.get t.flows in
   let m =
-    if Array.length pub.p_m = 0 then n + 1
+    if Array.length pub.p_m = 0 then Mbac.Criterion.bootstrap n
     else Array.unsafe_get pub.p_m criterion
   in
   let headroom =

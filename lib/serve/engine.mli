@@ -28,14 +28,19 @@
     [1/fp_scale] (documented in SERVING.md); the same quantization is
     applied on every path, which is what makes replay byte-exact. *)
 
+(** A criterion is compiled to the {!Mbac.Criterion.rule} the simulated
+    controllers use, and applied to the published estimate with
+    {!Mbac.Criterion.limit}; criterion.mli states the rule, the
+    usable-estimate test and the cautious bootstrap. *)
 type criterion_spec =
   | Gaussian of { cname : string; p_ce : float }
       (** The paper's certainty-equivalent Gaussian criterion (eqn (6))
-          at target [p_ce], driven by the measured mean and variance. *)
+          at target [p_ce] ({!Mbac.Criterion.gaussian}), driven by the
+          measured mean and variance. *)
   | Hoeffding of { cname : string; p_ce : float; peak : float }
       (** Distribution-free Hoeffding bound at target [p_ce] for flows
-          of declared peak rate [peak], driven by the measured mean
-          only. *)
+          of declared peak rate [peak] ({!Mbac.Criterion.hoeffding}),
+          driven by the measured mean only. *)
 
 type config = {
   capacity : float;              (** initial link capacity (> 0, finite) *)
@@ -95,8 +100,9 @@ val initialize : t -> capacity:float -> unit
 val decide : t -> criterion:int -> load:float -> decision
 (** Wait-free.  Admit iff [flows < M(criterion)] under the published
     estimates {e and} the admitted load plus [load] fits the capacity.
-    While no estimate is published yet (bootstrap), [M = flows + 1] —
-    one flow at a time, like the controllers' cautious bootstrap.
+    While no usable estimate is published, [M] is
+    {!Mbac.Criterion.bootstrap} [flows] ([flows + 1]): one flow at a
+    time, the controllers' cautious bootstrap.
     Counts into the [serve_decisions/admit/reject] metrics.  The caller
     is responsible for [criterion] being in range and [load] being
     finite and non-negative ({!handle} validates wire input). *)

@@ -36,25 +36,25 @@ let admit_burst rng ~n_offered ~capacity ~alpha_ce ~make_source =
     let var_hat =
       Float.max 0.0 ((!sq -. (mf *. mu_hat *. mu_hat)) /. (mf -. 1.0))
     in
-    (mu_hat, sqrt var_hat)
+    (mu_hat, var_hat)
   in
+  let rule = Mbac.Criterion.adjusted ~alpha_ce in
   (* The paper's model (§3.1, footnote 2) bases the estimate on the ~M_0
      flows being admitted, not on the whole offered burst.  Iterate the
      criterion to its fixed point: estimate over m flows, recompute the
      admissible count, repeat until stable. *)
   let rec fixpoint m k =
-    let mu_hat, sigma_hat = estimate m in
+    let mu_hat, var_hat = estimate m in
     let m' =
-      if mu_hat <= 0.0 then n_offered
+      if not (Mbac.Criterion.usable mu_hat) then n_offered
       else
         min n_offered
-          (max 2
-             (Mbac.Criterion.admissible ~capacity ~mu:mu_hat ~sigma:sigma_hat
-                ~alpha:alpha_ce))
+          (max 2 (Mbac.Criterion.limit rule ~capacity ~mu:mu_hat ~var:var_hat))
     in
-    if m' = m || k >= 20 then (m', mu_hat, sigma_hat) else fixpoint m' (k + 1)
+    if m' = m || k >= 20 then (m', mu_hat, var_hat) else fixpoint m' (k + 1)
   in
-  let m_0, mu_hat, sigma_hat = fixpoint n_offered 0 in
+  let m_0, mu_hat, var_hat = fixpoint n_offered 0 in
+  let sigma_hat = sqrt var_hat in
   Mbac_telemetry.Metrics.Handle.inc m_bursts;
   Mbac_telemetry.Metrics.Handle.inc ~by:m_0 m_admitted;
   Mbac_telemetry.Metrics.Handle.inc ~by:(n_offered - m_0) m_rejected;

@@ -1,4 +1,15 @@
-type t = { dt : float; rates : float array }
+type t = { dt : float; rates : float array; mean : float; variance : float }
+
+(* The statistics are computed once here: every flow played from the
+   trace reads them (Trace_source), and a trace has ~10^5 samples. *)
+let of_rates ~dt rates =
+  let mean = Mbac_stats.Descriptive.mean rates in
+  let acc = ref 0.0 in
+  for i = 0 to Array.length rates - 1 do
+    let d = rates.(i) -. mean in
+    acc := !acc +. (d *. d)
+  done;
+  { dt; rates; mean; variance = !acc /. float_of_int (Array.length rates) }
 
 let create ~dt rates =
   if dt <= 0.0 then invalid_arg "Trace.create: requires dt > 0";
@@ -6,17 +17,12 @@ let create ~dt rates =
   Array.iter
     (fun r -> if r < 0.0 then invalid_arg "Trace.create: negative rate")
     rates;
-  { dt; rates = Array.copy rates }
+  of_rates ~dt (Array.copy rates)
 
 let duration t = t.dt *. float_of_int (Array.length t.rates)
 let length t = Array.length t.rates
-let mean t = Mbac_stats.Descriptive.mean t.rates
-
-let variance t =
-  let m = mean t in
-  let acc = ref 0.0 in
-  Array.iter (fun r -> acc := !acc +. ((r -. m) *. (r -. m))) t.rates;
-  !acc /. float_of_int (Array.length t.rates)
+let mean t = t.mean
+let variance t = t.variance
 
 let rate_at t time =
   let n = Array.length t.rates in
@@ -28,9 +34,9 @@ let autocorrelation t ~max_lag =
   Mbac_numerics.Fft.autocorrelation_fft t.rates ~max_lag
 
 let scale_to_mean t ~mean:target =
-  let m = mean t in
+  let m = t.mean in
   if m <= 0.0 then invalid_arg "Trace.scale_to_mean: zero-mean trace";
-  { t with rates = Array.map (fun r -> r *. target /. m) t.rates }
+  of_rates ~dt:t.dt (Array.map (fun r -> r *. target /. m) t.rates)
 
 let to_csv t =
   let buf = Buffer.create (16 * Array.length t.rates) in

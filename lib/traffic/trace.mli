@@ -3,10 +3,17 @@
     {!Trace_source} (playback as a fluid source) and the RCBR
     renegotiation transform ({!Renegotiate}). *)
 
-type t = {
+type t = private {
   dt : float;           (** sample spacing (time units per sample) *)
-  rates : float array;  (** rate during [i*dt, (i+1)*dt) *)
+  rates : float array;  (** rate during [i*dt, (i+1)*dt); do not mutate *)
+  mean : float;         (** time-average rate *)
+  variance : float;
+      (** population variance over samples (samples are equally weighted
+          in time, so this is the time-average variance) *)
 }
+(** Built only by {!create} (and the functions below that derive a
+    trace), which compute [mean] and [variance] once: playback reads
+    them for every flow. *)
 
 val create : dt:float -> float array -> t
 (** @raise Invalid_argument if [dt <= 0], the trace is empty, or any rate
@@ -16,8 +23,6 @@ val duration : t -> float
 val length : t -> int
 val mean : t -> float
 val variance : t -> float
-(** Population variance over samples (samples are equally weighted in
-    time, so this is the time-average variance). *)
 
 val rate_at : t -> float -> float
 (** Rate at a given time offset; wraps around cyclically (traces are

@@ -54,8 +54,19 @@ let test_ce_never_negative =
 
 let test_ce_invalid_p () =
   Alcotest.check_raises "p_ce > 0.5"
-    (Invalid_argument "Controller: requires 0 < p_ce <= 0.5") (fun () ->
-      ignore (Mbac.Controller.memoryless ~capacity ~p_ce:0.9))
+    (Invalid_argument "Criterion: requires 0 < p_ce <= 0.5") (fun () ->
+      ignore (Mbac.Controller.memoryless ~capacity ~p_ce:0.9));
+  (* the same checks guard every scheme's rule, a NaN peak included *)
+  Alcotest.check_raises "chernoff p_ce = 0"
+    (Invalid_argument "Criterion: requires 0 < p_ce <= 0.5") (fun () ->
+      ignore
+        (Mbac.Controller.chernoff ~capacity ~p_ce:0.0
+           (Mbac.Estimator.memoryless ())));
+  Alcotest.check_raises "hoeffding NaN peak"
+    (Invalid_argument "Criterion: requires peak > 0") (fun () ->
+      ignore
+        (Mbac.Controller.hoeffding ~capacity ~p_ce:1e-3 ~peak:nan
+           (Mbac.Estimator.memoryless ())))
 
 let test_robust_more_conservative () =
   let p = mk_params () in

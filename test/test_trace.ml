@@ -22,6 +22,7 @@ let test_scale_to_mean () =
   let t = mk [| 1.0; 3.0 |] in
   let t' = Trace.scale_to_mean t ~mean:10.0 in
   check_close ~tol:1e-12 "scaled mean" 10.0 (Trace.mean t');
+  check_close ~tol:1e-12 "scaled variance" 25.0 (Trace.variance t');
   check_close ~tol:1e-12 "shape preserved" 5.0 t'.Trace.rates.(0)
 
 let test_csv_roundtrip () =
