@@ -32,15 +32,22 @@ let run socket capacity criteria estimator measure_every measure_interval
                 Mbac_serve.Engine.start_background engine ~interval
             | None -> ());
             Logs.info (fun m -> m "serving on %s" socket);
-            Mbac_serve.Server.run_unix engine ~path:socket;
+            let served =
+              match Mbac_serve.Server.run_unix engine ~path:socket with
+              | () -> Ok ()
+              | exception Failure msg -> Error ("--socket: " ^ msg)
+            in
             (match measure_interval with
             | Some _ -> Mbac_serve.Engine.stop_background engine
             | None -> ());
-            match Mbac_serve.Engine.close_log engine with
-            | exception Sys_error msg -> Error ("--decision-log: " ^ msg)
-            | () ->
-                Mbac_telemetry_cli.Flags.finish tele;
-                Ok ()
+            match served with
+            | Error _ as e -> e
+            | Ok () -> (
+                match Mbac_serve.Engine.close_log engine with
+                | exception Sys_error msg -> Error ("--decision-log: " ^ msg)
+                | () ->
+                    Mbac_telemetry_cli.Flags.finish tele;
+                    Ok ())
       end)
 
 let cmd =
@@ -50,8 +57,9 @@ let cmd =
       $ Arg.(required
              & opt (some string) None
              & info [ "socket" ] ~docv:"PATH"
-                 ~doc:"Unix socket path to serve on (stale files are \
-                       replaced; removed on exit).")
+                 ~doc:"Unix socket path to serve on (a stale socket is \
+                       replaced, any other file refused; removed on \
+                       exit).")
       $ Arg.(value & opt float 100.0
              & info [ "capacity" ] ~docv:"C" ~doc:"Link capacity.")
       $ Arg.(value & opt string "ce:0.01"

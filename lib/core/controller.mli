@@ -3,10 +3,22 @@
     A controller is driven by the simulator (or a live system) through
     three entry points: [observe] on every state change, [admissible] when
     an admission decision is needed (the controller answers with the
-    {e total} number of flows it would currently allow), and
-    [on_admit]/[on_depart] notifications.  Controllers are deliberately
-    decoupled from traffic generation: they only ever see
-    {!Observation.t} cross-sections. *)
+    {e total} number of flows it would currently allow), and [on_depart]
+    after a flow leaves.  Controllers are deliberately decoupled from
+    traffic generation: they only ever see {!Observation.t}
+    cross-sections.
+
+    A controller is plain data: a name and one kind, a fixed count
+    ({!perfect}, {!peak_rate}), a certainty-equivalent rule with its
+    estimator ({!of_rule} and every scheme built on it), or the
+    windowed maximum of {!measured_sum}.  When tracing is on, every
+    [admissible] call emits a sampled ["decision"] trace event carrying
+    the controller name, the admissible count, and the cross-sectional
+    m̂/σ̂ (see OBSERVABILITY.md).  The [mbac_decisions_total] /
+    [mbac_admit_total] / [mbac_reject_total] counters are not bumped
+    here: they count the tests of a simulator link
+    ([Mbac_sim.Link.admissible]), so a direct [admissible] call outside
+    a link is not counted. *)
 
 type t
 
@@ -17,41 +29,24 @@ val admissible : t -> Observation.t -> int
 (** Maximum number of flows the controller would allow in the system at
     this instant.  The caller admits while [n < admissible]. *)
 
-val on_admit : t -> Observation.t -> unit
-(** Called just after a flow is admitted (the observation reflects the
-    post-admission state). *)
-
 val on_depart : t -> Observation.t -> unit
+(** Called just after a flow departs: it ends an {!of_rule}
+    [~back_off:true] block. *)
+
 val reset : t -> unit
 
 val copy : t -> t
-(** Independent deep copy of the controller and its accumulated state
-    (estimator memory, windowed maxima, back-off flags); original and
+(** Independent copy of the controller and its accumulated state
+    (estimator memory, windowed maxima, back-off flag); original and
     copy evolve separately from the split point.  Used by the
-    simulator's snapshot/restore (rare-event splitting).  All schemes
-    below support it.
-    @raise Invalid_argument for a custom {!make} controller built
-    without [~copy]. *)
+    simulator's snapshot/restore (rare-event splitting).  A {!custom}
+    copy shares the function and whatever it closes over. *)
 
-val make :
-  ?on_admit:(Observation.t -> unit) ->
-  ?on_depart:(Observation.t -> unit) ->
-  ?reset:(unit -> unit) ->
-  ?copy:(unit -> t) ->
-  name:string ->
-  observe:(Observation.t -> unit) ->
-  admissible:(Observation.t -> int) ->
-  unit ->
-  t
-(** Escape hatch for building custom schemes.  Every controller built
-    here (including all the schemes below) is uniformly instrumented:
-    when tracing is on, each [admissible] call emits a sampled
-    ["decision"] trace event carrying the controller name, the
-    admissible count, and the cross-sectional m̂/σ̂ (see
-    OBSERVABILITY.md).  The [mbac_decisions_total] / [mbac_admit_total]
-    / [mbac_reject_total] counters are not bumped here: they count the
-    tests of a simulator link ([Mbac_sim.Link.admissible]), so a direct
-    [admissible] call outside a link is not counted. *)
+val custom : name:string -> (Observation.t -> int) -> t
+(** {b Test-only.}  [custom ~name f] admits while [n < f obs], with no
+    state of its own to observe, reset or copy: for tests that count or
+    fuzz the calls a simulator makes.  It is the one controller that
+    holds a function, so it cannot be compared structurally. *)
 
 (** {1 The paper's schemes} *)
 

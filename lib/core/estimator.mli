@@ -16,6 +16,10 @@ type estimate = {
     call on the same estimator. *)
 
 type t
+(** Plain data: each kind's state is a record of numbers (a ring of
+    float arrays for {!sliding_window}), and {!with_prior} holds the
+    estimator it wraps.  No closures, so two estimators can be compared
+    structurally. *)
 
 val name : t -> string
 val observe : t -> Observation.t -> unit
@@ -27,7 +31,7 @@ val current : t -> estimate option
     {b Confinement:} the cached record makes [current] single-domain by
     construction — a reader in another domain can observe a torn update
     (one field refreshed, the other stale), since the two field stores
-    are independent.  The same goes for every {!Controller}'s closed-over
+    are independent.  The same goes for every {!Controller}'s mutable
     state.  Code that publishes estimates across domains (the serving
     engine's measurement thread) must confine [observe]/[current] to one
     domain and hand other domains {!snapshot_estimate} values instead. *)
@@ -46,9 +50,10 @@ val snapshot_estimate : t -> snapshot option
 val reset : t -> unit
 
 val copy : t -> t
-(** Independent deep copy of the estimator and its accumulated state;
-    the original and the copy evolve separately from the split point.
-    Used by the simulator's snapshot/restore (rare-event splitting). *)
+(** Independent copy of the estimator and its accumulated state (a field
+    copy; a {!with_prior} copies the estimator it wraps); the original
+    and the copy evolve separately from the split point.  Used by the
+    simulator's snapshot/restore (rare-event splitting). *)
 
 val memoryless : unit -> t
 (** The paper's memoryless estimator (eqns (7)/(23)): the estimate is the

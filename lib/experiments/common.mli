@@ -59,8 +59,7 @@ val rcbr_factory :
 val ce_controller :
   capacity:float -> t_m:float -> alpha_ce:float -> Mbac.Controller.t
 (** The certainty-equivalent MBAC used by the sweeps: EWMA estimator
-    with memory [t_m], Gaussian criterion at [alpha_ce].  Supports
-    {!Mbac.Controller.copy} (so it works under {!Mbac_sim.Splitting}). *)
+    with memory [t_m], Gaussian criterion at [alpha_ce]. *)
 
 val run_mbac :
   profile:profile ->

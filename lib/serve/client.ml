@@ -60,6 +60,10 @@ let connect_unix ?(retries = 50) ~path () =
       make (Socket fd) path ~wire:(4 + Protocol.max_frame_payload)
   | exception Unix.Unix_error ((ECONNREFUSED | ENOENT), _, _) ->
       failwith (Printf.sprintf "Client: cannot reach daemon at %s" path)
+  | exception Unix.Unix_error (e, _, _) ->
+      failwith
+        (Printf.sprintf "Client: cannot reach daemon at %s: %s" path
+           (Unix.error_message e))
 
 let protocol_failure e =
   failwith ("Client: protocol error: " ^ Protocol.error_to_string e)

@@ -25,7 +25,9 @@ val connect_unix : ?retries:int -> path:string -> unit -> t
 (** Connect to a daemon's Unix socket, retrying ([retries] × 100 ms,
     default 50) while the path does not exist or refuses — covers the
     daemon still starting up.
-    @raise Failure when retries are exhausted. *)
+    @raise Failure naming [path] when retries are exhausted, or at once
+    on any other connect error (a path longer than the socket address
+    allows, a permission error, ...). *)
 
 val rpc : t -> Protocol.request -> Protocol.response
 (** One round trip: send the posted frames and this request, read all

@@ -124,8 +124,21 @@ let run_unix engine ~path =
   (* a reply to a peer that hung up must fail as EPIPE on that
      connection, not kill the daemon *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  let refuse reason = failwith (Printf.sprintf "%s: %s" path reason) in
+  (* a socket left by a daemon that died is replaced; any other file at
+     [path] is not ours to remove *)
+  (match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_SOCK; _ } -> (
+      try Unix.unlink path
+      with Unix.Unix_error (e, _, _) -> refuse (Unix.error_message e))
+  | _ -> refuse "exists and is not a socket (left untouched)"
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+  | exception Unix.Unix_error (e, _, _) -> refuse (Unix.error_message e));
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (try Unix.bind sock (Unix.ADDR_UNIX path)
+   with Unix.Unix_error (e, _, _) ->
+     Unix.close sock;
+     refuse (Unix.error_message e));
   let stop = Atomic.make false in
   (* The descriptors of the connections being served.  A service thread
      takes its own out before closing it, so the shutdown below never
@@ -140,7 +153,6 @@ let run_unix engine ~path =
       (try Unix.close sock with Unix.Unix_error _ -> ());
       try Unix.unlink path with Unix.Unix_error _ -> ())
     (fun () ->
-      Unix.bind sock (Unix.ADDR_UNIX path);
       Unix.listen sock 16;
       let threads = ref [] in
       let conn_id = ref 0 in

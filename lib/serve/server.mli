@@ -52,11 +52,15 @@ val serve_connection : Engine.t -> Unix.file_descr -> peer:string -> [ `Closed |
     descriptor is left open for the caller to close. *)
 
 val run_unix : Engine.t -> path:string -> unit
-(** Bind [path] (replacing any stale socket file), accept connections
-    (one service thread each), and block until some connection sends
-    [Shutdown]; then shut down the connections still open (an idle
-    client does not hold the daemon up: its stream ends), join the
-    service threads and remove the socket file.  It sets SIGPIPE to
-    ignored for the whole process, so a reply written to a client that
-    hung up fails with [EPIPE] and closes that connection, instead of
-    killing the process. *)
+(** Bind [path] (replacing a stale socket file there, and no other
+    kind of file), accept connections (one service thread each), and
+    block until some connection sends [Shutdown]; then shut down the
+    connections still open (an idle client does not hold the daemon up:
+    its stream ends), join the service threads and remove the socket
+    file.  It sets SIGPIPE to ignored for the whole process, so a reply
+    written to a client that hung up fails with [EPIPE] and closes that
+    connection, instead of killing the process.
+    @raise Failure ["<path>: <reason>"], before serving anything, if
+    [path] names a file that is not a socket (which is left untouched)
+    or cannot be bound (a missing directory, a path longer than the
+    socket address allows, ...). *)

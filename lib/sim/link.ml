@@ -185,7 +185,6 @@ let[@inline] admit l obs ~key ~rate ~source =
   l.admitted <- l.admitted + 1;
   let obs' = Mbac.Observation.admit obs ~rate in
   Mbac.Controller.observe l.controller obs';
-  Mbac.Controller.on_admit l.controller obs';
   slot
 
 let reject l = l.blocked <- l.blocked + 1

@@ -108,8 +108,8 @@ val admit :
   source:Mbac_traffic.Source.t option ->
   int
 (** Take a slot for a flow of [rate] ([key >= 0]), reusing the most
-    recently freed one, and notify the controller ([observe] and
-    [on_admit]) with the observation [obs] advanced by the flow.
+    recently freed one, and show the controller ([observe]) the
+    observation [obs] advanced by the flow.
     Returns the slot.
     @raise Invalid_argument past [2^slot_bits] concurrent flows. *)
 

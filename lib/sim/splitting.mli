@@ -90,9 +90,9 @@ val run :
   make_source:(Mbac_stats.Rng.t -> start:float -> Mbac_traffic.Source.t) ->
   result
 (** Pilot, intermediate stages, top stage; see the module preamble.
-    [sim_cfg.warmup] is honoured before calibration.  The controller
-    must support {!Mbac.Controller.copy} (all built-ins do) and
-    [make_source] must satisfy the {!Continuous_load} aliasing contract.
+    [sim_cfg.warmup] is honoured before calibration.  Trials run on
+    {!Mbac.Controller.copy}s of the controller, and [make_source] must
+    satisfy the {!Continuous_load} aliasing contract.
     @raise Invalid_argument on a malformed [config], or when the
     calibrated mean load is not below capacity. *)
 

@@ -1,6 +1,7 @@
 (** Two-state on/off fluid source: peak rate while on, silent while off,
-    exponential sojourn times.  A convenience specialisation of
-    {!Markov_fluid} (implemented directly for speed and clarity). *)
+    exponential sojourn times.  The two-state case of a Markov-modulated
+    fluid source, implemented directly for speed and clarity (the test
+    suite checks its mean and variance against a K-state one). *)
 
 type params = {
   peak : float;      (** emission rate while on *)

@@ -5,8 +5,8 @@
     Markov-chain transition, a new trace segment, ...).  The simulator
     only needs three things from a source: its current rate, the absolute
     time of its next change, and a way to fire that change.  Concrete
-    models ({!Rcbr}, {!Markov_fluid}, {!Onoff}, {!Ou_source},
-    {!Trace_source}) build values of this one type. *)
+    models ({!Rcbr}, {!Onoff}, {!Ou_source}, {!Trace_source}) build
+    values of this one type. *)
 
 type t
 

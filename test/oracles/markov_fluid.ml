@@ -22,7 +22,7 @@ let validate { generator; rates } =
 
 let stationary p =
   validate p;
-  Mbac_numerics.Linalg.stationary_distribution p.generator
+  Linalg.stationary_distribution p.generator
 
 let mean p =
   let pi = stationary p in
@@ -60,10 +60,10 @@ let create rng p ~start =
     let step st ~now =
       state := jump_from !state;
       let next_change = schedule rng now !state in
-      Source.State.set st ~rate:p.rates.(!state) ~next_change
+      Mbac_traffic.Source.State.set st ~rate:p.rates.(!state) ~next_change
     in
-    Source.create ~mean:(mean p) ~variance:(variance p) ~rate0 ~next_change0
-      ~step
+    Mbac_traffic.Source.create ~mean:(mean p) ~variance:(variance p) ~rate0
+      ~next_change0 ~step
       ~copy:(fun rng' -> build rng' (ref !state) ~rate0 ~next_change0)
       ()
   in

@@ -23,5 +23,6 @@ val mean : params -> float
 val variance : params -> float
 (** Stationary rate variance. *)
 
-val create : Mbac_stats.Rng.t -> params -> start:float -> Source.t
+val create :
+  Mbac_stats.Rng.t -> params -> start:float -> Mbac_traffic.Source.t
 (** A source started in a state drawn from the stationary distribution. *)

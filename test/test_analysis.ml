@@ -109,7 +109,8 @@ let test_hitting_brownian_sanity () =
      decrease in alpha and increase as the drift beta decreases. *)
   let rho t = exp (-.t) in
   let hp alpha beta =
-    Mbac.Hitting.probability_stationary ~alpha ~beta ~rho ~rho_slope0:1.0
+    Mbac_oracles.Hitting.probability_stationary ~alpha ~beta ~rho
+      ~rho_slope0:1.0
   in
   Alcotest.(check bool) "decreasing in alpha" true (hp 4.0 1.0 < hp 2.0 1.0);
   Alcotest.(check bool) "increasing as drift shrinks" true
@@ -145,7 +146,7 @@ let test_hitting_vs_monte_carlo () =
   done;
   let mc = float_of_int !hits /. float_of_int reps in
   let approx =
-    Mbac.Hitting.probability_stationary ~alpha ~beta
+    Mbac_oracles.Hitting.probability_stationary ~alpha ~beta
       ~rho:(fun t -> exp (-.t))
       ~rho_slope0:1.0
   in
@@ -163,7 +164,8 @@ let test_memoryless_formula_consistency () =
   let alpha = Mbac.Params.alpha_q p in
   let direct = Mbac.Memory_formula.overflow_memoryless ~p ~alpha_ce:alpha in
   let via_hitting =
-    Mbac.Hitting.probability_stationary ~alpha ~beta:(Mbac.Params.beta p)
+    Mbac_oracles.Hitting.probability_stationary ~alpha
+      ~beta:(Mbac.Params.beta p)
       ~rho:(fun t -> exp (-.t /. p.Mbac.Params.t_c))
       ~rho_slope0:(1.0 /. p.Mbac.Params.t_c)
   in

@@ -1,60 +1,6 @@
-(* Pareto on/off sources, modulated (non-stationary) sources, the utility
-   module, the fluid buffer, and the extended simulator modes. *)
+(* Modulated (non-stationary) sources, the utility module, the fluid
+   buffer, and the extended simulator modes. *)
 open Test_util
-
-(* ---------- Pareto on/off ---------- *)
-
-let test_pareto_onoff_moments () =
-  let p =
-    { Mbac_traffic.Pareto_onoff.peak = 2.0; mean_on = 1.0; mean_off = 1.0;
-      shape = 1.5 }
-  in
-  check_close ~tol:1e-12 "implied hurst" 0.75
-    (Mbac_traffic.Pareto_onoff.implied_hurst p);
-  check_close ~tol:1e-12 "mean" 1.0 (Mbac_traffic.Pareto_onoff.mean p);
-  check_close ~tol:1e-12 "variance" 1.0 (Mbac_traffic.Pareto_onoff.variance p);
-  (* empirical check of the stationary mean (heavy tails converge slowly;
-     loose tolerance) *)
-  let rng = Mbac_stats.Rng.create ~seed:1300 in
-  let src = Mbac_traffic.Pareto_onoff.create rng p ~start:0.0 in
-  let acc = Mbac_stats.Welford.Weighted.create () in
-  let now = ref 0.0 in
-  while !now < 200_000.0 do
-    let next = Mbac_traffic.Source.next_change src in
-    Mbac_stats.Welford.Weighted.add acc ~weight:(next -. !now)
-      (Mbac_traffic.Source.rate src);
-    now := next;
-    Mbac_traffic.Source.fire src ~now:!now
-  done;
-  check_close ~tol:0.1 "empirical mean" 1.0 (Mbac_stats.Welford.Weighted.mean acc)
-
-let test_pareto_onoff_aggregate_lrd () =
-  (* superposition of many heavy-tailed on/off sources is LRD *)
-  let rng = Mbac_stats.Rng.create ~seed:1301 in
-  let p =
-    { Mbac_traffic.Pareto_onoff.peak = 1.0; mean_on = 1.0; mean_off = 1.0;
-      shape = 1.4 }
-  in
-  let path =
-    Mbac_traffic.Aggregate.sample_path rng
-      (fun rng ~start -> Mbac_traffic.Pareto_onoff.create rng p ~start)
-      ~n_sources:50 ~horizon:16384.0 ~dt:1.0
-  in
-  let h = Mbac_stats.Hurst.aggregated_variance path in
-  (* implied H = 0.8; estimation noise and truncation bias allowed *)
-  Alcotest.(check bool)
-    (Printf.sprintf "aggregate H=%.3f > 0.6" h)
-    true (h > 0.6)
-
-let test_pareto_onoff_validation () =
-  Alcotest.check_raises "shape out of range"
-    (Invalid_argument "Pareto_onoff: requires 1 < shape <= 2") (fun () ->
-      ignore
-        (Mbac_traffic.Pareto_onoff.create
-           (Mbac_stats.Rng.create ~seed:1)
-           { Mbac_traffic.Pareto_onoff.peak = 1.0; mean_on = 1.0;
-             mean_off = 1.0; shape = 2.5 }
-           ~start:0.0))
 
 (* ---------- Modulated sources ---------- *)
 
@@ -303,10 +249,7 @@ let test_linear_utility_bounds () =
 
 let suite =
   [ ( "extensions",
-      [ slow_test "pareto on/off moments" test_pareto_onoff_moments;
-        slow_test "pareto on/off aggregate is LRD" test_pareto_onoff_aggregate_lrd;
-        test "pareto on/off validation" test_pareto_onoff_validation;
-        test "modulated factor lookup" test_modulated_factor_lookup;
+      [ test "modulated factor lookup" test_modulated_factor_lookup;
         test "modulated scaling" test_modulated_scales_rates;
         test "modulated late start" test_modulated_late_start;
         test "modulated validation" test_modulated_validation;

@@ -1,4 +1,5 @@
 open Mbac_stats
+open Mbac_oracles
 open Test_util
 
 let test_ks_statistic_exact () =

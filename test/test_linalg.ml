@@ -1,4 +1,4 @@
-open Mbac_numerics
+open Mbac_oracles
 open Test_util
 
 let test_solve_identity () =

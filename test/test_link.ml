@@ -9,10 +9,10 @@ module CL = Mbac_sim.Continuous_load
 let capacity = 5.0
 let max_flows = 12
 
-(* admits whenever [max_flows] allows, so the test exercises the table *)
-let rec always () =
-  Mbac.Controller.make ~name:"always" ~observe:ignore
-    ~admissible:(fun _ -> max_int) ~copy:always ()
+(* admits whenever [max_flows] allows, so the test exercises the table
+   and the link's own cap: a fixed count of [2 * max_flows] flows *)
+let always () =
+  Mbac.Controller.peak_rate ~capacity:(float_of_int (2 * max_flows)) ~peak:1.0
 
 let fresh () =
   Link.create ~telemetry:false ~capacity ~warmup:0.0 ~batch_length:1.0
@@ -202,15 +202,12 @@ let test_nan_config () =
    in unit-rate flows, so runs see both verdicts. *)
 let counting_controller () =
   let calls = Atomic.make 0 and admits = Atomic.make 0 in
-  let rec make ~capacity =
+  let make ~capacity =
     let m = int_of_float (0.8 *. capacity) in
-    Mbac.Controller.make ~name:"counting" ~observe:ignore
-      ~admissible:(fun obs ->
+    Mbac.Controller.custom ~name:"counting" (fun obs ->
         Atomic.incr calls;
         if Mbac.Observation.count obs < m then Atomic.incr admits;
         m)
-      ~copy:(fun () -> make ~capacity)
-      ()
   in
   (make, calls, admits)
 

@@ -8,7 +8,8 @@ let () =
    @ Test_sources.suite @ Test_trace.suite @ Test_event_queue.suite
    @ Test_parallel.suite
    @ Test_measurement.suite @ Test_link.suite @ Test_core_basics.suite @ Test_estimator.suite
-   @ Test_analysis.suite @ Test_controller.suite @ Test_sim_integration.suite
+   @ Test_analysis.suite @ Test_controller.suite @ Test_copy.suite
+   @ Test_sim_integration.suite
    @ Test_splitting.suite
    @ Test_impulsive_driver.suite @ Test_experiments.suite
    @ Test_ks_hurst.suite @ Test_extensions.suite

@@ -121,10 +121,8 @@ let test_random_controller_fuzz =
     (fun (seed, cap) ->
       let fuzz_rng = Mbac_stats.Rng.create ~seed in
       let controller =
-        Mbac.Controller.make ~name:"fuzz"
-          ~observe:(fun _ -> ())
-          ~admissible:(fun _ -> Mbac_stats.Rng.int fuzz_rng (cap + 1))
-          ()
+        Mbac.Controller.custom ~name:"fuzz" (fun _ ->
+            Mbac_stats.Rng.int fuzz_rng (cap + 1))
       in
       let cfg =
         { (Mbac_sim.Continuous_load.default_config ~capacity:50.0

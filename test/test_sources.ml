@@ -1,4 +1,5 @@
 open Mbac_traffic
+open Mbac_oracles
 open Test_util
 
 let drive_source src ~until =
