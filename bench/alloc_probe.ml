@@ -66,19 +66,59 @@ let () =
                 ~sigma:0.3)
          done));
 
-  (* traffic source renegotiation *)
-  let src =
-    Mbac_traffic.Rcbr.create rng
-      (Mbac_traffic.Rcbr.default_params ~mu:1.0)
-      ~start:0.0
+  (* traffic sources, per model: the words one flow's source costs to
+     build (what a link holds per flow, plus the build's transient
+     draws), to fire one change, and to copy (rare-event splitting
+     copies every source at every trial).  The modulated source wraps
+     an RCBR one, built with it; its schedule is shared. *)
+  let rcbr = Mbac_traffic.Rcbr.default_params ~mu:1.0 in
+  let onoff = { Mbac_traffic.Onoff.peak = 1.1; mean_on = 0.9; mean_off = 0.1 } in
+  let ou = Mbac_traffic.Ou_source.default_params ~mu:1.0 in
+  let trace =
+    Mbac_traffic.Trace.create ~dt:1.0
+      (Array.init 4096 (fun i -> 1.0 +. float_of_int (i / 3 mod 5)))
   in
-  report "Source.fire (rcbr)"
-    (words_per_op ~ops (fun n ->
-         for _ = 1 to n do
-           let t = Mbac_traffic.Source.next_change src in
-           Mbac_traffic.Source.fire src ~now:t;
-           keep_float 1 t
-         done));
+  let schedule =
+    Mbac_traffic.Modulated.schedule
+      (Array.init 10_000 (fun i ->
+           (float_of_int i *. 1000.0, if i mod 2 = 0 then 1.0 else 1.1)))
+  in
+  let models =
+    [ ("rcbr", fun rng ~start -> Mbac_traffic.Rcbr.create rng rcbr ~start);
+      ("onoff", fun rng ~start -> Mbac_traffic.Onoff.create rng onoff ~start);
+      ("ou", fun rng ~start -> Mbac_traffic.Ou_source.create rng ou ~start);
+      ( "trace",
+        fun rng ~start -> Mbac_traffic.Trace_source.create rng trace ~start );
+      ( "modulated",
+        fun rng ~start ->
+          Mbac_traffic.Modulated.create ~start schedule
+            (Mbac_traffic.Rcbr.create rng rcbr ~start) ) ]
+  in
+  List.iter
+    (fun (name, make) ->
+      let keep = Array.make 1 (make rng ~start:0.0) in
+      report
+        (Printf.sprintf "Source create (%s)" name)
+        (words_per_op ~ops:100_000 (fun n ->
+             for _ = 1 to n do
+               keep.(0) <- make rng ~start:0.0
+             done));
+      let src = make rng ~start:0.0 in
+      report
+        (Printf.sprintf "Source.fire (%s)" name)
+        (words_per_op ~ops (fun n ->
+             for _ = 1 to n do
+               let t = Mbac_traffic.Source.next_change src in
+               Mbac_traffic.Source.fire src ~now:t;
+               keep_float 1 t
+             done));
+      report
+        (Printf.sprintf "Source.copy (%s)" name)
+        (words_per_op ~ops:100_000 (fun n ->
+             for _ = 1 to n do
+               keep.(0) <- Mbac_traffic.Source.copy src rng
+             done)))
+    models;
 
   (* event heap push/pop cycle at steady size *)
   let heap = Mbac_heap.Event_heap.create () in

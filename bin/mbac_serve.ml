@@ -20,34 +20,36 @@ let run socket capacity criteria estimator measure_every measure_interval
       then Error "--measure-interval must be > 0"
       else begin
         Mbac_telemetry_cli.Flags.install tele;
-        match
-          Mbac_serve.Engine.create ?decision_log_file:decision_log
-            { capacity; criteria; estimator; measure_every }
-        with
-        | exception Invalid_argument msg -> Error msg
-        | exception Sys_error msg -> Error ("--decision-log: " ^ msg)
-        | engine ->
-            (match measure_interval with
-            | Some interval ->
-                Mbac_serve.Engine.start_background engine ~interval
-            | None -> ());
-            Logs.info (fun m -> m "serving on %s" socket);
-            let served =
-              match Mbac_serve.Server.run_unix engine ~path:socket with
-              | () -> Ok ()
-              | exception Failure msg -> Error ("--socket: " ^ msg)
-            in
-            (match measure_interval with
-            | Some _ -> Mbac_serve.Engine.stop_background engine
-            | None -> ());
-            match served with
-            | Error _ as e -> e
-            | Ok () -> (
+        (* bind first: a socket the daemon cannot serve on leaves no
+           decision log behind *)
+        match Mbac_serve.Server.listen ~path:socket with
+        | exception Failure msg -> Error ("--socket: " ^ msg)
+        | listener -> (
+            match
+              Mbac_serve.Engine.create ?decision_log_file:decision_log
+                { capacity; criteria; estimator; measure_every }
+            with
+            | exception Invalid_argument msg ->
+                Mbac_serve.Server.close listener;
+                Error msg
+            | exception Sys_error msg ->
+                Mbac_serve.Server.close listener;
+                Error ("--decision-log: " ^ msg)
+            | engine -> (
+                (match measure_interval with
+                | Some interval ->
+                    Mbac_serve.Engine.start_background engine ~interval
+                | None -> ());
+                Logs.info (fun m -> m "serving on %s" socket);
+                Mbac_serve.Server.serve listener engine;
+                (match measure_interval with
+                | Some _ -> Mbac_serve.Engine.stop_background engine
+                | None -> ());
                 match Mbac_serve.Engine.close_log engine with
                 | exception Sys_error msg -> Error ("--decision-log: " ^ msg)
                 | () ->
                     Mbac_telemetry_cli.Flags.finish tele;
-                    Ok ())
+                    Ok ()))
       end)
 
 let cmd =
@@ -58,8 +60,8 @@ let cmd =
              & opt (some string) None
              & info [ "socket" ] ~docv:"PATH"
                  ~doc:"Unix socket path to serve on (a stale socket is \
-                       replaced, any other file refused; removed on \
-                       exit).")
+                       replaced; a live daemon's socket and any other \
+                       file are refused; removed on exit).")
       $ Arg.(value & opt float 100.0
              & info [ "capacity" ] ~docv:"C" ~doc:"Link capacity.")
       $ Arg.(value & opt string "ce:0.01"

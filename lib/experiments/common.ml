@@ -58,12 +58,14 @@ let sim_config ~profile ~p ~t_m =
     check_every_events = 50_000;
     max_events }
 
-let rcbr_factory ~p rng ~start =
-  Mbac_traffic.Rcbr.create rng
+(* One parameter record for every flow the factory builds. *)
+let rcbr_factory ~p =
+  let rcbr =
     { Mbac_traffic.Rcbr.mu = p.Mbac.Params.mu;
       sigma = p.Mbac.Params.sigma;
       t_c = p.Mbac.Params.t_c }
-    ~start
+  in
+  fun rng ~start -> Mbac_traffic.Rcbr.create rng rcbr ~start
 
 let ce_controller ~capacity ~t_m ~alpha_ce =
   (* Extremely small adjusted targets underflow Q, so the rule is given

@@ -21,8 +21,9 @@ let params =
    estimator-tracking differences under test.) *)
 let schedule ~period ~horizon =
   let n = int_of_float (horizon /. period) + 2 in
-  Array.init n (fun i ->
-      (float_of_int i *. period, if i mod 2 = 0 then 1.0 else 1.1))
+  Mbac_traffic.Modulated.schedule
+    (Array.init n (fun i ->
+         (float_of_int i *. period, if i mod 2 = 0 then 1.0 else 1.1)))
 
 let compute ~profile =
   let p = params in
@@ -31,8 +32,9 @@ let compute ~profile =
   let cfg t_m = Common.sim_config ~profile ~p ~t_m in
   let horizon = 1e7 in
   let sched = schedule ~period:(10.0 *. t_h_tilde) ~horizon in
+  let rcbr = Common.rcbr_factory ~p in
   let make_source rng ~start =
-    Mbac_traffic.Modulated.create ~start sched (Common.rcbr_factory ~p rng ~start)
+    Mbac_traffic.Modulated.create ~start sched (rcbr rng ~start)
   in
   Common.par_map
     (fun t_m ->

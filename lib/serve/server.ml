@@ -109,27 +109,34 @@ let serve_connection engine fd ~peer =
   conn_closed ~peer ~requests:s.requests ~batches:s.batches;
   match s.stop with `Shutdown -> `Shutdown | `Open | `Failed -> `Closed
 
-(* Wake a blocked [accept] after shutdown was requested from a service
-   thread: connect-and-close a throwaway client.  (Closing the listening
-   descriptor from another thread does not reliably interrupt accept.) *)
-let wake path =
-  try
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (try Unix.connect fd (Unix.ADDR_UNIX path)
-     with Unix.Unix_error _ -> ());
-    Unix.close fd
-  with Unix.Unix_error _ -> ()
+(* Connect a throwaway client to [path] and close it at once.  It wakes
+   a blocked [accept] after shutdown was requested from a service thread
+   (closing the listening descriptor from another thread does not
+   reliably interrupt accept), and it tells a live daemon's socket from
+   one a dead daemon left: only the latter refuses ([ECONNREFUSED]). *)
+let probe path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () -> Unix.connect fd (Unix.ADDR_UNIX path))
 
-let run_unix engine ~path =
-  (* a reply to a peer that hung up must fail as EPIPE on that
-     connection, not kill the daemon *)
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+type listener = { sock : Unix.file_descr; path : string }
+
+let close l =
+  (try Unix.close l.sock with Unix.Unix_error _ -> ());
+  try Unix.unlink l.path with Unix.Unix_error _ -> ()
+
+let listen ~path =
   let refuse reason = failwith (Printf.sprintf "%s: %s" path reason) in
-  (* a socket left by a daemon that died is replaced; any other file at
-     [path] is not ours to remove *)
+  (* a socket left by a daemon that died is replaced; a live daemon's
+     socket and any other file at [path] are not ours to remove *)
   (match Unix.lstat path with
   | { Unix.st_kind = Unix.S_SOCK; _ } -> (
-      try Unix.unlink path
+      try
+        match probe path with
+        | () -> refuse "a daemon is already serving"
+        | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) ->
+            Unix.unlink path
       with Unix.Unix_error (e, _, _) -> refuse (Unix.error_message e))
   | _ -> refuse "exists and is not a socket (left untouched)"
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
@@ -139,6 +146,17 @@ let run_unix engine ~path =
    with Unix.Unix_error (e, _, _) ->
      Unix.close sock;
      refuse (Unix.error_message e));
+  let l = { sock; path } in
+  (try Unix.listen sock 16
+   with Unix.Unix_error (e, _, _) ->
+     close l;
+     refuse (Unix.error_message e));
+  l
+
+let serve l engine =
+  (* a reply to a peer that hung up must fail as EPIPE on that
+     connection, not kill the daemon *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let stop = Atomic.make false in
   (* The descriptors of the connections being served.  A service thread
      takes its own out before closing it, so the shutdown below never
@@ -149,16 +167,13 @@ let run_unix engine ~path =
     try Unix.close fd with Unix.Unix_error _ -> ()
   in
   Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close sock with Unix.Unix_error _ -> ());
-      try Unix.unlink path with Unix.Unix_error _ -> ())
+    ~finally:(fun () -> close l)
     (fun () ->
-      Unix.listen sock 16;
       let threads = ref [] in
       let conn_id = ref 0 in
       (try
          while not (Atomic.get stop) do
-           let fd, _ = Unix.accept sock in
+           let fd, _ = Unix.accept l.sock in
            if Atomic.get stop then Unix.close fd
            else begin
              conn_opened ();
@@ -173,7 +188,7 @@ let run_unix engine ~path =
                    match ending with
                    | `Shutdown ->
                        Atomic.set stop true;
-                       wake path
+                       (try probe l.path with Unix.Unix_error _ -> ())
                    | `Closed -> ())
                  ()
              in

@@ -51,16 +51,29 @@ val serve_connection : Engine.t -> Unix.file_descr -> peer:string -> [ `Closed |
     descriptor (a peer that hung up) ends this connection only.  The
     descriptor is left open for the caller to close. *)
 
-val run_unix : Engine.t -> path:string -> unit
-(** Bind [path] (replacing a stale socket file there, and no other
-    kind of file), accept connections (one service thread each), and
-    block until some connection sends [Shutdown]; then shut down the
-    connections still open (an idle client does not hold the daemon up:
-    its stream ends), join the service threads and remove the socket
-    file.  It sets SIGPIPE to ignored for the whole process, so a reply
-    written to a client that hung up fails with [EPIPE] and closes that
-    connection, instead of killing the process.
-    @raise Failure ["<path>: <reason>"], before serving anything, if
-    [path] names a file that is not a socket (which is left untouched)
-    or cannot be bound (a missing directory, a path longer than the
-    socket address allows, ...). *)
+type listener
+(** A bound, listening Unix socket and its path. *)
+
+val listen : path:string -> listener
+(** Bind [path] and listen on it, before a daemon opens anything else
+    (its decision log).  A socket file already there is probed with a
+    connection closed at once: one a daemon accepts is refused and left
+    alone, one refused (left by a daemon that died) is replaced.  Any
+    other kind of file is refused, untouched.
+    @raise Failure ["<path>: <reason>"] for those refusals ("a daemon is
+    already serving", "exists and is not a socket (left untouched)")
+    and for a path that cannot be bound (a missing directory, a path
+    longer than the socket address allows, ...). *)
+
+val close : listener -> unit
+(** Close the socket and remove its file: for a set-up that fails after
+    {!listen}. *)
+
+val serve : listener -> Engine.t -> unit
+(** Accept connections (one service thread each) and block until some
+    connection sends [Shutdown]; then shut down the connections still
+    open (an idle client does not hold the daemon up: its stream ends),
+    join the service threads, and {!close} the listener.  It sets
+    SIGPIPE to ignored for the whole process, so a reply written to a
+    client that hung up fails with [EPIPE] and closes that connection,
+    instead of killing the process. *)

@@ -109,7 +109,7 @@ val pp_result : Format.formatter -> result -> unit
     The same machinery as {!run}, exposed one event at a time, plus a
     deep-copy snapshot/restore used by the rare-event splitting engine
     ({!Splitting}).  A [sim] owns mutable state throughout: the event
-    heap, the dense flow table, the per-source sampler closures, the
+    heap, the dense flow table, each flow's source state, the
     controller's estimator memory, and the measurement accumulators.
 
     {b Aliasing contract}: {!snapshot} and {!restore} each take a full
@@ -117,9 +117,9 @@ val pp_result : Format.formatter -> result -> unit
     the live sim) and every restore yields an independent sim — clones
     never share mutable state with each other or with the parent.  The
     only shared values are immutable ones: [config], the [make_source]
-    factory, and read-only model parameters inside source closures
-    (e.g. a trace's rate array).  A [make_source] that captures mutable
-    state outside the [rng] it is given breaks this contract. *)
+    factory, and the model parameters, traces and schedules sources
+    hold.  A [make_source] that captures mutable state outside the [rng]
+    it is given breaks this contract. *)
 
 type sim
 

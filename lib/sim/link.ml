@@ -129,9 +129,13 @@ let copy l ~rng =
 
 (* ---------- slot table ---------- *)
 
+(* The table and the free stack start small and double, so a link of
+   a few flows holds little more than it uses. *)
+let first_slots = 64
+
 let grow l =
   let cap = Array.length l.keys in
-  let ncap = if cap = 0 then 1024 else 2 * cap in
+  let ncap = if cap = 0 then first_slots else 2 * cap in
   let granted = Float.Array.create ncap in
   Float.Array.blit l.granted 0 granted 0 cap;
   let extend a fill =
@@ -163,7 +167,7 @@ let free_slot l slot =
   l.sources.(slot) <- None;
   l.gens.(slot) <- l.gens.(slot) + 1;
   if l.free_top = Array.length l.free then begin
-    let free = Array.make (max 1024 (2 * l.free_top)) 0 in
+    let free = Array.make (max first_slots (2 * l.free_top)) 0 in
     Array.blit l.free 0 free 0 l.free_top;
     l.free <- free
   end;

@@ -60,11 +60,6 @@ let lognormal_of_moments rng ~mean ~std =
   let mu_log = log mean -. (0.5 *. sigma_log *. sigma_log) in
   lognormal rng ~mu_log ~sigma_log
 
-let pareto rng ~shape ~scale =
-  if shape <= 0.0 || scale <= 0.0 then
-    invalid_arg "Sample.pareto: requires shape > 0 and scale > 0";
-  scale /. (Rng.float_pos rng ** (1.0 /. shape))
-
 let categorical rng ~weights =
   let n = Array.length weights in
   if n = 0 then invalid_arg "Sample.categorical: empty weights";

@@ -28,10 +28,6 @@ val lognormal_of_moments : Rng.t -> mean:float -> std:float -> float
 (** Lognormal parameterised by its {e linear-space} mean and standard
     deviation (used for video frame-size marginals). *)
 
-val pareto : Rng.t -> shape:float -> scale:float -> float
-(** Pareto with tail index [shape] and minimum [scale].
-    @raise Invalid_argument if [shape <= 0 || scale <= 0]. *)
-
 val categorical : Rng.t -> weights:float array -> int
 (** Index drawn proportionally to non-negative [weights].
     @raise Invalid_argument on empty or all-zero weights. *)

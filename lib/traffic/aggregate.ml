@@ -1,11 +1,3 @@
-let total_rate sources =
-  List.fold_left (fun acc s -> acc +. Source.rate s) 0.0 sources
-
-let mean sources = List.fold_left (fun acc s -> acc +. Source.mean s) 0.0 sources
-
-let variance sources =
-  List.fold_left (fun acc s -> acc +. Source.variance s) 0.0 sources
-
 let sample_path rng make ~n_sources ~horizon ~dt =
   if n_sources <= 0 then invalid_arg "Aggregate.sample_path: n_sources <= 0";
   if dt <= 0.0 || horizon <= 0.0 then

@@ -1,11 +1,4 @@
-(** Statistics of superposed sources. *)
-
-val total_rate : Source.t list -> float
-val mean : Source.t list -> float
-(** Sum of nominal means. *)
-
-val variance : Source.t list -> float
-(** Sum of nominal variances (sources are independent). *)
+(** The aggregate rate of superposed sources. *)
 
 val sample_path :
   Mbac_stats.Rng.t ->

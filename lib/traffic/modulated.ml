@@ -1,66 +1,5 @@
-type schedule = (float * float) array
+type schedule = Source.schedule
 
-let validate_schedule s =
-  if Array.length s = 0 then invalid_arg "Modulated: empty schedule";
-  Array.iteri
-    (fun i (t, f) ->
-      if f <= 0.0 then invalid_arg "Modulated: non-positive factor";
-      if i > 0 && t <= fst s.(i - 1) then
-        invalid_arg "Modulated: schedule times must be increasing")
-    s
-
-let factor_at s time =
-  (* last entry with t_i <= time; before the first entry, use the first *)
-  let n = Array.length s in
-  if time < fst s.(0) then snd s.(0)
-  else begin
-    let lo = ref 0 and hi = ref (n - 1) in
-    while !hi - !lo > 0 do
-      let mid = (!lo + !hi + 1) / 2 in
-      if fst s.(mid) <= time then lo := mid else hi := mid - 1
-    done;
-    snd s.(!lo)
-  end
-
-(* first switch time strictly after [time]; infinity when none (binary
-   search: smallest index with t_i > time) *)
-let next_switch_after s time =
-  let n = Array.length s in
-  if fst s.(n - 1) <= time then infinity
-  else begin
-    let lo = ref 0 and hi = ref (n - 1) in
-    while !hi - !lo > 0 do
-      let mid = (!lo + !hi) / 2 in
-      if fst s.(mid) > time then hi := mid else lo := mid + 1
-    done;
-    fst s.(!lo)
-  end
-
-let create ~start schedule inner =
-  validate_schedule schedule;
-  let f0 = factor_at schedule start in
-  (* The wrapper drives the inner source itself: on each change epoch it
-     either fires the inner source or crosses a schedule switch time,
-     whichever comes first. *)
-  let rec build inner ~rate0 ~next_change0 =
-    let step st ~now =
-      let inner_next = Source.next_change inner in
-      if inner_next <= now +. 1e-12 then Source.fire inner ~now;
-      let factor = factor_at schedule now in
-      let next =
-        Float.min (Source.next_change inner) (next_switch_after schedule now)
-      in
-      Source.State.set st ~rate:(factor *. Source.rate inner)
-        ~next_change:next
-    in
-    Source.create
-      ~mean:(f0 *. Source.mean inner)
-      ~variance:(f0 *. f0 *. Source.variance inner)
-      ~rate0 ~next_change0 ~step
-      ~copy:(fun rng -> build (Source.copy inner rng) ~rate0 ~next_change0)
-      ()
-  in
-  let first_next =
-    Float.min (Source.next_change inner) (next_switch_after schedule start)
-  in
-  build inner ~rate0:(f0 *. Source.rate inner) ~next_change0:first_next
+let schedule = Source.schedule
+let factor_at = Source.factor_at
+let create = Source.modulated

@@ -6,13 +6,16 @@
     shifts and test how estimator memory trades adaptation speed against
     smoothing. *)
 
-type schedule = (float * float) array
-(** [(t_i, factor_i)]: from time [t_i] (inclusive) the source's rate is
-    multiplied by [factor_i].  Must be sorted by time with the first
-    entry at or before the source's start; factors must be positive. *)
+type schedule = Source.schedule
+(** A validated schedule: switch times and factors in unboxed arrays.
+    Build it once and share it between every flow it modulates. *)
 
-val validate_schedule : schedule -> unit
-(** @raise Invalid_argument on unsorted times or non-positive factors. *)
+val schedule : (float * float) array -> schedule
+(** [schedule [| (t_i, factor_i); ... |]]: from time [t_i] (inclusive)
+    the source's rate is multiplied by [factor_i]; before the first
+    entry, the first factor holds.
+    @raise Invalid_argument on an empty array, times that do not
+    increase, or a factor that is not positive. *)
 
 val factor_at : schedule -> float -> float
 (** The multiplier in force at a given time. *)
@@ -21,7 +24,5 @@ val create : start:float -> schedule -> Source.t -> Source.t
 (** [create ~start schedule inner] emits [factor(t) * rate(inner)] for a
     flow whose clock begins at [start] (must match the inner source's
     start).  Rate-change epochs are the union of the inner source's
-    epochs and the schedule's switch times after [start].  The declared
-    nominal mean/variance are the inner source's scaled by the factor in
-    force at [start] (the schedule is a perturbation, not part of the
-    stationary description). *)
+    epochs and the schedule's switch times after [start]; the modulated
+    source fires its inner one, which it owns. *)

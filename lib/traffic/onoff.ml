@@ -1,8 +1,4 @@
-type params = { peak : float; mean_on : float; mean_off : float }
-
-let validate { peak; mean_on; mean_off } =
-  if peak <= 0.0 || mean_on <= 0.0 || mean_off <= 0.0 then
-    invalid_arg "Onoff: all parameters must be positive"
+type params = Source.onoff = { peak : float; mean_on : float; mean_off : float }
 
 let p_on p = p.mean_on /. (p.mean_on +. p.mean_off)
 let mean p = p.peak *. p_on p
@@ -14,32 +10,4 @@ let variance p =
 let autocorrelation p t =
   exp (-.abs_float t *. ((1.0 /. p.mean_on) +. (1.0 /. p.mean_off)))
 
-let create rng p ~start =
-  validate p;
-  let rec build rng on ~rate0 ~next_change0 =
-    let sojourn () =
-      Mbac_stats.Sample.exponential rng
-        ~mean:(if !on then p.mean_on else p.mean_off)
-    in
-    (* Sojourn drawn before the rate is read, matching the right-to-left
-       evaluation of the original tuple, so seeded streams replay
-       identically. *)
-    let step st ~now =
-      on := not !on;
-      let next_change = now +. sojourn () in
-      let rate = if !on then p.peak else 0.0 in
-      Source.State.set st ~rate ~next_change
-    in
-    Source.create ~mean:(mean p) ~variance:(variance p) ~rate0 ~next_change0
-      ~step
-      ~copy:(fun rng' -> build rng' (ref !on) ~rate0 ~next_change0)
-      ()
-  in
-  let on = ref (Mbac_stats.Sample.bernoulli rng ~p:(p_on p)) in
-  let sojourn0 =
-    Mbac_stats.Sample.exponential rng
-      ~mean:(if !on then p.mean_on else p.mean_off)
-  in
-  let next_change0 = start +. sojourn0 in
-  let rate0 = if !on then p.peak else 0.0 in
-  build rng on ~rate0 ~next_change0
+let create = Source.onoff

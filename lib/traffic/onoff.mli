@@ -3,7 +3,7 @@
     fluid source, implemented directly for speed and clarity (the test
     suite checks its mean and variance against a K-state one). *)
 
-type params = {
+type params = Source.onoff = {
   peak : float;      (** emission rate while on *)
   mean_on : float;   (** mean on-period duration *)
   mean_off : float;  (** mean off-period duration *)

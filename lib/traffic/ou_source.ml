@@ -1,28 +1,4 @@
-type params = { mu : float; sigma : float; t_c : float; dt : float }
+type params = Source.ou = { mu : float; sigma : float; t_c : float; dt : float }
 
 let default_params ~mu = { mu; sigma = 0.3 *. mu; t_c = 1.0; dt = 0.1 }
-
-let create rng p ~start =
-  if p.sigma < 0.0 then invalid_arg "Ou_source.create: requires sigma >= 0";
-  if p.t_c <= 0.0 then invalid_arg "Ou_source.create: requires t_c > 0";
-  if p.dt <= 0.0 then invalid_arg "Ou_source.create: requires dt > 0";
-  (* Exact OU transition over one step: x' = mu + a (x - mu) + s Z with
-     a = exp(-dt/t_c), s = sigma sqrt(1 - a^2). *)
-  let a = exp (-.p.dt /. p.t_c) in
-  let s = p.sigma *. sqrt (1.0 -. (a *. a)) in
-  (* The OU state is kept un-clipped so the clipping does not distort the
-     dynamics; only the emitted rate is clipped at 0. *)
-  let rec build rng x ~rate0 ~next_change0 =
-    let step st ~now =
-      x :=
-        p.mu +. (a *. (!x -. p.mu))
-        +. Mbac_stats.Sample.gaussian rng ~mu:0.0 ~sigma:s;
-      Source.State.set st ~rate:(Float.max 0.0 !x) ~next_change:(now +. p.dt)
-    in
-    Source.create ~mean:p.mu ~variance:(p.sigma *. p.sigma) ~rate0
-      ~next_change0 ~step
-      ~copy:(fun rng' -> build rng' (ref !x) ~rate0 ~next_change0)
-      ()
-  in
-  let x = ref (Mbac_stats.Sample.gaussian rng ~mu:p.mu ~sigma:p.sigma) in
-  build rng x ~rate0:(Float.max 0.0 !x) ~next_change0:(start +. p.dt)
+let create = Source.ou

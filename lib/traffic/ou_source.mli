@@ -7,7 +7,7 @@
     alternative source whose aggregate matches the paper's limiting
     process even for a single flow. *)
 
-type params = {
+type params = Source.ou = {
   mu : float;
   sigma : float;
   t_c : float;  (** correlation time-scale *)

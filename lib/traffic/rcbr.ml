@@ -1,39 +1,5 @@
-type params = { mu : float; sigma : float; t_c : float }
+type params = Source.rcbr = { mu : float; sigma : float; t_c : float }
 
 let default_params ~mu = { mu; sigma = 0.3 *. mu; t_c = 1.0 }
-
-let validate { mu; sigma; t_c } =
-  if mu < 0.0 then invalid_arg "Rcbr.create: requires mu >= 0";
-  if sigma < 0.0 then invalid_arg "Rcbr.create: requires sigma >= 0";
-  if t_c <= 0.0 then invalid_arg "Rcbr.create: requires t_c > 0"
-
-let create rng p ~start =
-  validate p;
-  (* Draw order below (interval, then rate) mirrors the right-to-left
-     evaluation of the original [(draw_rate (), now +. draw_interval ())]
-     tuple, so seeded streams replay identically.  The samplers are
-     called directly (not through local closures) so they inline into
-     [step] and the renegotiation path draws without boxing. *)
-  let rec build rng ~rate0 ~next_change0 =
-    let step st ~now =
-      let next_change =
-        now +. Mbac_stats.Sample.exponential rng ~mean:p.t_c
-      in
-      let rate =
-        Mbac_stats.Sample.gaussian_truncated_nonneg rng ~mu:p.mu
-          ~sigma:p.sigma
-      in
-      Source.State.set st ~rate ~next_change
-    in
-    Source.create ~mean:p.mu ~variance:(p.sigma *. p.sigma) ~rate0
-      ~next_change0 ~step
-      ~copy:(fun rng' -> build rng' ~rate0 ~next_change0)
-      ()
-  in
-  let next_change0 = start +. Mbac_stats.Sample.exponential rng ~mean:p.t_c in
-  let rate0 =
-    Mbac_stats.Sample.gaussian_truncated_nonneg rng ~mu:p.mu ~sigma:p.sigma
-  in
-  build rng ~rate0 ~next_change0
-
+let create = Source.rcbr
 let autocorrelation p t = exp (-.abs_float t /. p.t_c)

@@ -9,7 +9,7 @@
     i.e. the aggregate limit is the Ornstein–Uhlenbeck process the paper
     analyses. *)
 
-type params = {
+type params = Source.rcbr = {
   mu : float;      (** marginal mean rate *)
   sigma : float;   (** marginal standard deviation *)
   t_c : float;     (** mean renegotiation interval = correlation time-scale *)

@@ -1,7 +1,7 @@
 type t = { dt : float; rates : float array; mean : float; variance : float }
 
-(* The statistics are computed once here: every flow played from the
-   trace reads them (Trace_source), and a trace has ~10^5 samples. *)
+(* The statistics are computed once here, so reading them is free: a
+   trace has ~10^5 samples. *)
 let of_rates ~dt rates =
   let mean = Mbac_stats.Descriptive.mean rates in
   let acc = ref 0.0 in

@@ -12,8 +12,8 @@ type t = private {
           in time, so this is the time-average variance) *)
 }
 (** Built only by {!create} (and the functions below that derive a
-    trace), which compute [mean] and [variance] once: playback reads
-    them for every flow. *)
+    trace), which compute [mean] and [variance] once, so reading them
+    costs nothing. *)
 
 val create : dt:float -> float array -> t
 (** @raise Invalid_argument if [dt <= 0], the trace is empty, or any rate

@@ -1,49 +1,7 @@
-let make trace ~offset ~start =
-  let n = Trace.length trace in
-  let dt = trace.Trace.dt in
-  (* Index of the sample playing at the source-local clock [offset]. *)
-  let idx = ref (int_of_float (floor (offset /. dt)) mod n) in
-  let rates = trace.Trace.rates in
-  (* Run-length playback: schedule the next change at the next sample
-     whose rate differs, so piecewise-CBR traces cost one event per
-     renegotiation rather than one per sample.  [run_len] caps at [n] to
-     terminate on constant traces. *)
-  let run_length_from i =
-    let r = rates.(i) in
-    let k = ref 1 in
-    while !k < n && rates.((i + !k) mod n) = r do
-      incr k
-    done;
-    !k
-  in
-  (* First boundary: remainder of the current sample period plus the rest
-     of the current run. *)
-  let remaining = dt -. Float.rem offset dt in
-  let remaining = if remaining <= 0.0 then dt else remaining in
-  let first_boundary =
-    remaining +. (float_of_int (run_length_from !idx - 1) *. dt)
-  in
-  (* The trace itself is immutable and shared between parent and copy;
-     only the playback cursor is duplicated.  Playback draws no
-     randomness, so the copy's RNG is unused. *)
-  let rec build idx ~rate0 ~next_change0 =
-    let step st ~now =
-      idx := (!idx + run_length_from !idx) mod n;
-      let run = run_length_from !idx in
-      Source.State.set st ~rate:rates.(!idx)
-        ~next_change:(now +. (float_of_int run *. dt))
-    in
-    Source.create ~mean:(Trace.mean trace) ~variance:(Trace.variance trace)
-      ~rate0 ~next_change0 ~step
-      ~copy:(fun _rng -> build (ref !idx) ~rate0 ~next_change0)
-      ()
-  in
-  build idx ~rate0:rates.(!idx) ~next_change0:(start +. first_boundary)
-
 let create rng trace ~start =
   let offset =
     Mbac_stats.Sample.uniform rng ~lo:0.0 ~hi:(Trace.duration trace)
   in
-  make trace ~offset ~start
+  Source.playback trace ~offset ~start
 
-let create_at_offset trace ~offset ~start = make trace ~offset ~start
+let create_at_offset = Source.playback

@@ -7,8 +7,9 @@
 
 val create :
   Mbac_stats.Rng.t -> Trace.t -> start:float -> Source.t
-(** Playback at the trace's native sample spacing.  The source's nominal
-    mean/variance are the trace's time-average statistics. *)
+(** Playback at the trace's native sample spacing, from a uniformly
+    random offset.  The trace is shared, not copied: a flow holds it
+    and its playback cursor. *)
 
 val create_at_offset : Trace.t -> offset:float -> start:float -> Source.t
 (** Deterministic variant for tests: playback beginning at a given trace

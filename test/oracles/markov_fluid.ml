@@ -49,24 +49,18 @@ let create rng p ~start =
     if r <= 0.0 then now +. 1e30 (* absorbing state: effectively never *)
     else now +. Mbac_stats.Sample.exponential rng ~mean:(1.0 /. r)
   in
-  let rec build rng state ~rate0 ~next_change0 =
-    let jump_from i =
-      (* choose the next state proportionally to the off-diagonal rates *)
-      let weights =
-        Array.init k (fun j -> if j = i then 0.0 else p.generator.(i).(j))
-      in
-      Mbac_stats.Sample.categorical rng ~weights
+  (* The chain's state is the source's phase. *)
+  let step rng i st ~now =
+    (* choose the next state proportionally to the off-diagonal rates *)
+    let weights =
+      Array.init k (fun j -> if j = i then 0.0 else p.generator.(i).(j))
     in
-    let step st ~now =
-      state := jump_from !state;
-      let next_change = schedule rng now !state in
-      Mbac_traffic.Source.State.set st ~rate:p.rates.(!state) ~next_change
-    in
-    Mbac_traffic.Source.create ~mean:(mean p) ~variance:(variance p) ~rate0
-      ~next_change0 ~step
-      ~copy:(fun rng' -> build rng' (ref !state) ~rate0 ~next_change0)
-      ()
+    let j = Mbac_stats.Sample.categorical rng ~weights in
+    let next_change = schedule rng now j in
+    Mbac_traffic.Source.State.set st ~rate:p.rates.(j) ~next_change;
+    j
   in
-  let state = ref (Mbac_stats.Sample.categorical rng ~weights:pi) in
-  let next_change0 = schedule rng start !state in
-  build rng state ~rate0:p.rates.(!state) ~next_change0
+  let state = Mbac_stats.Sample.categorical rng ~weights:pi in
+  let next_change = schedule rng start state in
+  Mbac_traffic.Source.custom rng ~phase:state ~rate:p.rates.(state)
+    ~next_change step

@@ -1,7 +1,8 @@
-(* Copying and resetting estimators and controllers.  Their state is
-   plain data, so a copy is checked structurally as well as by its
-   answers: after the same observations a copy and its original compare
-   equal, and feeding only the original leaves the copy where it was. *)
+(* Copying and resetting estimators and controllers, and copying
+   traffic sources.  Their state is plain data, so a copy is checked
+   structurally as well as by its answers: after the same observations
+   (or draws) a copy and its original compare equal, and feeding only
+   the original leaves the copy where it was. *)
 
 open Test_util
 module E = Mbac.Estimator
@@ -143,7 +144,96 @@ let each what subjects subject =
           || QCheck.Test.fail_reportf "%s %s" what name)
         subjects)
 
+(* ---------- sources ---------- *)
+
+module S = Mbac_traffic.Source
+module Rng = Mbac_stats.Rng
+
+(* Every model, the modulated one around two kinds of inner source, and
+   the test-only custom kind (the Markov-fluid oracle).  Custom sources
+   are copies of one built source, so that they share its step function
+   and compare structurally with each other. *)
+let sources =
+  let rcbr = { Mbac_traffic.Rcbr.mu = 1.0; sigma = 0.3; t_c = 1.0 } in
+  let onoff = { Mbac_traffic.Onoff.peak = 2.0; mean_on = 0.7; mean_off = 1.3 } in
+  let ou = Mbac_traffic.Ou_source.default_params ~mu:1.0 in
+  let trace =
+    Mbac_traffic.Trace.create ~dt:0.5
+      (Array.init 97 (fun i -> float_of_int (1 + (i / 4 mod 3))))
+  in
+  (* switches every 2 time units, between the inner source's changes *)
+  let schedule =
+    Mbac_traffic.Modulated.schedule
+      (Array.init 2000 (fun i ->
+           (2.0 *. float_of_int i, if i mod 2 = 0 then 1.0 else 1.5)))
+  in
+  let fluid =
+    { Mbac_oracles.Markov_fluid.generator =
+        [| [| -2.0; 1.0; 1.0 |]; [| 0.5; -1.0; 0.5 |]; [| 1.0; 1.0; -2.0 |] |];
+      rates = [| 0.0; 1.0; 4.0 |] }
+  in
+  [ ("rcbr", fun rng -> Mbac_traffic.Rcbr.create rng rcbr ~start:0.0);
+    ("onoff", fun rng -> Mbac_traffic.Onoff.create rng onoff ~start:0.0);
+    ("ou", fun rng -> Mbac_traffic.Ou_source.create rng ou ~start:0.0);
+    ("trace", fun rng -> Mbac_traffic.Trace_source.create rng trace ~start:0.0);
+    ( "modulated(rcbr)",
+      fun rng ->
+        Mbac_traffic.Modulated.create ~start:0.0 schedule
+          (Mbac_traffic.Rcbr.create rng rcbr ~start:0.0) );
+    ( "modulated(onoff)",
+      fun rng ->
+        Mbac_traffic.Modulated.create ~start:0.0 schedule
+          (Mbac_traffic.Onoff.create rng onoff ~start:0.0) );
+    ( "custom",
+      let built =
+        Mbac_oracles.Markov_fluid.create (Rng.create ~seed:0) fluid ~start:0.0
+      in
+      fun rng -> S.copy built rng ) ]
+
+let fire s = S.fire s ~now:(S.next_change s)
+
+(* The copy is taken after [k] changes, with its own RNG in the state of
+   the original's.  Once only the original has fired [m] more changes,
+   the copy must still equal a replay of the first [k] (a copy sharing
+   the RNG or any state, or a modulated copy sharing its inner source,
+   would have moved with the original).  Then the copy, fed its equal
+   stream, fires the original's (rate, next change) sequence and ends
+   equal to it. *)
+let source_equivalent make (seed, k, m) =
+  let at_k () =
+    let rng = Rng.create ~seed in
+    let s = make rng in
+    for _ = 1 to k do
+      fire s
+    done;
+    (s, rng)
+  in
+  let orig, rng = at_k () in
+  let cp = S.copy orig (Rng.copy rng) in
+  let replay, _ = at_k () in
+  let same a b = compare a b = 0 in
+  let run s =
+    List.init m (fun _ ->
+        fire s;
+        (S.rate s, S.next_change s))
+  in
+  same cp orig
+  &&
+  let changes = run orig in
+  same cp replay && same (run cp) changes && same cp orig
+
+let each_source =
+  qcheck ~count:100 "sources: copies fire as their originals"
+    QCheck.(triple (int_range 0 100_000) (int_range 0 200) (int_range 1 200))
+    (fun input ->
+      List.for_all
+        (fun (name, make) ->
+          source_equivalent make input
+          || QCheck.Test.fail_reportf "source %s" name)
+        sources)
+
 let suite =
   [ ( "copy",
       [ each "estimators" estimators estimator_subject;
-        each "controllers" controllers controller_subject ] ) ]
+        each "controllers" controllers controller_subject;
+        each_source ] ) ]

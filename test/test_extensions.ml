@@ -5,8 +5,7 @@ open Test_util
 (* ---------- Modulated sources ---------- *)
 
 let test_modulated_factor_lookup () =
-  let s = [| (0.0, 1.0); (10.0, 2.0); (20.0, 0.5) |] in
-  Mbac_traffic.Modulated.validate_schedule s;
+  let s = Mbac_traffic.Modulated.schedule [| (0.0, 1.0); (10.0, 2.0); (20.0, 0.5) |] in
   check_close ~tol:1e-12 "before" 1.0 (Mbac_traffic.Modulated.factor_at s (-5.0));
   check_close ~tol:1e-12 "first" 1.0 (Mbac_traffic.Modulated.factor_at s 5.0);
   check_close ~tol:1e-12 "at switch" 2.0 (Mbac_traffic.Modulated.factor_at s 10.0);
@@ -17,7 +16,7 @@ let test_modulated_scales_rates () =
   (* constant inner source via a constant trace *)
   let trace = Mbac_traffic.Trace.create ~dt:1.0 [| 3.0; 3.0 |] in
   let inner = Mbac_traffic.Trace_source.create_at_offset trace ~offset:0.0 ~start:0.0 in
-  let sched = [| (0.0, 1.0); (5.0, 2.0) |] in
+  let sched = Mbac_traffic.Modulated.schedule [| (0.0, 1.0); (5.0, 2.0) |] in
   let src = Mbac_traffic.Modulated.create ~start:0.0 sched inner in
   check_close ~tol:1e-12 "initial" 3.0 (Mbac_traffic.Source.rate src);
   (* next change is the schedule switch (inner is constant with period 2,
@@ -40,17 +39,31 @@ let test_modulated_late_start () =
   let inner =
     Mbac_traffic.Trace_source.create_at_offset trace ~offset:0.0 ~start:100.0
   in
-  let sched = [| (0.0, 1.0); (50.0, 2.0); (150.0, 3.0) |] in
+  let sched =
+    Mbac_traffic.Modulated.schedule [| (0.0, 1.0); (50.0, 2.0); (150.0, 3.0) |]
+  in
   let src = Mbac_traffic.Modulated.create ~start:100.0 sched inner in
   Alcotest.(check bool) "next change in the future" true
     (Mbac_traffic.Source.next_change src > 100.0);
   check_close ~tol:1e-12 "factor at start" 2.0 (Mbac_traffic.Source.rate src)
 
+(* A schedule is checked when it is built: [Modulated.create] only ever
+   sees a valid one. *)
 let test_modulated_validation () =
-  Alcotest.check_raises "unsorted"
-    (Invalid_argument "Modulated: schedule times must be increasing")
-    (fun () ->
-      Mbac_traffic.Modulated.validate_schedule [| (1.0, 1.0); (0.5, 2.0) |])
+  let refused what msg s =
+    Alcotest.check_raises what (Invalid_argument msg) (fun () ->
+        ignore (Mbac_traffic.Modulated.schedule s))
+  in
+  refused "unsorted" "Modulated: schedule times must be increasing"
+    [| (1.0, 1.0); (0.5, 2.0) |];
+  refused "repeated time" "Modulated: schedule times must be increasing"
+    [| (1.0, 1.0); (1.0, 2.0) |];
+  refused "zero factor" "Modulated: non-positive factor"
+    [| (0.0, 1.0); (5.0, 0.0) |];
+  refused "negative factor" "Modulated: non-positive factor"
+    [| (0.0, -1.0) |];
+  refused "NaN factor" "Modulated: non-positive factor" [| (0.0, nan) |];
+  refused "empty" "Modulated: empty schedule" [||]
 
 (* ---------- Utility ---------- *)
 

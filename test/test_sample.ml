@@ -59,17 +59,6 @@ let test_lognormal_of_moments () =
   check_close ~tol:0.02 "lognormal mean" 5.0 mean;
   check_close ~tol:0.1 "lognormal variance" 4.0 var
 
-let test_pareto () =
-  let rng = Rng.create ~seed:105 in
-  (* shape 3, scale 2: mean = shape*scale/(shape-1) = 3. *)
-  let mean, _ = moments_of ~n:400_000 (fun () -> Sample.pareto rng ~shape:3.0 ~scale:2.0) in
-  check_close ~tol:0.03 "pareto mean" 3.0 mean;
-  (* support check *)
-  for _ = 1 to 1000 do
-    Alcotest.(check bool) "pareto >= scale" true
-      (Sample.pareto rng ~shape:3.0 ~scale:2.0 >= 2.0)
-  done
-
 let test_categorical () =
   let rng = Rng.create ~seed:106 in
   let weights = [| 1.0; 2.0; 3.0; 4.0 |] in
@@ -113,7 +102,6 @@ let suite =
         test_truncated_nonneg;
         test "truncation no-op when mass positive" test_truncated_matches_untruncated_when_far;
         test "lognormal by moments" test_lognormal_of_moments;
-        test "pareto" test_pareto;
         test "categorical" test_categorical;
         test "bernoulli" test_bernoulli;
         test "invalid arguments" test_invalid ] ) ]

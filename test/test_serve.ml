@@ -433,7 +433,7 @@ let socket_path =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "mbac-test-%d-%d.sock" (Unix.getpid ()) !k)
 
-(* [f ~path ~connect] against a daemon ([Server.run_unix]) on a thread
+(* [f ~path ~connect] against a daemon ([Server.serve]) on a thread
    of this process.  Afterwards every client [connect] made is closed
    (the daemon joins its connections' threads) and the daemon is shut
    down if [f] left it up.  An alarm turns a deadlock into a failed run
@@ -441,7 +441,11 @@ let socket_path =
 let with_daemon f =
   let path = socket_path () in
   let engine = E.create (config ()) in
-  let th = Thread.create (fun () -> Mbac_serve.Server.run_unix engine ~path) () in
+  let th =
+    Thread.create
+      (fun () -> Mbac_serve.Server.(serve (listen ~path) engine))
+      ()
+  in
   ignore (Unix.alarm 120);
   let clients = ref [] in
   let connect () =
@@ -517,7 +521,7 @@ let test_daemon_survives_hang_up () =
         (C.rpc c P.Shutdown = P.Ok_reply))
 
 (* A client that stays connected and idle does not hold the daemon up:
-   after another client's Shutdown, [run_unix] ends the idle stream and
+   after another client's Shutdown, [Server.serve] ends the idle stream and
    returns.  The idle client is served once first, so its connection is
    accepted and its service thread waits in [read]. *)
 let test_shutdown_with_idle_client () =
@@ -527,7 +531,7 @@ let test_shutdown_with_idle_client () =
   let th =
     Thread.create
       (fun () ->
-        Mbac_serve.Server.run_unix engine ~path;
+        Mbac_serve.Server.(serve (listen ~path) engine);
         Atomic.set returned true)
       ()
   in
@@ -557,7 +561,7 @@ let test_shutdown_with_idle_client () =
       while (not (Atomic.get returned)) && Unix.gettimeofday () -. t0 < 2.0 do
         Thread.delay 0.01
       done;
-      Alcotest.(check bool) "run_unix returns within 2 s" true
+      Alcotest.(check bool) "serve returns within 2 s" true
         (Atomic.get returned);
       Alcotest.(check bool) "the socket file is removed" false
         (Sys.file_exists path);

@@ -147,14 +147,6 @@ let test_ou_autocorrelation () =
         Alcotest.failf "ou acf lag %d: %.3f vs %.3f" lag got expected)
     [ 1; 5; 10; 20 ]
 
-let test_source_fire_assertion () =
-  let rng = Mbac_stats.Rng.create ~seed:808 in
-  let src = Rcbr.create rng (Rcbr.default_params ~mu:1.0) ~start:0.0 in
-  let peak = Source.peak_hint src in
-  check_close ~tol:1e-9 "default peak hint" (1.0 +. (3.0 *. 0.3)) peak;
-  Source.set_peak_hint src 9.0;
-  check_close ~tol:1e-12 "peak hint override" 9.0 (Source.peak_hint src)
-
 let suite =
   [ ( "sources",
       [ slow_test "rcbr stationary stats" test_rcbr_stats;
@@ -167,5 +159,4 @@ let suite =
         slow_test "markov fluid stats" test_markov_fluid_simulated_stats;
         test "markov fluid validation" test_markov_fluid_validation;
         slow_test "ou stats" test_ou_stats;
-        slow_test "ou autocorrelation" test_ou_autocorrelation;
-        test "peak hints" test_source_fire_assertion ] ) ]
+        slow_test "ou autocorrelation" test_ou_autocorrelation ] ) ]
