@@ -316,6 +316,43 @@ let () =
          done));
   Mbac_serve.Engine.close_log engine;
 
+  (* serving engine state: a measurement pass with two criteria, one
+     decision, and one flow's add and subtract.  Each [now] is a fresh
+     boxed float (2 words), as a decoded request's or the timer's is. *)
+  let engine =
+    Mbac_serve.Engine.create
+      { Mbac_serve.Engine.capacity = 100.0;
+        criteria =
+          [ Mbac_serve.Engine.Gaussian { cname = "ce:0.01"; p_ce = 0.01 };
+            Mbac_serve.Engine.Hoeffding
+              { cname = "hoeffding:0.01:2.0"; p_ce = 0.01; peak = 2.0 } ];
+        estimator = Mbac.Estimator.ewma ~t_m:100.0;
+        measure_every = 0 }
+  in
+  for i = 1 to 90 do
+    ignore
+      (Mbac_serve.Engine.add engine ~load:(0.5 +. (float_of_int (i mod 3)))
+         ~now:0.0)
+  done;
+  report "Engine.run_measurement (2 criteria)"
+    (words_per_op ~ops (fun n ->
+         for i = 1 to n do
+           Mbac_serve.Engine.run_measurement engine ~now:(float_of_int i)
+         done));
+  report "Engine.decide"
+    (words_per_op ~ops (fun n ->
+         for i = 1 to n do
+           let d = Mbac_serve.Engine.decide engine ~criterion:(i land 1) ~load:1.0 in
+           macc := !macc + d.Mbac_serve.Engine.admissible
+         done));
+  report "Engine.add+subtract (per pair)"
+    (words_per_op ~ops (fun n ->
+         for i = 1 to n do
+           let now = float_of_int i in
+           if Mbac_serve.Engine.add engine ~load:1.5 ~now then
+             ignore (Mbac_serve.Engine.subtract engine ~load:1.5 ~now)
+         done));
+
   (* parallel-pool bookkeeping per task: shard create + claim + cell +
      submission-order merge, measured on the serial path so the counters
      (which are per-domain) see every allocation.  The task list is

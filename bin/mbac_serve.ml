@@ -18,6 +18,13 @@ let run socket capacity criteria estimator measure_every measure_interval
       else if
         match measure_interval with Some t -> not (t > 0.0) | None -> false
       then Error "--measure-interval must be > 0"
+      else if measure_interval <> None && measure_every > 0 then
+        (* one estimator, one clock: timer passes are stamped with
+           wall-clock time, inline passes with the clients' virtual time *)
+        Error
+          "--measure-interval (wall-clock passes) cannot be combined with \
+           --measure-every K > 0 (passes in the clients' virtual time); \
+           give --measure-every 0"
       else begin
         Mbac_telemetry_cli.Flags.install tele;
         (* bind first: a socket the daemon cannot serve on leaves no
@@ -36,20 +43,27 @@ let run socket capacity criteria estimator measure_every measure_interval
                 Mbac_serve.Server.close listener;
                 Error ("--decision-log: " ^ msg)
             | engine -> (
-                (match measure_interval with
-                | Some interval ->
-                    Mbac_serve.Engine.start_background engine ~interval
-                | None -> ());
                 Logs.info (fun m -> m "serving on %s" socket);
-                Mbac_serve.Server.serve listener engine;
-                (match measure_interval with
-                | Some _ -> Mbac_serve.Engine.stop_background engine
-                | None -> ());
+                (* an accept error the server does not retry ends serving:
+                   the log and the telemetry are still written, and the
+                   error is one line and a non-zero exit *)
+                let failed =
+                  match
+                    Mbac_serve.Server.serve ?measure_interval listener engine
+                  with
+                  | () -> None
+                  | exception Unix.Unix_error (e, fn, _) ->
+                      Some (Printf.sprintf "%s: %s" fn (Unix.error_message e))
+                in
                 match Mbac_serve.Engine.close_log engine with
                 | exception Sys_error msg -> Error ("--decision-log: " ^ msg)
-                | () ->
+                | () -> (
                     Mbac_telemetry_cli.Flags.finish tele;
-                    Ok ()))
+                    match failed with
+                    | None -> Ok Cmd.Exit.ok
+                    | Some msg ->
+                        prerr_endline ("mbac_serve: " ^ msg);
+                        Ok Cmd.Exit.some_error)))
       end)
 
 let cmd =
@@ -80,8 +94,10 @@ let cmd =
                        add/subtract (deterministic; 0 disables).")
       $ Arg.(value & opt (some float) None
              & info [ "measure-interval" ] ~docv:"T"
-                 ~doc:"Also run a background measurement domain every T \
-                       wall-clock seconds.")
+                 ~doc:"Run a measurement pass every T wall-clock seconds, \
+                       stamped with wall-clock time.  Requires \
+                       --measure-every 0: the inline passes are stamped \
+                       with the clients' virtual time.")
       $ Arg.(value & opt (some string) None
              & info [ "decision-log" ] ~docv:"FILE"
                  ~doc:"Stream the JSONL decision log (one line per \
@@ -97,4 +113,4 @@ let cmd =
              protocol")
     Term.(term_result' ~usage:true term)
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cmd.eval' cmd)

@@ -270,17 +270,6 @@ let rec copy t =
   let est = { t.est with mu_hat = t.est.mu_hat } in
   { t with kind; est; some_est = Some est }
 
-type snapshot = { mu : float; var : float }
-
-(* The cached [estimate] record returned by [current] is refreshed in
-   place, so it must never escape the observing domain; this reads it
-   immediately (per the [current] contract) into a fresh immutable
-   record that is safe to publish anywhere. *)
-let snapshot_estimate t =
-  match current t with
-  | Some e -> Some { mu = e.mu_hat; var = e.var_hat }
-  | None -> None
-
 let memoryless () = make "memoryless" Memoryless
 
 let with_prior ~mu ~var ~weight e =

@@ -28,24 +28,11 @@ val current : t -> estimate option
     fewer than 2 flows ever observed).  The returned record is reused
     across calls; see {!type:estimate}.
 
-    {b Confinement:} the cached record makes [current] single-domain by
-    construction — a reader in another domain can observe a torn update
-    (one field refreshed, the other stale), since the two field stores
-    are independent.  The same goes for every {!Controller}'s mutable
-    state.  Code that publishes estimates across domains (the serving
-    engine's measurement thread) must confine [observe]/[current] to one
-    domain and hand other domains {!snapshot_estimate} values instead. *)
-
-type snapshot = { mu : float; var : float }
-(** An immutable copy of the estimate: safe to publish to other domains
-    (e.g. through an [Atomic.t]) and to hold across later [observe]
-    calls. *)
-
-val snapshot_estimate : t -> snapshot option
-(** Like {!current}, but allocates a fresh immutable {!snapshot} that
-    never changes after it is returned.  Use on any path where the
-    estimate outlives the next [observe]/[current] call or crosses a
-    domain boundary. *)
+    {b Confinement:} the cached record is refreshed by two independent
+    field stores, so [current] is single-threaded by construction, as is
+    every {!Controller}'s mutable state: code that shares an estimator
+    between threads (the serving engine's connections and measurement
+    timer) must let one thread at a time use it. *)
 
 val reset : t -> unit
 

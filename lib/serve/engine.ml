@@ -97,23 +97,6 @@ let compile_criterion spec =
   in
   { cr_name; cr_log = Log_line.criterion cr_name; cr_rule }
 
-(* ---------- the published estimate record ---------- *)
-
-(* Immutable: swapped whole through one Atomic.  [p_m] empty = bootstrap
-   (no usable estimate yet).  Capacity lives here too, so [initialize]
-   retargets the fast path with the same single publication step. *)
-type published = {
-  p_capacity : float;
-  p_capacity_fp : int;
-  p_m : int array;
-  p_updates : int;
-}
-
-type background = {
-  bg_stop : bool Atomic.t;
-  bg_domain : Mbac_telemetry.Shard.t Domain.t;
-}
-
 (* The decision log's sink.  In memory, [lines] is the caller's buffer
    and keeps every line.  With a file, [lines] is a staging buffer of
    [log_staging_bytes]; it is written to [file] before a line that might
@@ -129,22 +112,25 @@ type t = {
   crits : crit array;
   estimator : Mbac.Estimator.t;
   measure_every : int;
-  (* fast-path state *)
-  flows : int Atomic.t;
-  load_fp : int Atomic.t;
-  sumsq_fp : int Atomic.t;
-  published : published Atomic.t;
+  (* the admitted flows, their loads in fixed point *)
+  mutable flows : int;
+  mutable load_fp : int;
+  mutable sumsq_fp : int;
+  (* what [decide] reads besides the flows: the capacity ([initialize]
+     sets it) and each criterion's admissible count M, refreshed in place
+     by every measurement pass *)
+  mutable capacity : float;
+  mutable capacity_fp : int;
+  m : int array;
+  mutable estimated : bool;  (* false: no usable estimate, bootstrap M *)
+  mutable updates : int;  (* measurement passes and initializations *)
   (* counters surfaced through Stats *)
-  requests : int Atomic.t;
-  decisions : int Atomic.t;
-  admits : int Atomic.t;
-  accounting : int Atomic.t;  (* add/subtract calls, drives measure_every *)
-  log_seq : int Atomic.t;
-  (* measurement-path state (everything below the mutex) *)
-  meas_mutex : Mutex.t;
-  log_mutex : Mutex.t;
+  mutable requests : int;
+  mutable decisions : int;
+  mutable admits : int;
+  mutable accounting : int;  (* add/subtract calls, drives measure_every *)
+  mutable log_seq : int;
   log : log_sink option;
-  mutable bg : background option;
 }
 
 (* ---------- telemetry ---------- *)
@@ -164,10 +150,6 @@ let m_load = H.gauge "serve_admitted_load"
 let check_capacity capacity =
   if not (Float.is_finite capacity && capacity > 0.0) then
     invalid_arg "Engine: capacity must be finite and positive"
-
-let bootstrap ~capacity ~updates =
-  { p_capacity = capacity; p_capacity_fp = fp_of_load capacity; p_m = [||];
-    p_updates = updates }
 
 let log_staging_bytes = 65536
 
@@ -197,146 +179,109 @@ let create ?decision_log ?decision_log_file (config : config) =
   { crits;
     estimator = config.estimator;
     measure_every = config.measure_every;
-    flows = Atomic.make 0;
-    load_fp = Atomic.make 0;
-    sumsq_fp = Atomic.make 0;
-    published = Atomic.make (bootstrap ~capacity:config.capacity ~updates:0);
-    requests = Atomic.make 0;
-    decisions = Atomic.make 0;
-    admits = Atomic.make 0;
-    accounting = Atomic.make 0;
-    log_seq = Atomic.make 0;
-    meas_mutex = Mutex.create ();
-    log_mutex = Mutex.create ();
-    log = open_log ?decision_log ?decision_log_file crits;
-    bg = None }
+    flows = 0;
+    load_fp = 0;
+    sumsq_fp = 0;
+    capacity = config.capacity;
+    capacity_fp = fp_of_load config.capacity;
+    m = Array.make (Array.length crits) 0;
+    estimated = false;
+    updates = 0;
+    requests = 0;
+    decisions = 0;
+    admits = 0;
+    accounting = 0;
+    log_seq = 0;
+    log = open_log ?decision_log ?decision_log_file crits }
 
 let criterion_names t = Array.map (fun c -> c.cr_name) t.crits
 
-(* ---------- measurement path ---------- *)
+(* ---------- measurement ---------- *)
 
 let run_measurement t ~now =
-  Mutex.protect t.meas_mutex (fun () ->
-      (* The three counters are read independently, so a concurrent
-         accounting call can skew one cross-section by one flow.  That is
-         measurement noise of the same order the estimators already
-         smooth; correctness (counters, decisions) is unaffected. *)
-      let n = Atomic.get t.flows in
-      let sum_fp = Atomic.get t.load_fp in
-      let sumsq_fp = Atomic.get t.sumsq_fp in
-      if n > 0 && sum_fp >= 0 && sumsq_fp >= 0 then
-        Mbac.Estimator.observe t.estimator
-          (Mbac.Observation.make ~now ~n ~sum_rate:(fp_to_float sum_fp)
-             ~sum_sq:(fp_to_float sumsq_fp));
-      let prev = Atomic.get t.published in
-      let next =
-        match Mbac.Estimator.snapshot_estimate t.estimator with
-        | Some { Mbac.Estimator.mu; var } when Mbac.Criterion.usable mu ->
-            let m =
-              Array.map
-                (fun c ->
-                  Mbac.Criterion.limit c.cr_rule ~capacity:prev.p_capacity ~mu
-                    ~var)
-                t.crits
-            in
-            { prev with p_m = m; p_updates = prev.p_updates + 1 }
-        | Some _ | None ->
-            { prev with p_m = [||]; p_updates = prev.p_updates + 1 }
-      in
-      Atomic.set t.published next;
-      H.inc m_updates;
-      H.set_gauge m_flows (float_of_int n);
-      H.set_gauge m_load (fp_to_float sum_fp))
+  let n = t.flows in
+  if n > 0 then
+    Mbac.Estimator.observe t.estimator
+      (Mbac.Observation.make ~now ~n ~sum_rate:(fp_to_float t.load_fp)
+         ~sum_sq:(fp_to_float t.sumsq_fp));
+  (match Mbac.Estimator.current t.estimator with
+  | Some e when Mbac.Criterion.usable e.Mbac.Estimator.mu_hat ->
+      for i = 0 to Array.length t.crits - 1 do
+        t.m.(i) <-
+          Mbac.Criterion.limit t.crits.(i).cr_rule ~capacity:t.capacity
+            ~mu:e.Mbac.Estimator.mu_hat ~var:e.Mbac.Estimator.var_hat
+      done;
+      t.estimated <- true
+  | Some _ | None -> t.estimated <- false);
+  t.updates <- t.updates + 1;
+  H.inc m_updates;
+  H.set_gauge m_flows (float_of_int n);
+  H.set_gauge m_load (fp_to_float t.load_fp)
 
 let initialize t ~capacity =
   check_capacity capacity;
-  Mutex.protect t.meas_mutex (fun () ->
-      Atomic.set t.flows 0;
-      Atomic.set t.load_fp 0;
-      Atomic.set t.sumsq_fp 0;
-      Mbac.Estimator.reset t.estimator;
-      let prev = Atomic.get t.published in
-      Atomic.set t.published
-        (bootstrap ~capacity ~updates:(prev.p_updates + 1));
-      H.inc m_updates;
-      H.set_gauge m_flows 0.0;
-      H.set_gauge m_load 0.0)
+  t.flows <- 0;
+  t.load_fp <- 0;
+  t.sumsq_fp <- 0;
+  Mbac.Estimator.reset t.estimator;
+  t.capacity <- capacity;
+  t.capacity_fp <- fp_of_load capacity;
+  t.estimated <- false;
+  t.updates <- t.updates + 1;
+  H.inc m_updates;
+  H.set_gauge m_flows 0.0;
+  H.set_gauge m_load 0.0
 
-(* ---------- fast path ---------- *)
+(* ---------- decisions and accounting ---------- *)
 
 let decide t ~criterion ~load =
-  let pub = Atomic.get t.published in
-  let n = Atomic.get t.flows in
+  let n = t.flows in
   let m =
-    if Array.length pub.p_m = 0 then Mbac.Criterion.bootstrap n
-    else Array.unsafe_get pub.p_m criterion
+    if t.estimated then Array.unsafe_get t.m criterion
+    else Mbac.Criterion.bootstrap n
   in
-  let headroom =
-    Atomic.get t.load_fp + fp_of_load load <= pub.p_capacity_fp
-  in
-  let admit = n < m && headroom in
-  Atomic.incr t.decisions;
-  if admit then Atomic.incr t.admits;
+  let admit = n < m && t.load_fp + fp_of_load load <= t.capacity_fp in
+  t.decisions <- t.decisions + 1;
+  if admit then t.admits <- t.admits + 1;
   H.inc m_decisions;
   H.inc (if admit then m_admit else m_reject);
   { admit; admissible = m; flows = n }
 
 let maybe_measure t ~now =
   if t.measure_every > 0 then begin
-    let k = Atomic.fetch_and_add t.accounting 1 in
-    if (k + 1) mod t.measure_every = 0 then run_measurement t ~now
+    t.accounting <- t.accounting + 1;
+    if t.accounting mod t.measure_every = 0 then run_measurement t ~now
   end
 
-(* [counter + d] for [d >= 0], refused (false, counter unchanged) when
-   the sum would pass [max_int]: a compare-and-set loop, so a wrapped
-   sum is never published, not even for a moment. *)
-let rec add_within counter d =
-  let cur = Atomic.get counter in
-  if cur > max_int - d then false
-  else Atomic.compare_and_set counter cur (cur + d) || add_within counter d
-
+(* Both sums are checked before either changes, so a refused flow
+   leaves no trace. *)
 let add t ~load ~now =
   let fp = fp_of_load load in
   let sq = fp_sq fp in
-  if not (add_within t.load_fp fp) then false
-  else if not (add_within t.sumsq_fp sq) then begin
-    ignore (Atomic.fetch_and_add t.load_fp (-fp));
-    false
-  end
+  if t.load_fp > max_int - fp || t.sumsq_fp > max_int - sq then false
   else begin
-    ignore (Atomic.fetch_and_add t.flows 1);
+    t.load_fp <- t.load_fp + fp;
+    t.sumsq_fp <- t.sumsq_fp + sq;
+    t.flows <- t.flows + 1;
     maybe_measure t ~now;
     true
   end
 
-(* [counter - d] for [d >= 0], refused (false, counter unchanged) when
-   it would go below zero. *)
-let rec sub_within counter d =
-  let cur = Atomic.get counter in
-  if cur < d then false
-  else Atomic.compare_and_set counter cur (cur - d) || sub_within counter d
-
 let subtract t ~load ~now =
   let fp = fp_of_load load in
   let sq = fp_sq fp in
-  if not (sub_within t.flows 1) then false
-  else if not (sub_within t.load_fp fp) then begin
-    Atomic.incr t.flows;
-    false
-  end
-  else if not (sub_within t.sumsq_fp sq) then begin
-    Atomic.incr t.flows;
-    ignore (Atomic.fetch_and_add t.load_fp fp);
-    false
-  end
+  if t.flows < 1 || t.load_fp < fp || t.sumsq_fp < sq then false
   else begin
+    t.flows <- t.flows - 1;
+    t.load_fp <- t.load_fp - fp;
+    t.sumsq_fp <- t.sumsq_fp - sq;
     maybe_measure t ~now;
     true
   end
 
 (* ---------- decision log ---------- *)
 
-(* Hands the staged lines to the kernel; the caller holds [log_mutex]. *)
+(* Hands the staged lines to the kernel. *)
 let write_out sink =
   match sink.file with
   | Some oc when Buffer.length sink.lines > 0 ->
@@ -345,47 +290,36 @@ let write_out sink =
       Buffer.clear sink.lines
   | Some _ | None -> ()
 
-(* This runs once per Log_decision request, so the mutex is taken by
-   hand: [Mutex.protect] would allocate a closure per line. *)
 let log_decision t ~criterion ~admit =
-  let seq = Atomic.fetch_and_add t.log_seq 1 in
+  let seq = t.log_seq in
+  t.log_seq <- seq + 1;
   match t.log with
   | None -> ()
-  | Some sink -> (
-      let criterion = t.crits.(criterion).cr_log in
-      let flows = Atomic.get t.flows in
-      Mutex.lock t.log_mutex;
-      match
-        if Buffer.length sink.lines > sink.room then write_out sink;
-        Log_line.add sink.lines ~seq criterion ~admit ~flows
-      with
-      | () -> Mutex.unlock t.log_mutex
-      | exception e ->
-          Mutex.unlock t.log_mutex;
-          raise e)
+  | Some sink ->
+      if Buffer.length sink.lines > sink.room then write_out sink;
+      Log_line.add sink.lines ~seq t.crits.(criterion).cr_log ~admit
+        ~flows:t.flows
 
 let close_log t =
   match t.log with
-  | Some ({ file = Some oc; _ } as sink) ->
-      Mutex.protect t.log_mutex (fun () ->
-          match write_out sink; close_out oc with
-          | () -> ()
-          | exception (Sys_error _ as e) ->
-              close_out_noerr oc;
-              raise e)
+  | Some ({ file = Some oc; _ } as sink) -> (
+      match write_out sink; close_out oc with
+      | () -> ()
+      | exception (Sys_error _ as e) ->
+          close_out_noerr oc;
+          raise e)
   | Some { file = None; _ } | None -> ()
 
 (* ---------- stats / dispatch ---------- *)
 
 let stats t =
-  let pub = Atomic.get t.published in
-  { flows = Atomic.get t.flows;
-    admitted_load = fp_to_float (Atomic.get t.load_fp);
-    capacity = pub.p_capacity;
-    requests = Atomic.get t.requests;
-    decisions = Atomic.get t.decisions;
-    admits = Atomic.get t.admits;
-    updates = pub.p_updates }
+  { flows = t.flows;
+    admitted_load = fp_to_float t.load_fp;
+    capacity = t.capacity;
+    requests = t.requests;
+    decisions = t.decisions;
+    admits = t.admits;
+    updates = t.updates }
 
 (* The upper bound keeps one flow's fixed-point square (load² · fp_scale,
    at most ~1.05e18) inside the 63-bit integer range.  It does not bound
@@ -394,7 +328,7 @@ let stats t =
 let valid_load load = Float.is_finite load && load >= 0.0 && load <= 1e6
 
 let handle t (req : Protocol.request) : Protocol.response =
-  Atomic.incr t.requests;
+  t.requests <- t.requests + 1;
   H.inc m_requests;
   match req with
   | Protocol.Initialize { capacity } ->
@@ -444,34 +378,3 @@ let handle t (req : Protocol.request) : Protocol.response =
           capacity = s.capacity; requests = s.requests;
           decisions = s.decisions; admits = s.admits; updates = s.updates }
   | Protocol.Shutdown -> Protocol.Ok_reply
-
-(* ---------- background measurement ---------- *)
-
-let wall_now () = Unix.gettimeofday ()
-
-let start_background t ~interval =
-  if t.bg <> None then invalid_arg "Engine: measurement domain already running";
-  if not (interval > 0.0) then invalid_arg "Engine: interval must be > 0";
-  let stop = Atomic.make false in
-  let d =
-    Domain.spawn (fun () ->
-        (* Record into this domain's own shard and hand it back at join;
-           stop_background folds it into the caller's shard, so the
-           update counter survives into the final snapshot. *)
-        let shard = Mbac_telemetry.Shard.current () in
-        while not (Atomic.get stop) do
-          Unix.sleepf interval;
-          if not (Atomic.get stop) then run_measurement t ~now:(wall_now ())
-        done;
-        shard)
-  in
-  t.bg <- Some { bg_stop = stop; bg_domain = d }
-
-let stop_background t =
-  match t.bg with
-  | None -> ()
-  | Some { bg_stop; bg_domain } ->
-      Atomic.set bg_stop true;
-      let shard = Domain.join bg_domain in
-      t.bg <- None;
-      Mbac_telemetry.Shard.merge_into_current shard

@@ -1,27 +1,24 @@
 (** The online admission-decision engine.
 
-    One engine serves one link.  The execution model is wall-clock
-    concurrency (unlike the Domain-pool replication everywhere else in
-    the tree):
+    One engine serves one link.  Its state is plain mutable data, the
+    few numbers the paper's controller keeps: the admitted flows and
+    their load sums, the capacity, each criterion's admissible count M,
+    and the estimator that M is computed from.  The engine is
+    single-threaded: one thread at a time may call the functions here.
+    [Server.serve] runs every connection and its measurement timer under
+    one daemon lock; the in-process client ([Client.inproc]) runs in
+    its caller's thread and needs no lock.
 
-    - the {e decision fast path} ({!decide}) is wait-free — it reads the
-      admitted-flow/admitted-load counters ([Atomic] integers, load in
-      fixed point) and the current {!published} estimate record
-      ([Atomic.get] of an immutable value) and never takes a lock,
-      blocks, or allocates anything but its small result;
-    - the {e accounting path} ({!add}/{!subtract}) is lock-free —
-      compare-and-set on the counters, so {!add} can refuse a flow that
-      would overflow the sums and {!subtract} a departure that would
-      take them below zero;
-    - the {e measurement path} ({!run_measurement}) is the only place
-      the estimator state is touched.  It reads the counters as one
-      cross-section, feeds the estimator, recomputes every criterion's
-      admissible count, and publishes a fresh immutable {!published}
-      record with a single [Atomic.set].  Deciders can never observe a
-      torn estimate: they either see the whole old record or the whole
-      new one.  Measurement runs inline every [measure_every]-th
-      accounting call (deterministic, single-threaded replay) or on a
-      background domain ({!start_background}, wall-clock daemons).
+    - {!decide} reads the flow count, the load sum and the current M,
+      and allocates nothing but its small result;
+    - {!add}/{!subtract} account an admitted or departed flow, and
+      refuse one that would take the sums past [max_int] or below zero;
+    - {!run_measurement} is the only place the estimator is touched.  It
+      reads the counters as one cross-section, feeds the estimator, and
+      refreshes every criterion's M in place.  It runs inline every
+      [measure_every]-th accounting call (deterministic, single-threaded
+      replay) or from a daemon's wall-clock timer
+      ([Server.serve ~measure_interval]).
 
     Loads cross the counter boundary in fixed point at {!fp_scale}
     units per load unit, so per-flow loads are quantized to
@@ -29,7 +26,7 @@
     applied on every path, which is what makes replay byte-exact. *)
 
 (** A criterion is compiled to the {!Mbac.Criterion.rule} the simulated
-    controllers use, and applied to the published estimate with
+    controllers use, and applied to the measured estimate with
     {!Mbac.Criterion.limit}; criterion.mli states the rule, the
     usable-estimate test and the cautious bootstrap. *)
 type criterion_spec =
@@ -46,13 +43,13 @@ type config = {
   capacity : float;              (** initial link capacity (> 0, finite) *)
   criteria : criterion_spec list;  (** nonempty; [Decide] indexes into it *)
   estimator : Mbac.Estimator.t;
-      (** owned by the engine's measurement path from here on; do not
+      (** owned by the engine's measurement pass from here on; do not
           observe or read it elsewhere *)
   measure_every : int;
       (** [k >= 1]: run a measurement pass synchronously after every
           [k]-th {!add}/{!subtract} (deterministic).  [0]: no inline
           measurement — drive {!run_measurement} externally or with
-          {!start_background}. *)
+          [Server.serve ~measure_interval]. *)
 }
 
 type t
@@ -93,14 +90,14 @@ val log_staging_bytes : int
 val criterion_names : t -> string array
 
 val initialize : t -> capacity:float -> unit
-(** Zero the counters, reset the estimator, publish a bootstrap record
-    against the new capacity.
+(** Zero the counters, reset the estimator, and go back to the
+    bootstrap M against the new capacity.
     @raise Invalid_argument on non-finite or non-positive capacity. *)
 
 val decide : t -> criterion:int -> load:float -> decision
-(** Wait-free.  Admit iff [flows < M(criterion)] under the published
-    estimates {e and} the admitted load plus [load] fits the capacity.
-    While no usable estimate is published, [M] is
+(** Admit iff [flows < M(criterion)] under the latest measurement
+    {e and} the admitted load plus [load] fits the capacity.
+    While the latest measurement has no usable estimate, [M] is
     {!Mbac.Criterion.bootstrap} [flows] ([flows + 1]): one flow at a
     time, the controllers' cautious bootstrap.
     Counts into the [serve_decisions/admit/reject] metrics.  The caller
@@ -108,14 +105,14 @@ val decide : t -> criterion:int -> load:float -> decision
     finite and non-negative ({!handle} validates wire input). *)
 
 val add : t -> load:float -> now:float -> bool
-(** Lock-free accounting of an admitted flow; [now] is the virtual (or
-    wall) time stamped on the cross-section if this call triggers an
-    inline measurement pass.  Returns [false], and changes no counter,
-    when the flow would take the fixed-point load sum or sum of squares
-    past [max_int]. *)
+(** Account an admitted flow; [now] is the time stamped on the
+    cross-section if this call triggers an inline measurement pass (over
+    the wire, the client's virtual time).  Returns [false], and changes
+    no counter, when the flow would take the fixed-point load sum or sum
+    of squares past [max_int]. *)
 
 val subtract : t -> load:float -> now:float -> bool
-(** Lock-free accounting of a departed flow, the inverse of {!add}.
+(** Account a departed flow, the inverse of {!add}.
     Returns [false], and changes no counter, when no flow is admitted or
     the departure would take the fixed-point load sum or sum of squares
     below zero: a departure no [add] matched. *)
@@ -147,9 +144,11 @@ module Log_line : sig
 end
 
 val run_measurement : t -> now:float -> unit
-(** One measurement pass (serialized by an internal mutex): counters →
-    cross-section → estimator → per-criterion admissible counts →
-    publish. *)
+(** One measurement pass, stamped [now]: counters → cross-section →
+    estimator → each criterion's admissible count M, refreshed in place.
+    Every pass of one engine must use one clock: the clients' virtual
+    time (inline passes) or wall-clock time (a daemon's timer), never
+    both, or the estimator's filter sees time jump. *)
 
 val stats : t -> stats
 
@@ -163,13 +162,3 @@ val handle : t -> Protocol.request -> Protocol.response
     decision-log file (code 4; that line is lost, and its [seq] is
     skipped).  [Shutdown] answers [Ok_reply]; acting on it
     is the transport's job. *)
-
-val start_background : t -> interval:float -> unit
-(** Spawn a measurement domain running {!run_measurement} every
-    [interval] wall-clock seconds (cross-sections stamped with wall
-    time).  @raise Invalid_argument if one is already running or
-    [interval <= 0]. *)
-
-val stop_background : t -> unit
-(** Stop and join the measurement domain, folding its telemetry shard
-    into the calling domain's. *)

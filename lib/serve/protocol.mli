@@ -41,9 +41,9 @@ type request =
 type response =
   | Ok_reply
   | Decision of { admit : bool; admissible : int; flows : int }
-      (** [admissible] is the published criterion count M; [flows] the
-          admitted-flow count n read on the fast path ([admit] implies
-          [flows < admissible] plus load headroom). *)
+      (** [admissible] is the criterion's count M under the latest
+          measurement; [flows] the admitted-flow count n ([admit]
+          implies [flows < admissible] plus load headroom). *)
   | Stats_reply of {
       flows : int;
       admitted_load : float;
@@ -51,7 +51,7 @@ type response =
       requests : int;
       decisions : int;
       admits : int;
-      updates : int;  (** measurement passes published so far *)
+      updates : int;  (** measurement passes and [Initialize]s so far *)
     }
   | Error_reply of { code : int; message : string }
 

@@ -74,21 +74,47 @@ let write_all fd bytes len =
     off := !off + Unix.write fd bytes !off (len - !off)
   done
 
-let serve_connection engine fd ~peer =
+(* What the threads of one [serve] share.  [lock] is the daemon lock:
+   every use of the engine and of telemetry, and of [stop] and [live],
+   happens with it held, and it is never held across a socket read or
+   write. *)
+type daemon = {
+  lock : Mutex.t;
+  engine : Engine.t;
+  mutable stop : bool;
+  (* The descriptors of the connections being served.  A service thread
+     takes its own out before closing it, so the shutdown at the end of
+     [serve] never reaches a descriptor number the kernel has handed out
+     again. *)
+  mutable live : Unix.file_descr list;
+}
+
+let locked d f = Mutex.protect d.lock f
+
+(* Serve one connected stream until EOF, a fatal protocol error (the
+   peer gets a final [Error_reply], code 255), or a [Shutdown] request.
+   Each read is answered by [answer], under the daemon lock, and all its
+   replies go out in one write; the trace event counts as [batches] the
+   reads that carried at least one complete frame.  A write or read
+   error on the descriptor (a peer that hung up) ends this connection
+   only.  The descriptor is left open for the caller to close. *)
+let serve_connection d fd ~peer =
   (* One frame-assembly buffer per connection, sized for the largest
      legal frame; a frame split across reads is compacted to the front. *)
   let inbuf = Bytes.create (2 * (4 + Protocol.max_frame_payload)) in
   let fill = ref 0 in
   let out = Buffer.create 512 in
   let outbytes = ref (Bytes.create 512) in
-  let s = session engine in
+  let s = session d.engine in
   let is_open () = match s.stop with `Open -> true | `Shutdown | `Failed -> false in
   let eof = ref false in
   (try
      while is_open () && not !eof do
        (* answer every complete frame currently buffered, in one write *)
        Buffer.clear out;
-       let consumed = answer s inbuf ~pos:0 ~avail:!fill out in
+       let consumed =
+         locked d (fun () -> answer s inbuf ~pos:0 ~avail:!fill out)
+       in
        if consumed > 0 then begin
          Bytes.blit inbuf consumed inbuf 0 (!fill - consumed);
          fill := !fill - consumed
@@ -106,7 +132,8 @@ let serve_connection engine fd ~peer =
        end
      done
    with Unix.Unix_error _ | End_of_file -> ());
-  conn_closed ~peer ~requests:s.requests ~batches:s.batches;
+  locked d (fun () ->
+      conn_closed ~peer ~requests:s.requests ~batches:s.batches);
   match s.stop with `Shutdown -> `Shutdown | `Open | `Failed -> `Closed
 
 (* Connect a throwaway client to [path] and close it at once.  It wakes
@@ -153,55 +180,83 @@ let listen ~path =
      refuse (Unix.error_message e));
   l
 
-let serve l engine =
+(* A measurement pass every [interval] wall-clock seconds until [stop].
+   The wait is slept in slices of at most 50 ms, so that the timer sees
+   a stop promptly whatever the interval. *)
+let measure_timer d interval =
+  let rec wait left =
+    if left > 0.0 && not (locked d (fun () -> d.stop)) then begin
+      Thread.delay (Float.min left 0.05);
+      wait (left -. 0.05)
+    end
+  in
+  let rec tick () =
+    wait interval;
+    let go =
+      locked d (fun () ->
+          if not d.stop then
+            Engine.run_measurement d.engine ~now:(Unix.gettimeofday ());
+          not d.stop)
+    in
+    if go then tick ()
+  in
+  tick ()
+
+let serve ?measure_interval l engine =
+  (match measure_interval with
+  | Some interval when not (interval > 0.0) ->
+      invalid_arg "Server.serve: measure_interval must be > 0"
+  | Some _ | None -> ());
   (* a reply to a peer that hung up must fail as EPIPE on that
      connection, not kill the daemon *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let stop = Atomic.make false in
-  (* The descriptors of the connections being served.  A service thread
-     takes its own out before closing it, so the shutdown below never
-     reaches a descriptor number the kernel has handed out again. *)
-  let live = ref [] and live_mutex = Mutex.create () in
-  let release fd =
-    Mutex.protect live_mutex (fun () -> live := List.filter (( <> ) fd) !live);
-    try Unix.close fd with Unix.Unix_error _ -> ()
+  let d = { lock = Mutex.create (); engine; stop = false; live = [] } in
+  let timer = Option.map (Thread.create (measure_timer d)) measure_interval in
+  let threads = ref [] in
+  let connection (fd, peer) =
+    let ending = serve_connection d fd ~peer in
+    locked d (fun () -> d.live <- List.filter (( <> ) fd) d.live);
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    match ending with
+    | `Shutdown ->
+        locked d (fun () -> d.stop <- true);
+        (try probe l.path with Unix.Unix_error _ -> ())
+    | `Closed -> ()
   in
-  Fun.protect
-    ~finally:(fun () -> close l)
-    (fun () ->
-      let threads = ref [] in
+  (* Runs however the accept loop ends.  A client that stays connected
+     but idle has its thread blocked in [read]: end every stream still
+     open so those reads return. *)
+  let wind_down () =
+    locked d (fun () ->
+        d.stop <- true;
+        List.iter
+          (fun fd ->
+            try Unix.shutdown fd Unix.SHUTDOWN_ALL
+            with Unix.Unix_error _ -> ())
+          d.live);
+    List.iter Thread.join !threads;
+    Option.iter Thread.join timer;
+    close l
+  in
+  Fun.protect ~finally:wind_down (fun () ->
       let conn_id = ref 0 in
-      (try
-         while not (Atomic.get stop) do
-           let fd, _ = Unix.accept l.sock in
-           if Atomic.get stop then Unix.close fd
-           else begin
-             conn_opened ();
-             incr conn_id;
-             let peer = Printf.sprintf "unix-%d" !conn_id in
-             Mutex.protect live_mutex (fun () -> live := fd :: !live);
-             let th =
-               Thread.create
-                 (fun () ->
-                   let ending = serve_connection engine fd ~peer in
-                   release fd;
-                   match ending with
-                   | `Shutdown ->
-                       Atomic.set stop true;
-                       (try probe l.path with Unix.Unix_error _ -> ())
-                   | `Closed -> ())
-                 ()
-             in
-             threads := th :: !threads
-           end
-         done
-       with Unix.Unix_error _ -> ());
-      (* A client that stays connected but idle has its thread blocked in
-         [read]: end every stream still open so those reads return. *)
-      Mutex.protect live_mutex (fun () ->
-          List.iter
-            (fun fd ->
-              try Unix.shutdown fd Unix.SHUTDOWN_ALL
-              with Unix.Unix_error _ -> ())
-            !live);
-      List.iter Thread.join !threads)
+      while not (locked d (fun () -> d.stop)) do
+        match Unix.accept l.sock with
+        | fd, _ ->
+            if locked d (fun () -> d.stop) then Unix.close fd
+            else begin
+              locked d (fun () ->
+                  conn_opened ();
+                  d.live <- fd :: d.live);
+              incr conn_id;
+              let peer = Printf.sprintf "unix-%d" !conn_id in
+              threads := Thread.create connection (fd, peer) :: !threads
+            end
+        (* a connection reset before it was accepted, or a signal *)
+        | exception Unix.Unix_error ((EINTR | ECONNABORTED), _, _) -> ()
+        (* out of descriptors or memory: the pending connection waits in
+           the backlog until a served one closes *)
+        | exception Unix.Unix_error ((EMFILE | ENFILE | ENOBUFS | ENOMEM), _, _)
+          ->
+            Thread.delay 0.01
+      done)

@@ -39,17 +39,9 @@ val answer : session -> Bytes.t -> pos:int -> avail:int -> Buffer.t -> int
     the replies to the buffer in request order, and return the bytes
     consumed.  It stops early at a truncated frame (the rest has not
     arrived), after a [Shutdown], or at a malformed frame, which is
-    answered with a final [Error_reply] (code 255); {!serve_connection}
-    closes the stream after either of the last two. *)
-
-val serve_connection : Engine.t -> Unix.file_descr -> peer:string -> [ `Closed | `Shutdown ]
-(** Serve one connected stream until EOF, a fatal protocol error (the
-    peer gets a final [Error_reply], code 255), or a [Shutdown]
-    request.  Each read is answered by {!answer}, all its replies in
-    one write; the trace event counts as [batches] the reads that
-    carried at least one complete frame.  A write or read error on the
-    descriptor (a peer that hung up) ends this connection only.  The
-    descriptor is left open for the caller to close. *)
+    answered with a final [Error_reply] (code 255); {!serve} closes the
+    stream after either of the last two.  It uses the session's engine:
+    one thread at a time ({!serve} holds its daemon lock around it). *)
 
 type listener
 (** A bound, listening Unix socket and its path. *)
@@ -69,11 +61,27 @@ val close : listener -> unit
 (** Close the socket and remove its file: for a set-up that fails after
     {!listen}. *)
 
-val serve : listener -> Engine.t -> unit
-(** Accept connections (one service thread each) and block until some
-    connection sends [Shutdown]; then shut down the connections still
-    open (an idle client does not hold the daemon up: its stream ends),
-    join the service threads, and {!close} the listener.  It sets
-    SIGPIPE to ignored for the whole process, so a reply written to a
-    client that hung up fails with [EPIPE] and closes that connection,
-    instead of killing the process. *)
+val serve : ?measure_interval:float -> listener -> Engine.t -> unit
+(** Accept connections and serve each on a thread of its own, which
+    blocks in its socket reads, until some connection sends [Shutdown].
+    Every use of the engine and of telemetry ({!answer} on each read,
+    {!conn_opened}, {!conn_closed}, a measurement pass) happens under
+    one daemon lock, never held across a socket read or write, so the
+    engine sees one thread at a time.  With [measure_interval], a timer
+    thread runs {!Engine.run_measurement} every [measure_interval]
+    wall-clock seconds, stamped with wall-clock time: give it an engine
+    whose [measure_every] is 0, since the inline passes are stamped with
+    the clients' virtual time.
+
+    At [Shutdown], it shuts down the connections still open (an idle
+    client does not hold the daemon up: its stream ends), joins the
+    service threads and the timer, and {!close}s the listener.  An
+    [accept] that fails for want of descriptors or memory ([EMFILE],
+    [ENFILE], [ENOBUFS], [ENOMEM]) is retried after 10 ms, one
+    interrupted or aborted ([EINTR], [ECONNABORTED]) at once; any other
+    error ends serving the same way and is raised.  It sets SIGPIPE to
+    ignored for the whole process, so a reply written to a client that
+    hung up fails with [EPIPE] and closes that connection, instead of
+    killing the process.
+    @raise Invalid_argument if [measure_interval <= 0].
+    @raise Unix.Unix_error for an [accept] error not retried. *)

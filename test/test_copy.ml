@@ -87,7 +87,8 @@ let estimator_subject fresh =
     feed =
       (fun e (obs, _) ->
         E.observe e obs;
-        E.snapshot_estimate e);
+        (* the fields now: [current] refreshes one record in place *)
+        Option.map (fun x -> (x.E.mu_hat, x.E.var_hat)) (E.current e));
     copy = E.copy;
     reset = E.reset }
 

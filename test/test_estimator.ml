@@ -170,46 +170,6 @@ let test_empty_observations_ignored () =
       check_close ~tol:1e-12 "empty cross-section ignored" 3.0 mu_hat
   | None -> Alcotest.fail "estimate lost"
 
-let test_snapshot_estimate_immutable () =
-  (* Unlike [current]'s cached record, a snapshot must keep its values
-     across later observations — that is the whole point of publishing
-     snapshots to the serving fast path. *)
-  List.iter
-    (fun e ->
-      Alcotest.(check bool)
-        (Mbac.Estimator.name e ^ ": no snapshot before data")
-        true
-        (Mbac.Estimator.snapshot_estimate e = None);
-      Mbac.Estimator.observe e (obs ~now:0.0 ~rates:[| 1.0; 3.0 |]);
-      let snap =
-        match Mbac.Estimator.snapshot_estimate e with
-        | Some s -> s
-        | None -> Alcotest.fail "expected a snapshot"
-      in
-      let cached =
-        match Mbac.Estimator.current e with
-        | Some c -> c
-        | None -> Alcotest.fail "expected an estimate"
-      in
-      check_close ~tol:1e-12 "snapshot mu matches current" cached.Mbac.Estimator.mu_hat
-        snap.Mbac.Estimator.mu;
-      check_close ~tol:1e-12 "snapshot var matches current" cached.Mbac.Estimator.var_hat
-        snap.Mbac.Estimator.var;
-      Mbac.Estimator.observe e (obs ~now:50.0 ~rates:[| 9.0; 11.0 |]);
-      Mbac.Estimator.observe e (obs ~now:100.0 ~rates:[| 9.0; 11.0 |]);
-      (* the cached record moved with the data; the snapshot did not *)
-      (match Mbac.Estimator.current e with
-      | Some { Mbac.Estimator.mu_hat; _ } ->
-          Alcotest.(check bool)
-            (Mbac.Estimator.name e ^ ": cached estimate moved")
-            true
-            (abs_float (mu_hat -. snap.Mbac.Estimator.mu) > 1e-6)
-      | None -> Alcotest.fail "estimate lost");
-      check_close ~tol:1e-12 "snapshot mu unchanged" 2.0 snap.Mbac.Estimator.mu;
-      check_close ~tol:1e-12 "snapshot var unchanged" 2.0 snap.Mbac.Estimator.var)
-    [ Mbac.Estimator.memoryless (); Mbac.Estimator.ewma ~t_m:5.0;
-      Mbac.Estimator.sliding_window ~t_w:5.0 ]
-
 let test_invalid () =
   Alcotest.check_raises "ewma negative"
     (Invalid_argument "Estimator.ewma: requires t_m >= 0") (fun () ->
@@ -230,5 +190,4 @@ let suite =
         slow_test "aggregate-only variance recovery" test_aggregate_only_recovers_variance;
         test "reset" test_reset;
         test "empty observations" test_empty_observations_ignored;
-        test "snapshot_estimate is immutable" test_snapshot_estimate_immutable;
         test "invalid" test_invalid ] ) ]

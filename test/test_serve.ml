@@ -1,10 +1,11 @@
 (* The serving engine: fixed-point accounting and its overflow refusal,
-   bootstrap and published estimates, initialize semantics, wire-input
+   bootstrap and measured estimates, initialize semantics, wire-input
    validation through [handle], decision-log determinism across
-   transports, the streamed decision log, and a multi-domain accounting
-   smoke test.  Then the client: pipelined posts in-process, and over a
-   real socket the post contract, the batch budget, and peers that hang
-   up on either side. *)
+   transports, and the streamed decision log.  Then the client:
+   pipelined posts in-process, and over a real socket the post contract,
+   the batch budget, peers that hang up on either side, concurrent
+   clients through the daemon lock, the wall-clock measurement timer,
+   and a daemon out of descriptors. *)
 
 open Test_util
 module E = Mbac_serve.Engine
@@ -99,6 +100,9 @@ let test_subtract_unmatched_refused () =
     | _ -> Alcotest.fail "Stats must answer Stats_reply"
   in
   refused 1.0;
+  (* a flow of load 0 leaves the sums as they are: only the flow count
+     refuses it *)
+  refused 0.0;
   Alcotest.(check (triple int (float 0.0) int)) "a fresh engine stays empty"
     (0, 0.0, 0) (stats ());
   add e ~load:1.0 ~now:0.0;
@@ -304,29 +308,6 @@ let test_file_log_write_error () =
          replies)
   end
 
-(* ---------- cross-domain accounting smoke ---------- *)
-
-let test_parallel_accounting () =
-  let e = E.create (config ~capacity:1e5 ()) in
-  let per_domain = 2_000 in
-  let workers =
-    Array.init 4 (fun _ ->
-        Domain.spawn (fun () ->
-            for i = 1 to per_domain do
-              add e ~load:1.5 ~now:(float_of_int i)
-            done;
-            for i = 1 to per_domain / 2 do
-              subtract e ~load:1.5 ~now:(float_of_int i)
-            done))
-  in
-  Array.iter Domain.join workers;
-  let s = E.stats e in
-  Alcotest.(check int) "flow count survives contention" (4 * per_domain / 2)
-    s.E.flows;
-  check_close ~tol:1e-9 "admitted load survives contention"
-    (1.5 *. float_of_int (4 * per_domain / 2))
-    s.E.admitted_load
-
 (* ---------- pipelining ---------- *)
 
 module C = Mbac_serve.Client
@@ -433,19 +414,42 @@ let socket_path =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "mbac-test-%d-%d.sock" (Unix.getpid ()) !k)
 
-(* [f ~path ~connect] against a daemon ([Server.serve]) on a thread
-   of this process.  Afterwards every client [connect] made is closed
-   (the daemon joins its connections' threads) and the daemon is shut
-   down if [f] left it up.  An alarm turns a deadlock into a failed run
-   instead of a hung one. *)
-let with_daemon f =
-  let path = socket_path () in
-  let engine = E.create (config ()) in
+(* [Server.serve] on a thread of this process; the flag turns true once
+   it has returned. *)
+let spawn_daemon ?measure_interval ~path engine =
+  let returned = Atomic.make false in
   let th =
     Thread.create
-      (fun () -> Mbac_serve.Server.(serve (listen ~path) engine))
+      (fun () ->
+        Mbac_serve.Server.(serve ?measure_interval (listen ~path) engine);
+        Atomic.set returned true)
       ()
   in
+  (th, returned)
+
+(* Shut down the daemon at [path] if one still answers there. *)
+let stop_daemon ~path =
+  match C.connect_unix ~retries:0 ~path () with
+  | c ->
+      (try ignore (C.rpc c P.Shutdown) with Failure _ -> ());
+      C.close c
+  | exception (Failure _ | Unix.Unix_error _) -> ()
+
+let returns_within seconds returned =
+  let t0 = Unix.gettimeofday () in
+  while (not (Atomic.get returned)) && Unix.gettimeofday () -. t0 < seconds do
+    Thread.delay 0.01
+  done;
+  Atomic.get returned
+
+(* [f ~path ~connect] against a daemon on a thread of this process.
+   Afterwards every client [connect] made is closed (the daemon joins
+   its connections' threads) and the daemon is shut down if [f] left it
+   up.  An alarm turns a deadlock into a failed run instead of a hung
+   one. *)
+let with_daemon ?(engine = E.create (config ())) f =
+  let path = socket_path () in
+  let th, _ = spawn_daemon ~path engine in
   ignore (Unix.alarm 120);
   let clients = ref [] in
   let connect () =
@@ -456,11 +460,7 @@ let with_daemon f =
   Fun.protect
     ~finally:(fun () ->
       List.iter C.close !clients;
-      (match C.connect_unix ~retries:0 ~path () with
-      | c -> (
-          (try ignore (C.rpc c P.Shutdown) with Failure _ -> ());
-          C.close c)
-      | exception (Failure _ | Unix.Unix_error _) -> ());
+      stop_daemon ~path;
       Thread.join th;
       ignore (Unix.alarm 0))
     (fun () ->
@@ -526,20 +526,13 @@ let test_daemon_survives_hang_up () =
    accepted and its service thread waits in [read]. *)
 let test_shutdown_with_idle_client () =
   let path = socket_path () in
-  let engine = E.create (config ()) in
-  let returned = Atomic.make false in
-  let th =
-    Thread.create
-      (fun () ->
-        Mbac_serve.Server.(serve (listen ~path) engine);
-        Atomic.set returned true)
-      ()
-  in
+  let th, returned = spawn_daemon ~path (E.create (config ())) in
   ignore (Unix.alarm 120);
   let idle = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () ->
       Unix.close idle;
+      stop_daemon ~path;
       Thread.join th;
       ignore (Unix.alarm 0))
     (fun () ->
@@ -557,16 +550,156 @@ let test_shutdown_with_idle_client () =
       Alcotest.(check bool) "Shutdown is acknowledged" true
         (C.rpc c P.Shutdown = P.Ok_reply);
       C.close c;
-      let t0 = Unix.gettimeofday () in
-      while (not (Atomic.get returned)) && Unix.gettimeofday () -. t0 < 2.0 do
-        Thread.delay 0.01
-      done;
       Alcotest.(check bool) "serve returns within 2 s" true
-        (Atomic.get returned);
+        (returns_within 2.0 returned);
       Alcotest.(check bool) "the socket file is removed" false
         (Sys.file_exists path);
       Alcotest.(check int) "the idle client's stream is ended" 0
         (Unix.read idle reply 0 1))
+
+(* Four clients, each on its own connection and thread, interleave
+   their accounting through the daemon lock.  Each posts 2,000 Adds of
+   its own load with one Log_decision per Add, then retires 1,000 of
+   its flows: the flow count and the admitted load come out exact, and
+   the decision log, streamed to a file as the daemon does, holds every
+   seq once. *)
+let test_concurrent_clients () =
+  let log = Filename.temp_file "mbac_decisions" ".jsonl" in
+  let engine = E.create ~decision_log_file:log (config ~measure_every:16 ()) in
+  let load k = 1.0 +. (0.25 *. float_of_int k) in
+  with_daemon ~engine (fun ~path ~connect ->
+      let client k () =
+        let c = C.connect_unix ~path () in
+        for i = 1 to 2_000 do
+          C.post c (P.Add { load = load k; now = float_of_int i });
+          C.post c (P.Log_decision { criterion = k mod 2; admit = i land 1 = 0 })
+        done;
+        for i = 1 to 1_000 do
+          C.post c (P.Subtract { load = load k; now = float_of_int (2_000 + i) })
+        done;
+        ignore (C.rpc c P.Stats);
+        C.close c
+      in
+      List.iter Thread.join (List.init 4 (fun k -> Thread.create (client k) ()));
+      match C.rpc (connect ()) P.Stats with
+      | P.Stats_reply { flows; admitted_load; requests; _ } ->
+          Alcotest.(check int) "flows" 4_000 flows;
+          Alcotest.(check (float 0.0)) "admitted load"
+            (1_000.0 *. (load 0 +. load 1 +. load 2 +. load 3))
+            admitted_load;
+          Alcotest.(check int) "every request served" (4 * 5_001 + 1) requests
+      | _ -> Alcotest.fail "Stats must answer Stats_reply");
+  E.close_log engine;
+  let seqs =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove log)
+      (fun () ->
+        In_channel.with_open_bin log In_channel.input_lines
+        |> List.map (fun l -> Scanf.sscanf l "{\"seq\":%d," Fun.id))
+  in
+  Alcotest.(check (list int)) "every seq logged once" (List.init 8_000 Fun.id)
+    (List.sort compare seqs)
+
+(* Measurement passes from the daemon's wall-clock timer alone
+   ([measure_every] is 0): within 50 ms one has run, so a Decide is made
+   under a measured estimate (ten unit flows, memoryless: M = capacity /
+   mu = 100), not the bootstrap M = n + 1.  The timer stops with the
+   daemon. *)
+let test_measure_interval () =
+  let path = socket_path () in
+  let th, returned =
+    spawn_daemon ~measure_interval:0.01 ~path (E.create (config ()))
+  in
+  ignore (Unix.alarm 120);
+  Fun.protect
+    ~finally:(fun () ->
+      stop_daemon ~path;
+      Thread.join th;
+      ignore (Unix.alarm 0))
+    (fun () ->
+      let c = C.connect_unix ~path () in
+      for i = 1 to 10 do
+        C.post c (P.Add { load = 1.0; now = float_of_int i })
+      done;
+      ignore (C.rpc c P.Stats);
+      Thread.delay 0.05;
+      (match C.rpc c P.Stats with
+      | P.Stats_reply { updates; _ } ->
+          Alcotest.(check bool) "the timer has measured" true (updates >= 1)
+      | _ -> Alcotest.fail "Stats must answer Stats_reply");
+      (match C.rpc c (P.Decide { criterion = 0; load = 1.0; now = 11.0 }) with
+      | P.Decision { admissible; flows; _ } ->
+          Alcotest.(check int) "flows" 10 flows;
+          Alcotest.(check int) "M from the measured estimate" 100 admissible
+      | _ -> Alcotest.fail "Decide must answer Decision");
+      Alcotest.(check bool) "Shutdown is acknowledged" true
+        (C.rpc c P.Shutdown = P.Ok_reply);
+      C.close c;
+      Alcotest.(check bool) "serve returns within 1 s" true
+        (returns_within 1.0 returned))
+
+(* The built daemon, run under [ulimit -n 16], which acts on that child
+   only.  Fourteen idle connections take more descriptors than it has,
+   so its [accept] fails with EMFILE: it must wait and go on serving,
+   not take the error for a Shutdown.  Once they close, Stats and then
+   Shutdown reach it, and it exits 0. *)
+let mbac_serve_exe =
+  Filename.concat
+    (Filename.dirname Sys.executable_name)
+    (Filename.concat ".." (Filename.concat "bin" "mbac_serve.exe"))
+
+let test_out_of_descriptors () =
+  let path = socket_path () in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
+  let pid =
+    Unix.create_process "sh"
+      [| "sh"; "-c";
+         Printf.sprintf "ulimit -n 16; exec %s --socket %s"
+           (Filename.quote mbac_serve_exe) (Filename.quote path) |]
+      null null Unix.stderr
+  in
+  Unix.close null;
+  let status = ref None in
+  let alive () =
+    (if !status = None then
+       match Unix.waitpid [ Unix.WNOHANG ] pid with
+       | 0, _ -> ()
+       | _, st -> status := Some st);
+    !status = None
+  in
+  let pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  ignore (Unix.alarm 120);
+  Fun.protect
+    ~finally:(fun () ->
+      if alive () then begin
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid)
+      end;
+      Sys.set_signal Sys.sigpipe pipe;
+      ignore (Unix.alarm 0))
+    (fun () ->
+      C.close (C.connect_unix ~path ());
+      let idle =
+        List.init 14 (fun _ ->
+            let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+            Unix.connect fd (Unix.ADDR_UNIX path);
+            fd)
+      in
+      Thread.delay 0.3;
+      Alcotest.(check bool) "alive with every descriptor taken" true (alive ());
+      Alcotest.(check bool) "its socket is still there" true
+        (Sys.file_exists path);
+      List.iter Unix.close idle;
+      let c = C.connect_unix ~path () in
+      (match C.rpc c P.Stats with
+      | P.Stats_reply _ -> ()
+      | _ -> Alcotest.fail "Stats must answer Stats_reply");
+      Alcotest.(check bool) "Shutdown is acknowledged" true
+        (C.rpc c P.Shutdown = P.Ok_reply);
+      C.close c;
+      let _, st = Unix.waitpid [] pid in
+      status := Some st;
+      Alcotest.(check bool) "exit 0" true (st = Unix.WEXITED 0))
 
 (* A peer that takes one request and closes without reading it: the
    client's read then fails with ECONNRESET, and its next write with
@@ -625,8 +758,6 @@ let suite =
           test_file_log_streams;
         test "file log write error is a typed reply"
           test_file_log_write_error;
-        test "parallel accounting is lock-free and exact"
-          test_parallel_accounting;
         test "an Add past the fixed-point sums is refused"
           test_add_overflow_refused;
         test "a Subtract no Add matched is refused"
@@ -645,4 +776,10 @@ let suite =
         test "Shutdown stops the daemon while a client idles"
           test_shutdown_with_idle_client;
         test "a vanished daemon is the client's Failure"
-          test_client_peer_vanishes ] ) ]
+          test_client_peer_vanishes;
+        test "concurrent clients account exactly through the daemon lock"
+          test_concurrent_clients;
+        test "the measurement timer runs with measure_every 0"
+          test_measure_interval;
+        test "a daemon out of descriptors goes on serving"
+          test_out_of_descriptors ] ) ]
