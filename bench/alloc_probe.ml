@@ -255,7 +255,8 @@ let () =
     let obs = Mbac_sim.Link.observe link in
     ignore
       (Mbac_sim.Link.admit link obs ~key:0
-         ~rate:(0.5 +. Mbac_stats.Rng.float rng) ~source:None)
+         ~rate:(0.5 +. Mbac_stats.Rng.float rng)
+         ~source:Mbac_sim.Link.no_source)
   done;
   report "Link admit+release (per cycle)"
     (words_per_op ~ops (fun n ->
@@ -263,7 +264,8 @@ let () =
            let obs = Mbac_sim.Link.observe link in
            let slot =
              Mbac_sim.Link.admit link obs ~key:0
-               ~rate:(0.5 +. Mbac_stats.Rng.float rng) ~source:None
+               ~rate:(0.5 +. Mbac_stats.Rng.float rng)
+               ~source:Mbac_sim.Link.no_source
            in
            ignore (Mbac_sim.Link.release link slot)
          done));

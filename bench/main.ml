@@ -468,8 +468,8 @@ let serve fmt ~toy =
         (Mbac_telemetry.Snapshot.current ())
         "serve_decision_latency_seconds"
     with
-    | Some (Mbac_telemetry.Snapshot.Qhistogram h) ->
-        Mbac_telemetry.Quantile_histogram.quantile h
+    | Some (Mbac_telemetry.Snapshot.Histogram h) ->
+        Mbac_telemetry.Histogram.quantile h
     | _ -> fun _ -> nan
   in
   let admit_rate = float_of_int !admits /. float_of_int decides in

@@ -38,7 +38,9 @@ let quantile_fn values =
     else
       a.(max 0 (min (n - 1) (int_of_float (Float.ceil (q *. float_of_int n)) - 1)))
 
-let read_lines file =
+(* [f lineno line] for each line of [file] in turn (numbered from 1),
+   read one at a time: an analysis holds its summaries, not the file. *)
+let iter_lines file f =
   let ic =
     try open_in file
     with Sys_error msg -> raise (Schema msg)
@@ -46,13 +48,14 @@ let read_lines file =
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
-      let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> ());
-      List.rev !lines)
+      let rec go lineno =
+        match In_channel.input_line ic with
+        | Some line ->
+            f lineno line;
+            go (lineno + 1)
+        | None -> ()
+      in
+      go 1)
 
 let parse_line file lineno line =
   match J.parse line with
@@ -90,7 +93,6 @@ let ctl_create () =
 type burst_cell = { mutable bursts : int; mutable m0_sum : int }
 
 let analyze_trace fmt file =
-  let lines = read_lines file in
   let kinds : (string, int ref) Hashtbl.t = Hashtbl.create 8 in
   let ctls : (string, ctl) Hashtbl.t = Hashtbl.create 8 in
   let bursts : (int, burst_cell) Hashtbl.t = Hashtbl.create 8 in
@@ -104,10 +106,8 @@ let analyze_trace fmt file =
         c
   in
   let n_lines = ref 0 in
-  List.iteri
-    (fun i line ->
+  iter_lines file (fun lineno line ->
       if String.trim line <> "" then begin
-        let lineno = i + 1 in
         incr n_lines;
         let v = parse_line file lineno line in
         let t =
@@ -200,8 +200,7 @@ let analyze_trace fmt file =
             (* Unknown kinds are counted but not interpreted: the format
                may grow, and an analyzer should not reject the future. *)
             ()
-      end)
-    lines;
+      end);
   Format.fprintf fmt "== Trace %s: %d events ==@." file !n_lines;
   List.iter
     (fun (kind, count) -> Format.fprintf fmt "  %-16s %8d@." kind !count)
@@ -279,13 +278,10 @@ type series_acc = {
 }
 
 let analyze_series fmt file =
-  let lines = read_lines file in
   let labels : (string, series_acc) Hashtbl.t = Hashtbl.create 8 in
   let n_lines = ref 0 in
-  List.iteri
-    (fun i line ->
+  iter_lines file (fun lineno line ->
       if String.trim line <> "" then begin
-        let lineno = i + 1 in
         incr n_lines;
         let v = parse_line file lineno line in
         let t =
@@ -371,8 +367,7 @@ let analyze_series fmt file =
           if Float.is_nan acc.wpf_max || wpf > acc.wpf_max then
             acc.wpf_max <- wpf
         end
-      end)
-    lines;
+      end);
   Format.fprintf fmt "== Series %s: %d windows ==@." file !n_lines;
   List.iter
     (fun (label, a) ->
@@ -443,13 +438,10 @@ type serve_ctl = {
 }
 
 let analyze_serve_log fmt file =
-  let lines = read_lines file in
   let criteria : (string, serve_ctl) Hashtbl.t = Hashtbl.create 8 in
   let total = ref 0 in
   let min_flows = ref max_int and max_flows = ref min_int in
-  List.iteri
-    (fun i line ->
-      let lineno = i + 1 in
+  iter_lines file (fun lineno line ->
       let v = parse_line file lineno line in
       let field what conv name =
         require file lineno what (Option.bind (J.member name v) conv)
@@ -458,9 +450,10 @@ let analyze_serve_log fmt file =
       let criterion = field "string criterion" J.to_string "criterion" in
       let admit = field "bool admit" J.to_bool "admit" in
       let flows = field "int flows" J.to_int "flows" in
-      if seq <> i then
+      let expected = lineno - 1 in
+      if seq <> expected then
         schema file lineno
-          (Printf.sprintf "seq %d out of order (expected %d)" seq i);
+          (Printf.sprintf "seq %d out of order (expected %d)" seq expected);
       if flows < 0 then schema file lineno "negative flows";
       let c =
         match Hashtbl.find_opt criteria criterion with
@@ -477,8 +470,7 @@ let analyze_serve_log fmt file =
       w_add c.sd_flows (float_of_int flows);
       min_flows := min !min_flows flows;
       max_flows := max !max_flows flows;
-      incr total)
-    lines;
+      incr total);
   Format.fprintf fmt "== Serve decision log %s: %d decisions, %d criteria ==@."
     file !total (Hashtbl.length criteria);
   if !total > 0 then

@@ -270,7 +270,7 @@ let handle_arrival eng sh ~lr l =
     let seq = sh.sr_seq.(lr) in
     sh.sr_seq.(lr) <- seq + 1;
     let slot =
-      Link.admit k obs ~key:(flow_key ~route ~seq) ~rate ~source:(Some source)
+      Link.admit k obs ~key:(flow_key ~route ~seq) ~rate ~source
     in
     let gen = Link.gen k slot in
     let t_end =
@@ -301,32 +301,31 @@ let handle_arrival eng sh ~lr l =
    holds another generation, or no source. *)
 let handle_depart sh ~slot ~gen l =
   let k = l.kernel in
-  match Link.source k slot with
-  | Some _ when Link.gen k slot land gen_mask = gen ->
-      ignore (Link.release k slot);
-      sh.sh_departed <- sh.sh_departed + 1
-  | Some _ | None -> ()
+  if Link.gen k slot land gen_mask = gen && Link.has_source k slot then begin
+    ignore (Link.release k slot);
+    sh.sh_departed <- sh.sh_departed + 1
+  end
 
 let handle_change eng sh ~slot ~gen ~route l =
   let k = l.kernel in
-  match Link.source k slot with
-  | Some source when Link.gen k slot land gen_mask = gen ->
-      let te = k.Link.hot.now in
-      Mbac_traffic.Source.fire source ~now:te;
-      let desired = Mbac_traffic.Source.rate source in
-      ignore (Link.set_rate k slot desired);
-      CQ.push sh.wheel
-        ~time:(Mbac_traffic.Source.next_change source)
-        (encode ~tag:tag_change ~slot ~gen ~route);
-      let seq = flow_seq k.keys.(slot) in
-      let links = eng.topo.routes.(route).Topology.links in
-      for h = 1 to Array.length links - 1 do
-        send_msg eng sh
-          ~time:(te +. (float_of_int h *. eng.d))
-          ~kind:k_update ~link:links.(h) ~hop:h ~route ~seq ~islot:0
-          ~igen:0 ~rate:desired ~t_end:0.0
-      done
-  | Some _ | None -> ()
+  if Link.gen k slot land gen_mask = gen && Link.has_source k slot then begin
+    let source = Link.source k slot in
+    let te = k.Link.hot.now in
+    Mbac_traffic.Source.fire source ~now:te;
+    let desired = Mbac_traffic.Source.rate source in
+    ignore (Link.set_rate k slot desired);
+    CQ.push sh.wheel
+      ~time:(Mbac_traffic.Source.next_change source)
+      (encode ~tag:tag_change ~slot ~gen ~route);
+    let seq = flow_seq k.keys.(slot) in
+    let links = eng.topo.routes.(route).Topology.links in
+    for h = 1 to Array.length links - 1 do
+      send_msg eng sh
+        ~time:(te +. (float_of_int h *. eng.d))
+        ~kind:k_update ~link:links.(h) ~hop:h ~route ~seq ~islot:0
+        ~igen:0 ~rate:desired ~t_end:0.0
+    done
+  end
 
 let handle_msg eng sh ~idx l =
   let k = l.kernel in
@@ -346,7 +345,7 @@ let handle_msg eng sh ~idx l =
     if Link.admissible k obs then begin
       let key = flow_key ~route ~seq in
       Int_table.add l.transit ~key
-        ~value:(Link.admit k obs ~key ~rate ~source:None);
+        ~value:(Link.admit k obs ~key ~rate ~source:Link.no_source);
       (* the link releases itself at the flow's own end time, shifted by
          the same per-hop delay its setup took: no departure messages *)
       push_local sh
@@ -368,38 +367,39 @@ let handle_msg eng sh ~idx l =
     end
   end
   else if kind = k_confirm then begin
-    match Link.source k islot with
-    | Some source when Link.gen k islot = igen ->
-        sh.sh_admitted <- sh.sh_admitted + 1;
-        (* catch up on renegotiation epochs missed during the walk *)
-        Mbac_traffic.Source.fire_until source ~upto:te;
-        let desired = Mbac_traffic.Source.rate source in
-        if desired <> Link.granted k islot then begin
-          ignore (Link.set_rate k islot desired);
-          for h = 1 to Array.length links - 1 do
-            send_msg eng sh
-              ~time:(te +. (float_of_int h *. eng.d))
-              ~kind:k_update ~link:links.(h) ~hop:h ~route ~seq ~islot:0
-              ~igen:0 ~rate:desired ~t_end:0.0
-          done
-        end;
-        CQ.push sh.wheel
-          ~time:(Mbac_traffic.Source.next_change source)
-          (encode ~tag:tag_change ~slot:islot ~gen:igen ~route)
-    | Some _ | None -> () (* departed before the confirm arrived *)
+    (* unless the flow departed before the confirm arrived *)
+    if Link.gen k islot = igen && Link.has_source k islot then begin
+      let source = Link.source k islot in
+      sh.sh_admitted <- sh.sh_admitted + 1;
+      (* catch up on renegotiation epochs missed during the walk *)
+      Mbac_traffic.Source.fire_until source ~upto:te;
+      let desired = Mbac_traffic.Source.rate source in
+      if desired <> Link.granted k islot then begin
+        ignore (Link.set_rate k islot desired);
+        for h = 1 to Array.length links - 1 do
+          send_msg eng sh
+            ~time:(te +. (float_of_int h *. eng.d))
+            ~kind:k_update ~link:links.(h) ~hop:h ~route ~seq ~islot:0
+            ~igen:0 ~rate:desired ~t_end:0.0
+        done
+      end;
+      CQ.push sh.wheel
+        ~time:(Mbac_traffic.Source.next_change source)
+        (encode ~tag:tag_change ~slot:islot ~gen:igen ~route)
+    end
   end
   else if kind = k_reject then begin
-    match Link.source k islot with
-    | Some _ when Link.gen k islot = igen ->
-        sh.sh_blocked <- sh.sh_blocked + 1;
-        (* freeing the slot invalidates the pending depart event *)
-        ignore (Link.release k islot);
-        for h = 1 to hop - 1 do
-          send_msg eng sh ~time:(te +. eng.d) ~kind:k_release
-            ~link:links.(h) ~hop:h ~route ~seq ~islot:0 ~igen:0 ~rate:0.0
-            ~t_end:0.0
-        done
-    | Some _ | None -> () (* departed before the reject arrived *)
+    (* unless the flow departed before the reject arrived *)
+    if Link.gen k islot = igen && Link.has_source k islot then begin
+      sh.sh_blocked <- sh.sh_blocked + 1;
+      (* freeing the slot invalidates the pending depart event *)
+      ignore (Link.release k islot);
+      for h = 1 to hop - 1 do
+        send_msg eng sh ~time:(te +. eng.d) ~kind:k_release
+          ~link:links.(h) ~hop:h ~route ~seq ~islot:0 ~igen:0 ~rate:0.0
+          ~t_end:0.0
+      done
+    end
   end
   else begin
     let key = flow_key ~route ~seq in

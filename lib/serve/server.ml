@@ -14,7 +14,7 @@ let handle_frame engine bytes ~pos ~avail out =
       Protocol.encode_response out resp;
       (match req with
       | Protocol.Decide _ ->
-          H.observe_q m_latency ((now_ns () -. t0) /. 1e9)
+          H.observe m_latency ((now_ns () -. t0) /. 1e9)
       | _ -> ());
       Ok (consumed, match req with Protocol.Shutdown -> `Shutdown | _ -> `Continue)
 
@@ -83,13 +83,19 @@ type daemon = {
   engine : Engine.t;
   mutable stop : bool;
   (* The descriptors of the connections being served.  A service thread
-     takes its own out before closing it, so the shutdown at the end of
-     [serve] never reaches a descriptor number the kernel has handed out
-     again. *)
+     takes its own out after its last use of the engine and before
+     closing it, so the shutdown at the end of [serve] never reaches a
+     descriptor number the kernel has handed out again. *)
   mutable live : Unix.file_descr list;
+  drained : Condition.t;  (* signalled when [live] becomes empty *)
 }
 
 let locked d f = Mutex.protect d.lock f
+
+let leave d fd =
+  locked d (fun () ->
+      d.live <- List.filter (( <> ) fd) d.live;
+      if d.live = [] then Condition.broadcast d.drained)
 
 (* Serve one connected stream until EOF, a fatal protocol error (the
    peer gets a final [Error_reply], code 255), or a [Shutdown] request.
@@ -210,13 +216,19 @@ let serve ?measure_interval l engine =
   (* a reply to a peer that hung up must fail as EPIPE on that
      connection, not kill the daemon *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let d = { lock = Mutex.create (); engine; stop = false; live = [] } in
+  let d =
+    { lock = Mutex.create (); engine; stop = false; live = [];
+      drained = Condition.create () }
+  in
   let timer = Option.map (Thread.create (measure_timer d)) measure_interval in
-  let threads = ref [] in
   let connection (fd, peer) =
-    let ending = serve_connection d fd ~peer in
-    locked d (fun () -> d.live <- List.filter (( <> ) fd) d.live);
-    (try Unix.close fd with Unix.Unix_error _ -> ());
+    let ending =
+      Fun.protect
+        ~finally:(fun () ->
+          leave d fd;
+          try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () -> serve_connection d fd ~peer)
+    in
     match ending with
     | `Shutdown ->
         locked d (fun () -> d.stop <- true);
@@ -225,7 +237,10 @@ let serve ?measure_interval l engine =
   in
   (* Runs however the accept loop ends.  A client that stays connected
      but idle has its thread blocked in [read]: end every stream still
-     open so those reads return. *)
+     open so those reads return, then wait until every service thread
+     has left [live], which it does after its last use of the engine.
+     Service threads are not kept, so a long-lived daemon holds nothing
+     for the connections it has closed. *)
   let wind_down () =
     locked d (fun () ->
         d.stop <- true;
@@ -233,8 +248,10 @@ let serve ?measure_interval l engine =
           (fun fd ->
             try Unix.shutdown fd Unix.SHUTDOWN_ALL
             with Unix.Unix_error _ -> ())
-          d.live);
-    List.iter Thread.join !threads;
+          d.live;
+        while d.live <> [] do
+          Condition.wait d.drained d.lock
+        done);
     Option.iter Thread.join timer;
     close l
   in
@@ -250,7 +267,12 @@ let serve ?measure_interval l engine =
                   d.live <- fd :: d.live);
               incr conn_id;
               let peer = Printf.sprintf "unix-%d" !conn_id in
-              threads := Thread.create connection (fd, peer) :: !threads
+              match Thread.create connection (fd, peer) with
+              | (_ : Thread.t) -> ()
+              | exception e ->
+                  leave d fd;
+                  Unix.close fd;
+                  raise e
             end
         (* a connection reset before it was accepted, or a signal *)
         | exception Unix.Unix_error ((EINTR | ECONNABORTED), _, _) -> ()

@@ -73,9 +73,12 @@ val serve : ?measure_interval:float -> listener -> Engine.t -> unit
     whose [measure_every] is 0, since the inline passes are stamped with
     the clients' virtual time.
 
-    At [Shutdown], it shuts down the connections still open (an idle
-    client does not hold the daemon up: its stream ends), joins the
-    service threads and the timer, and {!close}s the listener.  An
+    A service thread is not kept once its connection has closed, so a
+    long-lived daemon's memory does not grow with the connections it
+    has served.  At [Shutdown], it shuts down the connections still open
+    (an idle client does not hold the daemon up: its stream ends), waits
+    until every service thread is past its last use of the engine, joins
+    the timer, and {!close}s the listener.  An
     [accept] that fails for want of descriptors or memory ([EMFILE],
     [ENFILE], [ENOBUFS], [ENOMEM]) is retried after 10 ms, one
     interrupted or aborted ([EINTR], [ECONNABORTED]) at once; any other

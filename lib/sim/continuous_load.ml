@@ -147,8 +147,7 @@ let admit_one s obs =
   let l = s.kernel in
   let source = s.make_source s.rng ~start:l.Link.hot.now in
   let slot =
-    Link.admit l obs ~key:0 ~rate:(Mbac_traffic.Source.rate source)
-      ~source:(Some source)
+    Link.admit l obs ~key:0 ~rate:(Mbac_traffic.Source.rate source) ~source
   in
   let gen = Link.gen l slot in
   let holding =
@@ -301,36 +300,37 @@ let[@inline] record_segment s ~t1 =
 
 let handle_depart s slot gen =
   let l = s.kernel in
-  match Link.source l slot with
-  | Some _ when Link.gen l slot = gen -> refill s (Link.release l slot)
-  | Some _ | None -> stale s (* cannot happen for departures; kept safe *)
+  if Link.gen l slot = gen && Link.has_source l slot then
+    refill s (Link.release l slot)
+  else stale s (* cannot happen for departures; kept safe *)
 
 let handle_change s slot gen =
   let l = s.kernel in
-  match Link.source l slot with
-  | Some source when Link.gen l slot = gen ->
-      Mbac_traffic.Source.fire source ~now:l.Link.hot.now;
-      let desired = Mbac_traffic.Source.rate source in
-      (* The paper's RCBR service (§2): "bandwidth renegotiations fail
-         when the current aggregate bandwidth demand exceeds the link
-         capacity".  We count an upward renegotiation as failed when
-         the post-change aggregate demand exceeds capacity.  The
-         dynamics remain those of the bufferless demand model: the
-         admission controller sees demands (a failed flow keeps
-         requesting), so blocking does not silently deflate the
-         measured load. *)
-      (match s.cfg.link with
-      | `Renegotiation_blocking ->
-          let old = Link.granted l slot in
-          if desired > old && l.hot.sum_rate -. old +. desired > s.cfg.capacity
-          then s.reneg_failures <- s.reneg_failures + 1
-      | `Bufferless | `Buffered _ -> ());
-      let obs = Link.set_rate l slot desired in
-      Calendar_queue.push s.queue
-        ~time:(Mbac_traffic.Source.next_change source)
-        (encode ~tag:tag_change ~slot ~gen);
-      refill s obs
-  | Some _ | None -> stale s (* event of a departed flow (or reused slot) *)
+  if Link.gen l slot = gen && Link.has_source l slot then begin
+    let source = Link.source l slot in
+    Mbac_traffic.Source.fire source ~now:l.Link.hot.now;
+    let desired = Mbac_traffic.Source.rate source in
+    (* The paper's RCBR service (§2): "bandwidth renegotiations fail
+       when the current aggregate bandwidth demand exceeds the link
+       capacity".  We count an upward renegotiation as failed when
+       the post-change aggregate demand exceeds capacity.  The
+       dynamics remain those of the bufferless demand model: the
+       admission controller sees demands (a failed flow keeps
+       requesting), so blocking does not silently deflate the
+       measured load. *)
+    (match s.cfg.link with
+    | `Renegotiation_blocking ->
+        let old = Link.granted l slot in
+        if desired > old && l.hot.sum_rate -. old +. desired > s.cfg.capacity
+        then s.reneg_failures <- s.reneg_failures + 1
+    | `Bufferless | `Buffered _ -> ());
+    let obs = Link.set_rate l slot desired in
+    Calendar_queue.push s.queue
+      ~time:(Mbac_traffic.Source.next_change source)
+      (encode ~tag:tag_change ~slot ~gen);
+    refill s obs
+  end
+  else stale s (* event of a departed flow (or reused slot) *)
 
 (* The one event body, shared by [step] and [run]'s batched dispatch:
    account the constant-load segment up to [te], fire the event, count

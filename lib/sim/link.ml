@@ -18,7 +18,7 @@ type t = {
   mutable granted : Float.Array.t;
   mutable keys : int array;
   mutable gens : int array;
-  mutable sources : Mbac_traffic.Source.t option array;
+  mutable sources : Mbac_traffic.Source.t array;
   mutable free : int array;
   mutable free_top : int;
   mutable limit : int;
@@ -35,22 +35,28 @@ type t = {
 
 let slot_bits = 24
 
+(* What a slot holds when it holds no flow source: a free slot, or a
+   transit reservation.  Never fired; recognised by identity. *)
+let no_source =
+  Mbac_traffic.Source.rcbr (Mbac_stats.Rng.create ~seed:0)
+    { mu = 0.0; sigma = 0.0; t_c = 1.0 } ~start:0.0
+
 (* Episode counters fire on every overflow-episode boundary; resolve
    their names once instead of hashing per update. *)
 let m_ovf_episodes = Mbac_telemetry.Metrics.Handle.counter "sim_overflow_episodes_total"
 let m_ovf_time = Mbac_telemetry.Metrics.Handle.sum "sim_overflow_time"
 let m_ovf_excess = Mbac_telemetry.Metrics.Handle.sum "sim_overflow_excess_volume"
 
-(* Normalized by batch_length so the histogram shape is identical across
-   sweep cells with different batch lengths (shards with
-   differently-shaped same-name histograms cannot merge). *)
+(* Normalized by batch_length so the histogram layout is identical
+   across sweep cells with different batch lengths (shards with
+   differently-laid-out same-name histograms cannot merge). *)
 let m_ovf_duration =
   Mbac_telemetry.Metrics.Handle.histogram "sim_overflow_episode_duration_batches"
     ~lo:0.0 ~hi:20.0 ~bins:40
 
-(* Same duration, raw (seconds of virtual time) in a log-bucketed
-   quantile histogram: scale-free, so episodes past 20 batch lengths —
-   overflow of the fixed-bucket shape above — keep a readable p99. *)
+(* Same duration, raw (seconds of virtual time) in the default log
+   layout: scale-free, so episodes past 20 batch lengths — overflow of
+   the linear layout above — keep a readable p99. *)
 let m_ovf_duration_s =
   Mbac_telemetry.Metrics.Handle.qhist "sim_overflow_episode_duration_seconds"
 
@@ -123,7 +129,8 @@ let copy l ~rng =
     gens = Array.copy l.gens;
     sources =
       Array.map
-        (Option.map (fun src -> Mbac_traffic.Source.copy src rng))
+        (fun src ->
+          if src == no_source then src else Mbac_traffic.Source.copy src rng)
         l.sources;
     free = Array.copy l.free }
 
@@ -146,7 +153,7 @@ let grow l =
   l.granted <- granted;
   l.keys <- extend l.keys (-1);
   l.gens <- extend l.gens 0;
-  l.sources <- extend l.sources None
+  l.sources <- extend l.sources no_source
 
 let alloc_slot l =
   if l.free_top > 0 then begin
@@ -164,7 +171,7 @@ let alloc_slot l =
 
 let free_slot l slot =
   l.keys.(slot) <- -1;
-  l.sources.(slot) <- None;
+  l.sources.(slot) <- no_source;
   l.gens.(slot) <- l.gens.(slot) + 1;
   if l.free_top = Array.length l.free then begin
     let free = Array.make (max first_slots (2 * l.free_top)) 0 in
@@ -221,6 +228,7 @@ let[@inline] set_rate l slot rate =
 let[@inline] granted l slot = Float.Array.get l.granted slot
 let[@inline] gen l slot = l.gens.(slot)
 let[@inline] source l slot = l.sources.(slot)
+let[@inline] has_source l slot = l.sources.(slot) != no_source
 
 (* Counter the slow drift of the incrementally-maintained sums by
    recomputing them from the slot table (linear slot scan). *)
@@ -269,7 +277,7 @@ let close_episode l ~t0 ~truncated =
     Mbac_telemetry.Metrics.Handle.add m_ovf_excess l.hot.ovf_excess;
     Mbac_telemetry.Metrics.Handle.observe m_ovf_duration
       (duration /. l.batch_length);
-    Mbac_telemetry.Metrics.Handle.observe_q m_ovf_duration_s duration;
+    Mbac_telemetry.Metrics.Handle.observe m_ovf_duration_s duration;
     if Mbac_telemetry.Trace.enabled () then
       Mbac_telemetry.Trace.emit ~t:t0 ~kind:"overflow_end"
         ([ ("start", Mbac_telemetry.Trace.Float l.hot.ovf_start);

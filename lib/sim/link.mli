@@ -1,7 +1,7 @@
 (** One bufferless link: the paper's object, shared by both simulators.
 
     A link holds its admitted flows in a dense slot table (granted rate,
-    flow key, generation, optional source, LIFO free stack), keeps the
+    flow key, generation, source, LIFO free stack), keeps the
     cross-section (n, Σr, Σr²) its controller measures incrementally,
     with a periodic resync from the slot table, records every
     load-constant segment into a {!Measurement} while tracking overflow
@@ -38,7 +38,8 @@ type t = private {
   mutable granted : Float.Array.t;  (** slot -> rate the link allocated *)
   mutable keys : int array;  (** slot -> flow key, [-1] when free *)
   mutable gens : int array;
-  mutable sources : Mbac_traffic.Source.t option array;
+  mutable sources : Mbac_traffic.Source.t array;
+      (** slot -> the flow's source, {!no_source} when it has none *)
   mutable free : int array;  (** stack of vacant slots *)
   mutable free_top : int;
   mutable limit : int;  (** slots ever used (high-water mark) *)
@@ -58,6 +59,11 @@ type t = private {
 val slot_bits : int
 (** Slots stay below [2^slot_bits], so drivers can pack them into event
     payloads. *)
+
+val no_source : Mbac_traffic.Source.t
+(** The one placeholder every slot without a flow source holds (a free
+    slot, a transit reservation), told apart by identity
+    ({!has_source}); it is never fired or copied. *)
 
 val create :
   telemetry:bool ->
@@ -105,10 +111,11 @@ val admit :
   Mbac.Observation.t ->
   key:int ->
   rate:float ->
-  source:Mbac_traffic.Source.t option ->
+  source:Mbac_traffic.Source.t ->
   int
-(** Take a slot for a flow of [rate] ([key >= 0]), reusing the most
-    recently freed one, and show the controller ([observe]) the
+(** Take a slot for a flow of [rate] ([key >= 0]) and its [source]
+    ({!no_source} for a reservation that has none), reusing the most
+    recently freed slot, and show the controller ([observe]) the
     observation [obs] advanced by the flow.
     Returns the slot.
     @raise Invalid_argument past [2^slot_bits] concurrent flows. *)
@@ -126,7 +133,10 @@ val set_rate : t -> int -> float -> Mbac.Observation.t
 
 val granted : t -> int -> float
 val gen : t -> int -> int
-val source : t -> int -> Mbac_traffic.Source.t option
+val source : t -> int -> Mbac_traffic.Source.t
+
+val has_source : t -> int -> bool
+(** The slot holds a flow source, not {!no_source}. *)
 
 val record : t -> t1:float -> unit
 (** Account the load held since [hot.now] on [[hot.now, t1)]: the

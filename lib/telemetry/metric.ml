@@ -1,86 +1,23 @@
-module Histogram = struct
-  type t = {
-    lo : float;
-    hi : float;
-    width : float;
-    counts : int array;        (* length bins *)
-    mutable underflow : int;
-    mutable overflow : int;
-    mutable sum : float;
-    mutable count : int;
-  }
-
-  let create ~lo ~hi ~bins =
-    if not (hi > lo) then invalid_arg "Metric.Histogram.create: hi <= lo";
-    if bins <= 0 then invalid_arg "Metric.Histogram.create: bins <= 0";
-    { lo; hi; width = (hi -. lo) /. float_of_int bins;
-      counts = Array.make bins 0; underflow = 0; overflow = 0;
-      sum = 0.0; count = 0 }
-
-  let bins h = Array.length h.counts
-  let lo h = h.lo
-  let hi h = h.hi
-
-  let bucket_index h x =
-    if x < h.lo then -1
-    else if x >= h.hi then bins h
-    else
-      (* Roundoff can push the quotient to [bins] for x just under hi;
-         clamp into range so in-range values never leak into overflow. *)
-      min (bins h - 1) (int_of_float ((x -. h.lo) /. h.width))
-
-  let observe h x =
-    h.count <- h.count + 1;
-    if Float.is_finite x then begin
-      h.sum <- h.sum +. x;
-      let i = bucket_index h x in
-      if i < 0 then h.underflow <- h.underflow + 1
-      else if i >= bins h then h.overflow <- h.overflow + 1
-      else h.counts.(i) <- h.counts.(i) + 1
-    end
-
-  let counts h = Array.copy h.counts
-  let underflow h = h.underflow
-  let overflow h = h.overflow
-  let sum h = h.sum
-  let count h = h.count
-
-  let copy h =
-    { h with counts = Array.copy h.counts }
-
-  let same_shape a b =
-    a.lo = b.lo && a.hi = b.hi && bins a = bins b
-
-  let merge_into ~into src =
-    if not (same_shape into src) then
-      invalid_arg "Metric.Histogram.merge_into: shape mismatch";
-    Array.iteri (fun i c -> into.counts.(i) <- into.counts.(i) + c) src.counts;
-    into.underflow <- into.underflow + src.underflow;
-    into.overflow <- into.overflow + src.overflow;
-    into.sum <- into.sum +. src.sum;
-    into.count <- into.count + src.count
-end
-
 type t =
   | Counter of int ref
   | Sum of float ref
   | Gauge of float ref
   | Hist of Histogram.t
-  | Qhist of Quantile_histogram.t
 
 let kind_name = function
   | Counter _ -> "counter"
   | Sum _ -> "sum"
   | Gauge _ -> "gauge"
-  | Hist _ -> "histogram"
-  | Qhist _ -> "quantile_histogram"
+  | Hist h -> (
+      match Histogram.layout h with
+      | Linear _ -> "histogram"
+      | Log _ -> "quantile_histogram")
 
 let copy = function
   | Counter r -> Counter (ref !r)
   | Sum r -> Sum (ref !r)
   | Gauge r -> Gauge (ref !r)
   | Hist h -> Hist (Histogram.copy h)
-  | Qhist h -> Qhist (Quantile_histogram.copy h)
 
 let merge_into ~into src =
   match (into, src) with
@@ -88,8 +25,7 @@ let merge_into ~into src =
   | Sum a, Sum b -> a := !a +. !b
   | Gauge a, Gauge b -> a := !b
   | Hist a, Hist b -> Histogram.merge_into ~into:a b
-  | Qhist a, Qhist b -> Quantile_histogram.merge_into ~into:a b
-  | (Counter _ | Sum _ | Gauge _ | Hist _ | Qhist _), _ ->
+  | (Counter _ | Sum _ | Gauge _ | Hist _), _ ->
       invalid_arg
         (Printf.sprintf "Metric.merge_into: kind mismatch (%s vs %s)"
            (kind_name into) (kind_name src))

@@ -16,8 +16,7 @@ module Handle = struct
     | Counter
     | Sum
     | Gauge
-    | Hist of { lo : float; hi : float; bins : int }
-    | Qhist
+    | Hist of Histogram.layout
 
   type t = { id : int; name : string; spec : spec }
 
@@ -26,17 +25,17 @@ module Handle = struct
   let counter name = make name Counter
   let sum name = make name Sum
   let gauge name = make name Gauge
-  let histogram name ~lo ~hi ~bins = make name (Hist { lo; hi; bins })
-  let qhist name = make name Qhist
+  let histogram name ~lo ~hi ~bins =
+    make name (Hist (Histogram.Linear { lo; hi; bins }))
+
+  let qhist name = make name (Hist Histogram.default_log)
   let name h = h.name
 
   let build = function
     | Counter -> Metric.Counter (ref 0)
     | Sum -> Metric.Sum (ref 0.0)
     | Gauge -> Metric.Gauge (ref 0.0)
-    | Hist { lo; hi; bins } ->
-        Metric.Hist (Metric.Histogram.create ~lo ~hi ~bins)
-    | Qhist -> Metric.Qhist (Quantile_histogram.create ())
+    | Hist layout -> Metric.Hist (Histogram.create layout)
 
   (* First touch of this handle in the current shard: bind through the
      string table (an existing cell of the name wins, so two handles of
@@ -70,11 +69,6 @@ module Handle = struct
 
   let[@inline] observe h x =
     match resolve h with
-    | Metric.Hist hist -> Metric.Histogram.observe hist x
+    | Metric.Hist hist -> Histogram.observe hist x
     | cell -> kind_error h.name cell "histogram"
-
-  let[@inline] observe_q h x =
-    match resolve h with
-    | Metric.Qhist hist -> Quantile_histogram.observe hist x
-    | cell -> kind_error h.name cell "quantile_histogram"
 end

@@ -24,17 +24,17 @@ module Handle : sig
   val gauge : string -> t
 
   val histogram : string -> lo:float -> hi:float -> bins:int -> t
-  (** A fixed-bucket {!Metric.Histogram}.  The shape arguments apply
-      only if this handle is the first to create the histogram in a
-      shard; handles of one name must agree on them, since shards with
-      differently-shaped histograms of the same name refuse to
+  (** A {!Histogram} of linear layout.  The layout applies only if
+      this handle is the first to create the histogram in a shard;
+      handles of one name must agree on it, since shards with
+      differently-laid-out histograms of the same name refuse to
       merge. *)
 
   val qhist : string -> t
-  (** A log-bucketed {!Quantile_histogram} at the default geometry
-      ([1e-9 .. 1e15], 20 buckets per decade), so every handle of every
-      name shares one shape and shards always merge — use it where the
-      natural scale varies. *)
+  (** A {!Histogram} of the default log layout
+      ({!Histogram.default_log}: [1e-9 .. 1e15], 20 buckets per
+      decade), so every handle of every name shares one layout and
+      shards always merge — use it where the natural scale varies. *)
 
   val name : t -> string
 
@@ -48,8 +48,5 @@ module Handle : sig
   (** Record the latest value of a gauge. *)
 
   val observe : t -> float -> unit
-  (** Observe a value into a fixed-bucket histogram. *)
-
-  val observe_q : t -> float -> unit
-  (** Observe a value into a quantile histogram. *)
+  (** Observe a value into a histogram of either layout. *)
 end

@@ -1,82 +1,57 @@
-type stat = {
-  count : int;
-  total_ns : int64;
-  min_ns : int64;
-  max_ns : int64;
-}
-
-(* Internal accumulator: the headline stat plus a log-bucketed histogram
-   of span durations (in nanoseconds), so the report and the JSON
-   archive can show p50/p90/p99 and not just the mean. *)
+(* Per span: its durations (in nanoseconds) in a histogram of the
+   default log layout, whose count and sum give the mean and whose
+   quantiles give p50/p90/p99, plus the exact extremes. *)
 type acc = {
-  mutable a_count : int;
-  mutable a_total : int64;
-  mutable a_min : int64;
-  mutable a_max : int64;
-  hist : Quantile_histogram.t;
+  hist : Histogram.t;
+  mutable min_ns : float;
+  mutable max_ns : float;
 }
 
-let enabled_flag = Atomic.make false
-let set_enabled b = Atomic.set enabled_flag b
-let enabled () = Atomic.get enabled_flag
+let enabled = Atomic.make false
+let set_enabled b = Atomic.set enabled b
 
 let table : (string, acc) Hashtbl.t = Hashtbl.create 32
 let lock = Mutex.create ()
 
 let record name ns =
-  Mutex.lock lock;
-  (match Hashtbl.find_opt table name with
-  | None ->
+  let ns = Int64.to_float ns in
+  Mutex.protect lock (fun () ->
       let a =
-        { a_count = 1; a_total = ns; a_min = ns; a_max = ns;
-          hist = Quantile_histogram.create () }
+        match Hashtbl.find_opt table name with
+        | Some a -> a
+        | None ->
+            let a =
+              { hist = Histogram.create Histogram.default_log; min_ns = ns;
+                max_ns = ns }
+            in
+            Hashtbl.replace table name a;
+            a
       in
-      Quantile_histogram.observe a.hist (Int64.to_float ns);
-      Hashtbl.replace table name a
-  | Some a ->
-      a.a_count <- a.a_count + 1;
-      a.a_total <- Int64.add a.a_total ns;
-      if ns < a.a_min then a.a_min <- ns;
-      if ns > a.a_max then a.a_max <- ns;
-      Quantile_histogram.observe a.hist (Int64.to_float ns));
-  Mutex.unlock lock
+      Histogram.observe a.hist ns;
+      a.min_ns <- Float.min a.min_ns ns;
+      a.max_ns <- Float.max a.max_ns ns)
 
 let span name f =
-  if not (enabled ()) then f ()
+  if not (Atomic.get enabled) then f ()
   else begin
     let t0 = Monotonic_clock.now () in
     let finally () = record name (Int64.sub (Monotonic_clock.now ()) t0) in
     Fun.protect ~finally f
   end
 
-let stat_of_acc a =
-  { count = a.a_count; total_ns = a.a_total; min_ns = a.a_min;
-    max_ns = a.a_max }
-
+(* [f] over every span, under the lock, sorted by span name. *)
 let fold f =
-  Mutex.lock lock;
-  let l = Hashtbl.fold (fun name a acc -> f name a :: acc) table [] in
-  Mutex.unlock lock;
-  List.sort (fun (a, _) (b, _) -> String.compare a b) l
+  Mutex.protect lock (fun () ->
+      Hashtbl.fold (fun name a acc -> (name, f a) :: acc) table [])
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let stats () = fold (fun name a -> (name, stat_of_acc a))
-
-let quantiles_ms () =
-  fold (fun name a ->
-      ( name,
-        ( Quantile_histogram.quantile a.hist 0.5 /. 1e6,
-          Quantile_histogram.quantile a.hist 0.9 /. 1e6,
-          Quantile_histogram.quantile a.hist 0.99 /. 1e6 ) ))
-
-let reset () =
-  Mutex.lock lock;
-  Hashtbl.reset table;
-  Mutex.unlock lock
-
-let ms ns = Int64.to_float ns /. 1e6
+let ms ns = ns /. 1e6
+let total_ms a = ms (Histogram.sum a.hist)
+let mean_ms a = total_ms a /. float_of_int (Histogram.count a.hist)
+let q_ms a q = ms (Histogram.quantile a.hist q)
 
 let report fmt =
-  match fold (fun name a -> (name, a)) with
+  match fold Fun.id with
   | [] -> Format.fprintf fmt "profile: no spans recorded@."
   | l ->
       Format.fprintf fmt
@@ -86,25 +61,21 @@ let report fmt =
         (fun (name, a) ->
           Format.fprintf fmt
             "profile: %-40s %10d %12.3f %12.3f %12.3f %12.3f %12.3f %12.3f@."
-            name a.a_count (ms a.a_total)
-            (ms a.a_total /. float_of_int a.a_count)
-            (Quantile_histogram.quantile a.hist 0.5 /. 1e6)
-            (Quantile_histogram.quantile a.hist 0.99 /. 1e6)
-            (ms a.a_min) (ms a.a_max))
+            name (Histogram.count a.hist) (total_ms a) (mean_ms a) (q_ms a 0.5)
+            (q_ms a 0.99) (ms a.min_ns) (ms a.max_ns))
         l
 
 let to_json () =
   let spans =
-    fold (fun name a ->
-        ( name,
-          Json.obj
-            [ ("count", Json.int a.a_count);
-              ("total_ms", Json.float (ms a.a_total));
-              ("mean_ms", Json.float (ms a.a_total /. float_of_int a.a_count));
-              ("p50_ms", Json.float (Quantile_histogram.quantile a.hist 0.5 /. 1e6));
-              ("p90_ms", Json.float (Quantile_histogram.quantile a.hist 0.9 /. 1e6));
-              ("p99_ms", Json.float (Quantile_histogram.quantile a.hist 0.99 /. 1e6));
-              ("min_ms", Json.float (ms a.a_min));
-              ("max_ms", Json.float (ms a.a_max)) ] ))
+    fold (fun a ->
+        Json.obj
+          [ ("count", Json.int (Histogram.count a.hist));
+            ("total_ms", Json.float (total_ms a));
+            ("mean_ms", Json.float (mean_ms a));
+            ("p50_ms", Json.float (q_ms a 0.5));
+            ("p90_ms", Json.float (q_ms a 0.9));
+            ("p99_ms", Json.float (q_ms a 0.99));
+            ("min_ms", Json.float (ms a.min_ns));
+            ("max_ms", Json.float (ms a.max_ns)) ])
   in
   Json.obj spans ^ "\n"

@@ -13,35 +13,20 @@
     steps, and meaningful across domains. *)
 
 val set_enabled : bool -> unit
-val enabled : unit -> bool
 
 val span : string -> (unit -> 'a) -> 'a
 (** Run the thunk; when profiling is enabled, record its wall-clock
     duration under the given span name (exceptions still propagate, and
-    the partial span is recorded). *)
-
-type stat = {
-  count : int;
-  total_ns : int64;
-  min_ns : int64;
-  max_ns : int64;
-}
-
-val stats : unit -> (string * stat) list
-(** Accumulated spans, sorted by name. *)
-
-val quantiles_ms : unit -> (string * (float * float * float)) list
-(** Per-span [(p50, p90, p99)] duration quantiles in milliseconds, from
-    a log-bucketed {!Quantile_histogram} per span (bounded relative
-    quantization error, see {!Quantile_histogram.max_rel_error}). *)
+    the partial span is recorded).  Each span's durations go into a
+    {!Histogram} of the default log layout, so its quantiles carry a
+    bounded relative error ({!Histogram.max_rel_error}). *)
 
 val report : Format.formatter -> unit
-(** Human-readable table of {!stats} (count, total, mean, p50, p99,
-    min, max); prints a placeholder line when no spans were recorded. *)
+(** Human-readable table of the spans, sorted by name (count, total,
+    mean, p50, p99, min, max); prints a placeholder line when no spans
+    were recorded. *)
 
 val to_json : unit -> string
 (** The span table as one JSON object keyed by span name —
     [--profile-out]'s payload, archivable next to BENCH.json.  Values
     are wall-clock measurements, so bytes vary run to run. *)
-
-val reset : unit -> unit

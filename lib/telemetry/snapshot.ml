@@ -2,8 +2,7 @@ type value =
   | Counter of int
   | Sum of float
   | Gauge of float
-  | Histogram of Metric.Histogram.t
-  | Qhistogram of Quantile_histogram.t
+  | Histogram of Histogram.t
 
 (* Sorted by name, as [Shard.metrics] lists the cells. *)
 type t = (string * value) list
@@ -12,8 +11,7 @@ let value_of_cell = function
   | Metric.Counter r -> Counter !r
   | Metric.Sum r -> Sum !r
   | Metric.Gauge r -> Gauge !r
-  | Metric.Hist h -> Histogram (Metric.Histogram.copy h)
-  | Metric.Qhist h -> Qhistogram (Quantile_histogram.copy h)
+  | Metric.Hist h -> Histogram (Histogram.copy h)
 
 let current () =
   List.map
@@ -38,33 +36,33 @@ let json_of_value = function
   | Sum s -> Json.obj [ ("kind", Json.string "sum"); ("value", Json.float s) ]
   | Gauge g -> Json.obj [ ("kind", Json.string "gauge"); ("value", Json.float g) ]
   | Histogram h ->
-      let module H = Metric.Histogram in
+      (* a linear layout lists every bucket; a log one reads out its
+         quantiles and lists its non-zero buckets *)
+      let layout, buckets =
+        match Histogram.layout h with
+        | Linear { lo; hi; bins } ->
+            ( [ ("lo", Json.float lo); ("hi", Json.float hi);
+                ("bins", Json.int bins) ],
+              [ ("counts",
+                 Json.arr
+                   (List.map Json.int (Array.to_list (Histogram.counts h))))
+              ] )
+        | Log { lo; decades; buckets_per_decade } ->
+            ( [ ("lo", Json.float lo);
+                ("buckets_per_decade", Json.int buckets_per_decade);
+                ("decades", Json.int decades) ],
+              List.map
+                (fun (key, q) -> (key, Json.float (Histogram.quantile h q)))
+                [ ("p50", 0.5); ("p90", 0.9); ("p99", 0.99); ("p999", 0.999) ]
+              @ [ ("buckets", sparse_buckets (Histogram.counts h)) ] )
+      in
       Json.obj
-        [ ("kind", Json.string "histogram");
-          ("lo", Json.float (H.lo h));
-          ("hi", Json.float (H.hi h));
-          ("bins", Json.int (H.bins h));
-          ("underflow", Json.int (H.underflow h));
-          ("overflow", Json.int (H.overflow h));
-          ("counts", Json.arr (List.map Json.int (Array.to_list (H.counts h))));
-          ("sum", Json.float (H.sum h));
-          ("count", Json.int (H.count h)) ]
-  | Qhistogram h ->
-      let module Q = Quantile_histogram in
-      Json.obj
-        [ ("kind", Json.string "quantile_histogram");
-          ("lo", Json.float (Q.lo h));
-          ("buckets_per_decade", Json.int (Q.buckets_per_decade h));
-          ("decades", Json.int (Q.decades h));
-          ("underflow", Json.int (Q.underflow h));
-          ("overflow", Json.int (Q.overflow h));
-          ("p50", Json.float (Q.quantile h 0.5));
-          ("p90", Json.float (Q.quantile h 0.9));
-          ("p99", Json.float (Q.quantile h 0.99));
-          ("p999", Json.float (Q.quantile h 0.999));
-          ("buckets", sparse_buckets (Q.counts h));
-          ("sum", Json.float (Q.sum h));
-          ("count", Json.int (Q.count h)) ]
+        ((("kind", Json.string (Metric.kind_name (Metric.Hist h))) :: layout)
+        @ [ ("underflow", Json.int (Histogram.underflow h));
+            ("overflow", Json.int (Histogram.overflow h)) ]
+        @ buckets
+        @ [ ("sum", Json.float (Histogram.sum h));
+            ("count", Json.int (Histogram.count h)) ])
 
 let to_json t =
   Json.obj (List.map (fun (name, v) -> (name, json_of_value v)) t) ^ "\n"
@@ -114,41 +112,40 @@ let to_prometheus t =
           Buffer.add_string b (Printf.sprintf "# TYPE %s gauge\n" name);
           Buffer.add_string b (Printf.sprintf "%s %s\n" name (prom_float g))
       | Histogram h ->
-          let module H = Metric.Histogram in
-          Buffer.add_string b (Printf.sprintf "# TYPE %s histogram\n" name);
-          let counts = H.counts h in
-          let bins = Array.length counts in
-          let width = (H.hi h -. H.lo h) /. float_of_int bins in
-          let cumulative = ref (H.underflow h) in
-          for i = 0 to bins - 1 do
-            cumulative := !cumulative + counts.(i);
-            let le = H.lo h +. (float_of_int (i + 1) *. width) in
-            Buffer.add_string b
-              (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" name (prom_float le)
-                 !cumulative)
-          done;
-          cumulative := !cumulative + H.overflow h;
-          Buffer.add_string b
-            (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" name !cumulative);
-          Buffer.add_string b
-            (Printf.sprintf "%s_sum %s\n" name (prom_float (H.sum h)));
-          Buffer.add_string b (Printf.sprintf "%s_count %d\n" name (H.count h));
-          out_of_range ~underflow:(H.underflow h) ~overflow:(H.overflow h)
-      | Qhistogram h ->
-          let module Q = Quantile_histogram in
-          (* Rendered as a Prometheus summary: pre-computed quantiles
-             rather than 480 mostly-empty le-buckets. *)
-          Buffer.add_string b (Printf.sprintf "# TYPE %s summary\n" name);
-          List.iter
-            (fun (label, q) ->
+          (match Histogram.layout h with
+          | Linear _ ->
               Buffer.add_string b
-                (Printf.sprintf "%s{quantile=\"%s\"} %s\n" name label
-                   (prom_float (Q.quantile h q))))
-            [ ("0.5", 0.5); ("0.9", 0.9); ("0.99", 0.99); ("0.999", 0.999) ];
+                (Printf.sprintf "# TYPE %s histogram\n" name);
+              let counts = Histogram.counts h in
+              let cumulative = ref (Histogram.underflow h) in
+              Array.iteri
+                (fun i c ->
+                  cumulative := !cumulative + c;
+                  Buffer.add_string b
+                    (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" name
+                       (prom_float (Histogram.bucket_lower h (i + 1)))
+                       !cumulative))
+                counts;
+              Buffer.add_string b
+                (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" name
+                   (!cumulative + Histogram.overflow h))
+          | Log _ ->
+              (* Rendered as a Prometheus summary: pre-computed quantiles
+                 rather than 480 mostly-empty le-buckets. *)
+              Buffer.add_string b (Printf.sprintf "# TYPE %s summary\n" name);
+              List.iter
+                (fun (label, q) ->
+                  Buffer.add_string b
+                    (Printf.sprintf "%s{quantile=\"%s\"} %s\n" name label
+                       (prom_float (Histogram.quantile h q))))
+                [ ("0.5", 0.5); ("0.9", 0.9); ("0.99", 0.99);
+                  ("0.999", 0.999) ]);
           Buffer.add_string b
-            (Printf.sprintf "%s_sum %s\n" name (prom_float (Q.sum h)));
-          Buffer.add_string b (Printf.sprintf "%s_count %d\n" name (Q.count h));
-          out_of_range ~underflow:(Q.underflow h) ~overflow:(Q.overflow h))
+            (Printf.sprintf "%s_sum %s\n" name (prom_float (Histogram.sum h)));
+          Buffer.add_string b
+            (Printf.sprintf "%s_count %d\n" name (Histogram.count h));
+          out_of_range ~underflow:(Histogram.underflow h)
+            ~overflow:(Histogram.overflow h))
     t;
   Buffer.contents b
 

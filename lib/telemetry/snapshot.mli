@@ -10,8 +10,7 @@ type value =
   | Counter of int
   | Sum of float
   | Gauge of float
-  | Histogram of Metric.Histogram.t
-  | Qhistogram of Quantile_histogram.t
+  | Histogram of Histogram.t
 
 type t
 
@@ -23,17 +22,18 @@ val bindings : t -> (string * value) list
 
 val to_json : t -> string
 (** One JSON object keyed by metric name, names sorted; each value
-    carries a ["kind"] discriminator.  Quantile histograms render their
-    non-zero buckets sparsely plus deterministic [p50]/[p90]/[p99]/
-    [p999] readouts.  Deterministic byte-for-byte. *)
+    carries a ["kind"] discriminator ({!Metric.kind_name}).  A linear
+    histogram lists every bucket count; a log one renders its non-zero
+    buckets sparsely plus deterministic [p50]/[p90]/[p99]/[p999]
+    readouts.  Deterministic byte-for-byte. *)
 
 val to_prometheus : t -> string
 (** Prometheus text exposition: counters/sums as [counter], gauges as
-    [gauge], histograms as cumulative [le]-bucketed [histogram] series
-    (the underflow bucket folds into every cumulative count, per the
-    Prometheus convention that buckets count everything [<= le]), and
-    quantile histograms as [summary] series with pre-computed quantile
-    labels.  Both histogram kinds also emit explicit
+    [gauge], linear histograms as cumulative [le]-bucketed [histogram]
+    series (the underflow bucket folds into every cumulative count, per
+    the Prometheus convention that buckets count everything [<= le]),
+    and log histograms as [summary] series with pre-computed quantile
+    labels.  Both layouts also emit explicit
     [<name>_underflow_total] / [<name>_overflow_total] counters, since
     out-of-range observations are invisible in the cumulative
     buckets. *)

@@ -45,37 +45,36 @@ let add_key b name =
   Json.escape_into b name;
   Buffer.add_string b "\":"
 
-let render_hist_delta b ~kind ~count ~sum ~underflow ~overflow ~buckets =
+(* Histogram [h]'s increments over [p], its baseline of the same
+   layout. *)
+let render_hist_delta b ~kind h p =
   Buffer.add_string b "{\"kind\":\"";
   Buffer.add_string b kind;
   Buffer.add_string b "\",\"count\":";
-  Buffer.add_string b (Json.int count);
+  Buffer.add_string b (Json.int (Histogram.count h - Histogram.count p));
   Buffer.add_string b ",\"sum\":";
-  Buffer.add_string b (Json.float sum);
+  Buffer.add_string b (Json.float (Histogram.sum h -. Histogram.sum p));
   Buffer.add_string b ",\"underflow\":";
-  Buffer.add_string b (Json.int underflow);
+  Buffer.add_string b
+    (Json.int (Histogram.underflow h - Histogram.underflow p));
   Buffer.add_string b ",\"overflow\":";
-  Buffer.add_string b (Json.int overflow);
+  Buffer.add_string b (Json.int (Histogram.overflow h - Histogram.overflow p));
   Buffer.add_string b ",\"buckets\":[";
   let first = ref true in
-  List.iter
-    (fun (i, d) ->
-      add_sep b first;
-      Buffer.add_char b '[';
-      Buffer.add_string b (Json.int i);
-      Buffer.add_char b ',';
-      Buffer.add_string b (Json.int d);
-      Buffer.add_char b ']')
-    buckets;
+  let base = Histogram.counts p in
+  Array.iteri
+    (fun i c ->
+      let d = c - base.(i) in
+      if d <> 0 then begin
+        add_sep b first;
+        Buffer.add_char b '[';
+        Buffer.add_string b (Json.int i);
+        Buffer.add_char b ',';
+        Buffer.add_string b (Json.int d);
+        Buffer.add_char b ']'
+      end)
+    (Histogram.counts h);
   Buffer.add_string b "]}"
-
-let bucket_deltas cur base =
-  let pairs = ref [] in
-  for i = Array.length cur - 1 downto 0 do
-    let d = cur.(i) - (if i < Array.length base then base.(i) else 0) in
-    if d <> 0 then pairs := (i, d) :: !pairs
-  done;
-  !pairs
 
 let emit_window ~t =
   if enabled () then begin
@@ -146,53 +145,22 @@ let emit_window ~t =
             Buffer.add_string b (Json.float !r)
         | _ -> ())
       metrics;
-    (* histograms (both kinds): per-window increments, when any *)
+    (* histograms (both layouts): per-window increments, when any *)
     Buffer.add_string b "},\"histograms\":{";
     let first = ref true in
     List.iter
       (fun (name, cell) ->
         match cell with
         | Metric.Hist h ->
-            let bc, bu, bo, bs, bn =
+            let p =
               match base name with
-              | Some (Metric.Hist p) ->
-                  ( Metric.Histogram.counts p,
-                    Metric.Histogram.underflow p,
-                    Metric.Histogram.overflow p,
-                    Metric.Histogram.sum p,
-                    Metric.Histogram.count p )
-              | _ -> ([||], 0, 0, 0.0, 0)
+              | Some (Metric.Hist p) -> p
+              | _ -> Histogram.create (Histogram.layout h)
             in
-            let dcount = Metric.Histogram.count h - bn in
-            if dcount <> 0 then begin
+            if Histogram.count h <> Histogram.count p then begin
               add_sep b first;
               add_key b name;
-              render_hist_delta b ~kind:"histogram" ~count:dcount
-                ~sum:(Metric.Histogram.sum h -. bs)
-                ~underflow:(Metric.Histogram.underflow h - bu)
-                ~overflow:(Metric.Histogram.overflow h - bo)
-                ~buckets:(bucket_deltas (Metric.Histogram.counts h) bc)
-            end
-        | Metric.Qhist h ->
-            let bc, bu, bo, bs, bn =
-              match base name with
-              | Some (Metric.Qhist p) ->
-                  ( Quantile_histogram.counts p,
-                    Quantile_histogram.underflow p,
-                    Quantile_histogram.overflow p,
-                    Quantile_histogram.sum p,
-                    Quantile_histogram.count p )
-              | _ -> ([||], 0, 0, 0.0, 0)
-            in
-            let dcount = Quantile_histogram.count h - bn in
-            if dcount <> 0 then begin
-              add_sep b first;
-              add_key b name;
-              render_hist_delta b ~kind:"quantile_histogram" ~count:dcount
-                ~sum:(Quantile_histogram.sum h -. bs)
-                ~underflow:(Quantile_histogram.underflow h - bu)
-                ~overflow:(Quantile_histogram.overflow h - bo)
-                ~buckets:(bucket_deltas (Quantile_histogram.counts h) bc)
+              render_hist_delta b ~kind:(Metric.kind_name cell) h p
             end
         | _ -> ())
       metrics;

@@ -198,8 +198,10 @@ let registered_metrics () =
             | Snapshot.Counter _ -> "counter"
             | Snapshot.Sum _ -> "sum"
             | Snapshot.Gauge _ -> "gauge"
-            | Snapshot.Histogram _ -> "histogram"
-            | Snapshot.Qhistogram _ -> "quantile histogram"
+            | Snapshot.Histogram h -> (
+                match Histogram.layout h with
+                | Linear _ -> "histogram"
+                | Log _ -> "quantile histogram")
           in
           (name, kind))
         (Snapshot.bindings (Snapshot.current ())))

@@ -1,11 +1,17 @@
-(* The log-bucketed quantile histogram: bucket geometry, out-of-range
+(* The histogram's log layout: bucket geometry, out-of-range
    accounting, the documented quantile error bound, and the merge
    algebra the sharded-telemetry contract relies on. *)
 
 open Mbac_telemetry
 open Test_util
 
-module Q = Quantile_histogram
+module Q = struct
+  include Histogram
+
+  (* a log layout, by default {!Histogram.default_log} *)
+  let create ?(lo = 1e-9) ?(decades = 24) ?(buckets_per_decade = 20) () =
+    Histogram.create (Log { lo; decades; buckets_per_decade })
+end
 
 (* ---------- geometry and out-of-range accounting ---------- *)
 
@@ -78,7 +84,7 @@ let test_quantile_basics () =
     (* exact empirical quantile at rank ceil(q*n) over 1..100 *)
     [ (0.0, 1.0); (0.5, 50.0); (0.9, 90.0); (0.99, 99.0); (1.0, 100.0) ];
   Alcotest.check_raises "q out of range"
-    (Invalid_argument "Quantile_histogram.quantile: q outside [0, 1]")
+    (Invalid_argument "Histogram.quantile: q outside [0, 1]")
     (fun () -> ignore (Q.quantile h 1.5))
 
 let test_quantile_clamps_out_of_range () =
@@ -90,13 +96,16 @@ let test_quantile_clamps_out_of_range () =
   check_close "all-overflow median clamps to hi" 100.0 (Q.quantile g 0.5)
 
 let test_max_rel_error_constant () =
-  check_close "documented bound at the default geometry"
+  check_close "documented bound at the default layout"
     ((10.0 ** (1.0 /. 40.0)) -. 1.0)
-    (Q.max_rel_error_of ~buckets_per_decade:20);
-  let h = Q.create () in
-  check_close "instance accessor agrees"
-    (Q.max_rel_error_of ~buckets_per_decade:(Q.buckets_per_decade h))
-    (Q.max_rel_error h)
+    (Q.max_rel_error (Q.create ()));
+  check_close "bound at 10 buckets per decade"
+    ((10.0 ** (1.0 /. 20.0)) -. 1.0)
+    (Q.max_rel_error (Q.create ~buckets_per_decade:10 ()));
+  Alcotest.(check bool) "a linear layout has no relative bound" true
+    (Float.is_nan
+       (Q.max_rel_error
+          (Histogram.create (Linear { lo = 0.0; hi = 1.0; bins = 4 }))))
 
 (* The headline property: for in-range observations the bucket-midpoint
    quantile is within max_rel_error of the exact empirical quantile
@@ -125,7 +134,7 @@ let test_merge_shape_mismatch () =
   let a = Q.create ~lo:1.0 ~decades:2 ~buckets_per_decade:5 () in
   let b = Q.create ~lo:1.0 ~decades:3 ~buckets_per_decade:5 () in
   Alcotest.check_raises "shape mismatch refused"
-    (Invalid_argument "Quantile_histogram.merge_into: shape mismatch")
+    (Invalid_argument "Histogram.merge_into: layout mismatch")
     (fun () -> Q.merge_into ~into:a b)
 
 (* Values are powers of two, so every partial sum is exact and the

@@ -443,10 +443,10 @@ let returns_within seconds returned =
   Atomic.get returned
 
 (* [f ~path ~connect] against a daemon on a thread of this process.
-   Afterwards every client [connect] made is closed (the daemon joins
-   its connections' threads) and the daemon is shut down if [f] left it
-   up.  An alarm turns a deadlock into a failed run instead of a hung
-   one. *)
+   Afterwards every client [connect] made is closed (the daemon waits
+   until its connections' threads are done) and the daemon is shut down
+   if [f] left it up.  An alarm turns a deadlock into a failed run
+   instead of a hung one. *)
 let with_daemon ?(engine = E.create (config ())) f =
   let path = socket_path () in
   let th, _ = spawn_daemon ~path engine in
@@ -599,6 +599,32 @@ let test_concurrent_clients () =
   in
   Alcotest.(check (list int)) "every seq logged once" (List.init 8_000 Fun.id)
     (List.sort compare seqs)
+
+(* A daemon keeps nothing for a connection once it has closed: its
+   service thread is not kept, so clients that connect and close one
+   after another (never two at once) leave the live heap where it was.
+   The heap is read once the last service thread is done: a Stats round
+   trip on a fresh connection, then a pause for its thread to end. *)
+let test_closed_connections_are_not_kept () =
+  with_daemon (fun ~path ~connect:_ ->
+      let live_words_after n =
+        for _ = 1 to n do
+          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Unix.connect fd (Unix.ADDR_UNIX path);
+          Unix.close fd
+        done;
+        let c = C.connect_unix ~path () in
+        ignore (stats_reply c);
+        C.close c;
+        Thread.delay 0.1;
+        Gc.full_major ();
+        (Gc.stat ()).Gc.live_words
+      in
+      let n = 2_000 in
+      let before = live_words_after 100 in
+      let grown = live_words_after n - before in
+      if grown >= n then
+        Alcotest.failf "%d connections grew the live heap by %d words" n grown)
 
 (* Measurement passes from the daemon's wall-clock timer alone
    ([measure_every] is 0): within 50 ms one has run, so a Decide is made
@@ -779,6 +805,8 @@ let suite =
           test_client_peer_vanishes;
         test "concurrent clients account exactly through the daemon lock"
           test_concurrent_clients;
+        test "closed connections leave nothing behind"
+          test_closed_connections_are_not_kept;
         test "the measurement timer runs with measure_every 0"
           test_measure_interval;
         test "a daemon out of descriptors goes on serving"

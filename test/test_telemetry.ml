@@ -1,4 +1,4 @@
-(* The telemetry layer: histogram bucket edges, the shard merge algebra
+(* The telemetry layer: linear histogram bucket edges, the shard merge algebra
    the pool's join runs, sharded-counter determinism under the parallel
    engine. *)
 
@@ -7,10 +7,12 @@ open Test_util
 
 (* ---------- Histogram bucket edges ---------- *)
 
+let linear ~lo ~hi ~bins = Histogram.create (Linear { lo; hi; bins })
+
 let test_bucket_edges () =
   (* 4 buckets of width 0.25 over [0, 1). *)
-  let h = Metric.Histogram.create ~lo:0.0 ~hi:1.0 ~bins:4 in
-  let idx = Metric.Histogram.bucket_index h in
+  let h = linear ~lo:0.0 ~hi:1.0 ~bins:4 in
+  let idx = Histogram.bucket_index h in
   Alcotest.(check int) "below lo -> underflow" (-1) (idx (-0.001));
   Alcotest.(check int) "x = lo -> bucket 0" 0 (idx 0.0);
   Alcotest.(check int) "interior -> its bucket" 1 (idx 0.3);
@@ -20,27 +22,27 @@ let test_bucket_edges () =
   Alcotest.(check int) "far above hi -> overflow" 4 (idx 42.0)
 
 let test_observe_counts () =
-  let h = Metric.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:5 in
-  List.iter (Metric.Histogram.observe h)
+  let h = linear ~lo:0.0 ~hi:10.0 ~bins:5 in
+  List.iter (Histogram.observe h)
     [ -1.0; 0.0; 3.0; 5.0; 9.999; 10.0; 100.0; nan; infinity ];
-  Alcotest.(check int) "underflow" 1 (Metric.Histogram.underflow h);
+  Alcotest.(check int) "underflow" 1 (Histogram.underflow h);
   (* +inf is non-finite, so it counts toward [count] only, like nan *)
   Alcotest.(check int) "overflow (x = hi and above)" 2
-    (Metric.Histogram.overflow h);
+    (Histogram.overflow h);
   Alcotest.(check (array int)) "bucket counts"
     [| 1; 1; 1; 0; 1 |]
-    (Metric.Histogram.counts h);
+    (Histogram.counts h);
   (* nan contributes to count but to no bucket and not the sum *)
   Alcotest.(check int) "count includes non-finite" 9
-    (Metric.Histogram.count h);
-  check_close "sum over finite values" 126.999 (Metric.Histogram.sum h)
+    (Histogram.count h);
+  check_close "sum over finite values" 126.999 (Histogram.sum h)
 
 let test_histogram_merge_shape_mismatch () =
-  let a = Metric.Histogram.create ~lo:0.0 ~hi:1.0 ~bins:4 in
-  let b = Metric.Histogram.create ~lo:0.0 ~hi:2.0 ~bins:4 in
+  let a = linear ~lo:0.0 ~hi:1.0 ~bins:4 in
+  let b = linear ~lo:0.0 ~hi:2.0 ~bins:4 in
   Alcotest.check_raises "shape mismatch refused"
-    (Invalid_argument "Metric.Histogram.merge_into: shape mismatch")
-    (fun () -> Metric.Histogram.merge_into ~into:a b)
+    (Invalid_argument "Histogram.merge_into: layout mismatch")
+    (fun () -> Histogram.merge_into ~into:a b)
 
 (* ---------- Merge algebra ---------- *)
 
@@ -102,13 +104,13 @@ let test_merge_values () =
   match Snapshot.find m "h" with
   | Some (Snapshot.Histogram h) ->
       Alcotest.(check (array int)) "histogram buckets add"
-        [| 1; 0; 2; 0 |] (Metric.Histogram.counts h);
+        [| 1; 0; 2; 0 |] (Histogram.counts h);
       Alcotest.(check int) "histogram underflow adds" 2
-        (Metric.Histogram.underflow h);
+        (Histogram.underflow h);
       Alcotest.(check int) "histogram overflow adds" 1
-        (Metric.Histogram.overflow h);
-      Alcotest.(check int) "histogram count adds" 6 (Metric.Histogram.count h);
-      check_close "histogram sum adds" (-0.2) (Metric.Histogram.sum h)
+        (Histogram.overflow h);
+      Alcotest.(check int) "histogram count adds" 6 (Histogram.count h);
+      check_close "histogram sum adds" (-0.2) (Histogram.sum h)
   | _ -> Alcotest.fail "merged histogram missing"
 
 let test_merge_associative () =
@@ -150,7 +152,7 @@ let test_merge_mismatch () =
   let h_wide = H.histogram "h" ~lo:0.0 ~hi:2.0 ~bins:4 in
   let wide = shard (fun () -> H.observe h_wide 0.5) in
   Alcotest.check_raises "a shard of another shape refuses to merge"
-    (Invalid_argument "Metric.Histogram.merge_into: shape mismatch")
+    (Invalid_argument "Histogram.merge_into: layout mismatch")
     (fun () -> ignore (merged [ shard_a (); wide ]))
 
 (* A snapshot holds copies of the cells: recording into the shard after
@@ -165,12 +167,12 @@ let test_snapshot_copies_cells () =
   Alcotest.(check string) "recording after a snapshot leaves it as it was"
     json (Snapshot.to_json snap);
   (match Snapshot.find snap "h" with
-  | Some (Snapshot.Histogram h) -> Metric.Histogram.observe h 0.9
+  | Some (Snapshot.Histogram h) -> Histogram.observe h 0.9
   | _ -> Alcotest.fail "histogram missing");
   match Snapshot.find (snapshot a) "h" with
   | Some (Snapshot.Histogram h) ->
       Alcotest.(check int) "the shard's histogram is its own" 4
-        (Metric.Histogram.count h)
+        (Histogram.count h)
   | _ -> Alcotest.fail "histogram missing"
 
 let test_json_deterministic () =
@@ -192,6 +194,69 @@ let test_json_deterministic () =
   in
   Alcotest.(check bool) "keys sorted by name" true
     (pos "c" < pos "g" && pos "g" < pos "h" && pos "h" < pos "s")
+
+(* ---------- Pinned renderings ---------- *)
+
+(* One shard holding one linear and one log histogram, each given an
+   underflow, overflows, a NaN and in-range values (one on an interior
+   edge, one at [hi]): the bytes of the JSON snapshot, the Prometheus
+   exposition and a series window line. *)
+let pin_lin = H.histogram "pin_lin" ~lo:0.0 ~hi:1.0 ~bins:4
+let pin_log = H.qhist "pin_log"
+
+let test_pinned_renderings () =
+  let s = Shard.create () in
+  Timeseries.set_enabled true;
+  let window =
+    Fun.protect
+      ~finally:(fun () -> Timeseries.set_enabled false)
+      (fun () ->
+        Shard.with_current s (fun () ->
+            Timeseries.start_run ~label:"pin";
+            List.iter (H.observe pin_lin)
+              [ -0.5; 0.1; 0.25; 0.6; 0.6; 0.999; 1.0; 1.5; nan ];
+            List.iter (H.observe pin_log)
+              [ -1.0; 2e-3; 0.5; 3.0; 3.0; 40.0; 40.0; 7e3; 1e6; 1e6; 2e15;
+                nan ];
+            Timeseries.emit_window ~t:10.0;
+            Timeseries.contents ()))
+  in
+  let snap = snapshot s in
+  Alcotest.(check string) "Snapshot.to_json"
+    ({|{"pin_lin":{"kind":"histogram","lo":0,"hi":1,"bins":4,"underflow":1,"overflow":2,"counts":[1,1,2,1],"sum":4.549,"count":9},"pin_log":{"kind":"quantile_histogram","lo":1e-09,"buckets_per_decade":20,"decades":24,"underflow":1,"overflow":1,"p50":42.1696503429,"p90":1059253.72518,"p99":1e+15,"p999":1e+15,"buckets":[[126,1],[173,1],[189,2],[212,2],[256,1],[300,2]],"sum":2.00000000201e+15,"count":12}}|}
+    ^ "\n")
+    (Snapshot.to_json snap);
+  Alcotest.(check string) "Snapshot.to_prometheus"
+    (String.concat "\n"
+       [ "# TYPE pin_lin histogram";
+         {|pin_lin_bucket{le="0.25"} 2|};
+         {|pin_lin_bucket{le="0.5"} 3|};
+         {|pin_lin_bucket{le="0.75"} 5|};
+         {|pin_lin_bucket{le="1"} 6|};
+         {|pin_lin_bucket{le="+Inf"} 8|};
+         "pin_lin_sum 4.549";
+         "pin_lin_count 9";
+         "# TYPE pin_lin_underflow_total counter";
+         "pin_lin_underflow_total 1";
+         "# TYPE pin_lin_overflow_total counter";
+         "pin_lin_overflow_total 2";
+         "# TYPE pin_log summary";
+         {|pin_log{quantile="0.5"} 42.1696503429|};
+         {|pin_log{quantile="0.9"} 1059253.72518|};
+         {|pin_log{quantile="0.99"} 1e+15|};
+         {|pin_log{quantile="0.999"} 1e+15|};
+         "pin_log_sum 2.00000000201e+15";
+         "pin_log_count 12";
+         "# TYPE pin_log_underflow_total counter";
+         "pin_log_underflow_total 1";
+         "# TYPE pin_log_overflow_total counter";
+         "pin_log_overflow_total 1";
+         "" ])
+    (Snapshot.to_prometheus snap);
+  Alcotest.(check string) "Timeseries window line"
+    ({|{"t":10,"kind":"window","label":"pin","run":0,"window":0,"counters":{},"sums":{},"gauges":{},"histograms":{"pin_lin":{"kind":"histogram","count":9,"sum":4.549,"underflow":1,"overflow":2,"buckets":[[0,1],[1,1],[2,2],[3,1]]},"pin_log":{"kind":"quantile_histogram","count":12,"sum":2.00000000201e+15,"underflow":1,"overflow":1,"buckets":[[126,1],[173,1],[189,2],[212,2],[256,1],[300,2]]}}}|}
+    ^ "\n")
+    window
 
 (* ---------- Sharded counters under the parallel engine ---------- *)
 
@@ -267,5 +332,7 @@ let suite =
         test "merge refuses kind and shape mismatches" test_merge_mismatch;
         test "snapshot holds copies of the cells" test_snapshot_copies_cells;
         test "snapshot JSON deterministic" test_json_deterministic;
+        test "pinned JSON, Prometheus and series renderings"
+          test_pinned_renderings;
         test_sharded_counters_qcheck;
         test "jobs-invariant snapshot" test_jobs_invariant_snapshot ] ) ]

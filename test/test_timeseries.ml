@@ -58,7 +58,7 @@ let test_window_deltas () =
       Metrics.Handle.inc ~by:3 tsu_c;
       Metrics.Handle.add tsu_s 1.5;
       Metrics.Handle.set_gauge tsu_g 2.0;
-      Metrics.Handle.observe_q tsu_q 4.0;
+      Metrics.Handle.observe tsu_q 4.0;
       Timeseries.emit_window ~t:10.0;
       Metrics.Handle.inc ~by:2 tsu_c;
       Metrics.Handle.set_gauge tsu_g 7.0;
@@ -157,7 +157,7 @@ let test_jobs_invariant_series_qcheck =
         List.init n_tasks (fun i () ->
             Timeseries.start_run ~label:(Printf.sprintf "task%d" i);
             Metrics.Handle.inc ~by:(i + 1) tsu_par_c;
-            Metrics.Handle.observe_q tsu_par_q (float_of_int (i + 1));
+            Metrics.Handle.observe tsu_par_q (float_of_int (i + 1));
             Timeseries.emit_window ~t:(float_of_int (i + 1));
             Metrics.Handle.inc ~by:1 tsu_par_c;
             Timeseries.emit_window ~t:(float_of_int (i + 2)))
