@@ -200,14 +200,14 @@ let () =
 
   (* estimator observe / current *)
   let est = Mbac.Estimator.ewma ~t_m:100.0 in
-  report "Estimator.observe (ewma, incl. obs)"
+  (* the observation refreshed in place, as its owners (the link kernel,
+     the serving engine) do *)
+  let obs = Mbac.Observation.copy obs100 in
+  report "Estimator.observe (ewma)"
     (words_per_op ~ops (fun n ->
          for i = 1 to n do
-           let o =
-             Mbac.Observation.make ~now:(float_of_int i) ~n:100 ~sum_rate:100.0
-               ~sum_sq:110.0
-           in
-           Mbac.Estimator.observe est o
+           obs.now <- float_of_int i;
+           Mbac.Estimator.observe est obs
          done));
   let macc = ref 0 in
   report "Estimator.current (ewma)"
@@ -252,18 +252,17 @@ let () =
       (Mbac.Controller.with_memory ~capacity:100.0 ~p_ce:1e-3 ~t_m:100.0)
   in
   for _ = 1 to 90 do
-    let obs = Mbac_sim.Link.observe link in
     ignore
-      (Mbac_sim.Link.admit link obs ~key:0
+      (Mbac_sim.Link.admit link ~key:0
          ~rate:(0.5 +. Mbac_stats.Rng.float rng)
          ~source:Mbac_sim.Link.no_source)
   done;
   report "Link admit+release (per cycle)"
     (words_per_op ~ops (fun n ->
          for _ = 1 to n do
-           let obs = Mbac_sim.Link.observe link in
+           ignore (Mbac_sim.Link.observe link);
            let slot =
-             Mbac_sim.Link.admit link obs ~key:0
+             Mbac_sim.Link.admit link ~key:0
                ~rate:(0.5 +. Mbac_stats.Rng.float rng)
                ~source:Mbac_sim.Link.no_source
            in
@@ -299,6 +298,22 @@ let () =
          for _ = 1 to n do
            Mbac_telemetry.Metrics.Handle.inc h
          done));
+  (* computed values, not constants: a boxed argument or a boxed cell
+     store would show *)
+  let g = Mbac_telemetry.Metrics.Handle.gauge "probe_gauge" in
+  report "Metrics.Handle.set_gauge"
+    (words_per_op ~ops (fun n ->
+         for i = 1 to n do
+           Mbac_telemetry.Metrics.Handle.set_gauge g (float_of_int i *. 0.5)
+         done));
+  let hist =
+    Mbac_telemetry.Histogram.create Mbac_telemetry.Histogram.default_log
+  in
+  report "Histogram.observe (log layout)"
+    (words_per_op ~ops (fun n ->
+         for i = 1 to n do
+           Mbac_telemetry.Histogram.observe hist (float_of_int i *. 1e-6)
+         done));
 
   (* serving engine: one decision-log line rendered into a file sink's
      staging buffer, with the buffer's writes to the file amortized in *)
@@ -319,8 +334,8 @@ let () =
   Mbac_serve.Engine.close_log engine;
 
   (* serving engine state: a measurement pass with two criteria, one
-     decision, and one flow's add and subtract.  Each [now] is a fresh
-     boxed float (2 words), as a decoded request's or the timer's is. *)
+     decision, and one flow's add and subtract.  Each [now] is computed;
+     where a call is not inlined it is boxed (2 words) at the call. *)
   let engine =
     Mbac_serve.Engine.create
       { Mbac_serve.Engine.capacity = 100.0;
@@ -344,8 +359,8 @@ let () =
   report "Engine.decide"
     (words_per_op ~ops (fun n ->
          for i = 1 to n do
-           let d = Mbac_serve.Engine.decide engine ~criterion:(i land 1) ~load:1.0 in
-           macc := !macc + d.Mbac_serve.Engine.admissible
+           if Mbac_serve.Engine.decide engine ~criterion:(i land 1) ~load:1.0
+           then incr macc
          done));
   report "Engine.add+subtract (per pair)"
     (words_per_op ~ops (fun n ->
@@ -354,6 +369,56 @@ let () =
            if Mbac_serve.Engine.add engine ~load:1.5 ~now then
              ignore (Mbac_serve.Engine.subtract engine ~load:1.5 ~now)
          done));
+
+  (* the frame path: [Server.answer] over a batch of 1,024 frames of one
+     kind, on an engine that measures every 16 accounting calls and logs
+     its decisions to a file; per request.  Each frame carries its own
+     [now] and load. *)
+  let engine =
+    Mbac_serve.Engine.create ~decision_log_file:"/dev/null"
+      { Mbac_serve.Engine.capacity = 100.0;
+        criteria =
+          Mbac_serve.Spec.criteria_of_string "ce:0.01,hoeffding:0.01:2.0";
+        estimator = Mbac.Estimator.ewma ~t_m:100.0;
+        measure_every = 16 }
+  in
+  let session = Mbac_serve.Server.session engine in
+  let out = Buffer.create 16384 in
+  let batch = 1024 in
+  let frames make =
+    let b = Buffer.create 32768 in
+    for i = 0 to batch - 1 do
+      Mbac_serve.Protocol.encode_request b (make i)
+    done;
+    Buffer.to_bytes b
+  in
+  let answer name bytes =
+    report
+      (Printf.sprintf "Server.answer (%s)" name)
+      (words_per_op ~ops:(batch * 1000) (fun n ->
+           for _ = 1 to n / batch do
+             Buffer.clear out;
+             ignore
+               (Mbac_serve.Server.answer session bytes ~pos:0
+                  ~avail:(Bytes.length bytes) out)
+           done))
+  in
+  let load i = 0.5 +. (float_of_int (i mod 7) /. 7.0) in
+  let now i = float_of_int i in
+  answer "Add"
+    (frames (fun i -> Mbac_serve.Protocol.Add { load = load i; now = now i }));
+  answer "Decide"
+    (frames (fun i ->
+         Mbac_serve.Protocol.Decide
+           { criterion = i land 1; load = load i; now = now i }));
+  answer "Log_decision"
+    (frames (fun i ->
+         Mbac_serve.Protocol.Log_decision
+           { criterion = i land 1; admit = i land 2 = 0 }));
+  answer "Subtract"
+    (frames (fun i ->
+         Mbac_serve.Protocol.Subtract { load = load i; now = now i }));
+  Mbac_serve.Engine.close_log engine;
 
   (* parallel-pool bookkeeping per task: shard create + claim + cell +
      submission-order merge, measured on the serial path so the counters

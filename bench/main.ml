@@ -100,11 +100,12 @@ let hold_incs =
 
 let hold_ops = 2_000_000
 
-(* [cycle n] runs n pop+push pairs.  Untimed churn of two fill spans
+(* Fill a queue with [pending] events and hand back its [cycle], where
+   [cycle n] runs n pop+push pairs.  Untimed churn of two fill spans
    drains the fill transient (until it is gone the event density drifts
    by ~x2) and lets the calendar's width recalibration settle before
    the clock starts. *)
-let hold ~pending ~push ~cycle =
+let hold_ready ~pending ~push ~cycle =
   let incs = Lazy.force hold_incs in
   let t = ref 0.0 in
   for i = 0 to pending - 1 do
@@ -112,21 +113,13 @@ let hold ~pending ~push ~cycle =
     push !t i
   done;
   cycle ((2 * pending) + (hold_ops / 4));
-  let reps =
-    Array.init 3 (fun _ ->
-        let t0 = now_ns () in
-        let minor0 = Gc.minor_words () in
-        cycle hold_ops;
-        let minor1 = Gc.minor_words () in
-        (per_sec hold_ops t0, (minor1 -. minor0) /. float_of_int hold_ops))
-  in
-  (median (Array.map fst reps), median (Array.map snd reps))
+  cycle
 
 let hold_heap pending =
   let module H = Mbac_heap.Event_heap in
   let q = H.create () in
   let incs = Lazy.force hold_incs and fp = float_of_int pending in
-  hold ~pending
+  hold_ready ~pending
     ~push:(fun time i -> H.push q ~time i)
     ~cycle:(fun n ->
       for i = 0 to n - 1 do
@@ -142,7 +135,7 @@ let hold_calendar pending =
   let module Q = Mbac_sim.Calendar_queue in
   let q = Q.create () in
   let incs = Lazy.force hold_incs and fp = float_of_int pending in
-  hold ~pending
+  hold_ready ~pending
     ~push:(fun time i -> Q.push q ~time i)
     ~cycle:(fun n ->
       for i = 0 to n - 1 do
@@ -153,6 +146,38 @@ let hold_calendar pending =
           ~time:(tm +. (Float.Array.unsafe_get incs (i land hold_mask) *. fp))
           p
       done)
+
+(* One row: both queues filled side by side, then timed in interleaved
+   windows (heap, calendar, heap, ...), so that each calendar window is
+   compared with the heap window next to it rather than with one timed
+   seconds apart: the two rates swing together from one process to
+   the next, and their ratio much less.  The row reports the median
+   rate of each queue, the median of the per-window ratios, and the
+   calendar's minor words per event. *)
+let hold_windows = 7
+let hold_window_ops = 3 * hold_ops / hold_windows
+
+let hold_row pending =
+  let heap = hold_heap pending and cal = hold_calendar pending in
+  let ops = hold_window_ops in
+  let timed cycle =
+    let t0 = now_ns () in
+    cycle ops;
+    per_sec ops t0
+  in
+  let windows =
+    Array.init hold_windows (fun _ ->
+        let h = timed heap in
+        let minor0 = Gc.minor_words () in
+        let c = timed cal in
+        let minor1 = Gc.minor_words () in
+        (h, c, (minor1 -. minor0) /. float_of_int ops))
+  in
+  let med f = median (Array.map f windows) in
+  ( med (fun (h, _, _) -> h),
+    med (fun (_, c, _) -> c),
+    med (fun (h, c, _) -> c /. h),
+    med (fun (_, _, w) -> w) )
 
 (* In the cache-resident rows (10^3, 10^5 pending) the per-op cost is
    the algorithm, and the calendar queue must clear 10M events/sec.  At
@@ -177,22 +202,25 @@ let hotpath fmt ~toy:_ =
   Format.fprintf fmt
     "  continuous-load loop:   %10.0f events/sec  (%d events)@." eps events;
   Format.fprintf fmt "  minor allocation:       %10.2f words/event@." words;
-  Format.fprintf fmt "  queue hold model (%d pop+push pairs per row):@."
-    hold_ops;
+  Format.fprintf fmt
+    "  queue hold model (%d interleaved windows of %d pop+push pairs \
+     per queue and row):@."
+    hold_windows hold_window_ops;
   let rows =
     List.map
       (fun pending ->
-        let heap, _ = hold_heap pending in
-        let cal, cal_words = hold_calendar pending in
+        let heap, cal, speedup, cal_words = hold_row pending in
         Format.fprintf fmt
           "    pending %8d:  heap %10.0f ev/s   calendar %10.0f ev/s   \
            x%.2f  (%.2f words/event)@."
-          pending heap cal (cal /. heap) cal_words;
-        (pending, heap, cal, cal_words))
+          pending heap cal speedup cal_words;
+        (pending, heap, cal, speedup, cal_words))
       [ 1_000; 100_000; 1_000_000 ]
   in
-  let best = List.fold_left (fun a (_, _, cal, _) -> Float.max a cal) 0. rows in
-  let _, heap, cal, _ = List.nth rows 2 in
+  let best =
+    List.fold_left (fun a (_, _, cal, _, _) -> Float.max a cal) 0. rows
+  in
+  let _, _, cal, speedup, _ = List.nth rows 2 in
   let required =
     if cal >= hold_floor then 0.0 else if best >= hold_floor then 1.3 else 2.5
   in
@@ -204,21 +232,22 @@ let hotpath fmt ~toy:_ =
       [ ("events", J.int events);
         ("events_per_sec", J.float eps);
         ("minor_words_per_event", J.float words);
-        ("hold_ops", J.int hold_ops);
+        ("hold_windows", J.int hold_windows);
+        ("hold_window_ops", J.int hold_window_ops);
         ("hold_rows",
          J.arr
            (List.map
-              (fun (pending, heap, cal, w) ->
+              (fun (pending, heap, cal, speedup, w) ->
                 J.obj
                   [ ("pending", J.int pending);
                     ("heap_events_per_sec", J.float heap);
                     ("calendar_events_per_sec", J.float cal);
-                    ("speedup_vs_heap", J.float (cal /. heap));
+                    ("speedup_vs_heap", J.float speedup);
                     ("calendar_minor_words_per_event", J.float w) ])
               rows)) ];
     checks =
       [ at_most "minor_words_per_event" words hotpath_words;
-        at_least "hold_speedup_vs_heap_at_1e6_pending" (cal /. heap) required
+        at_least "hold_speedup_vs_heap_at_1e6_pending" speedup required
       ];
     history =
       [ ("hotpath_events_per_sec", eps);
@@ -415,29 +444,68 @@ let network fmt ~toy =
    peer exercises minus the kernel.  A mixed loadgen warm-up publishes
    an estimate first; then a pure Decide loop is timed against a floor
    of 1e6 decisions/sec (full size only).  Latency quantiles come from
-   the [serve_decision_latency_seconds] quantile histogram. *)
+   the [serve_decision_latency_seconds] quantile histogram.  Then the
+   mix's recorded frames are replayed through [Server.answer] alone,
+   whose minor words per request must be (about) zero at any size. *)
 let serve_floor = 1e6
+
+(* The frame path allocates nothing: a [Server.answer] replay of the
+   mix may allocate at most this many minor words per request. *)
+let serve_words = 0.01
+
+let serve_config () =
+  { Mbac_serve.Engine.capacity = 100.0;
+    criteria =
+      [ Mbac_serve.Engine.Gaussian { cname = "ce:0.01"; p_ce = 0.01 };
+        Mbac_serve.Engine.Hoeffding
+          { cname = "hoeffding:0.01:2.0"; p_ce = 0.01; peak = 2.0 } ];
+    estimator = Mbac.Estimator.ewma ~t_m:100.0;
+    measure_every = 16 }
+
+let serve_mix ~toy =
+  { Mbac_serve.Loadgen.seed = 7;
+    requests = (if toy then 5_000 else 50_000);
+    arrival_mean = 1.0; hold_mean = 100.0; load_mean = 1.0;
+    load_std = 0.3; n_criteria = 2 }
+
+(* Minor words per request of the mix's request batches, as a client
+   sends them, replayed through [Server.answer] on a fresh engine that
+   logs its decisions to a file; the first tenth warms it up. *)
+let server_words ~toy =
+  let client =
+    Mbac_serve.Client.inproc (Mbac_serve.Engine.create (serve_config ()))
+  in
+  let batches = Mbac_serve.Loadgen.record client (serve_mix ~toy) in
+  Mbac_serve.Client.close client;
+  let engine =
+    Mbac_serve.Engine.create ~decision_log_file:Filename.null (serve_config ())
+  in
+  let session = Mbac_serve.Server.session engine in
+  let out = Buffer.create 4096 in
+  let replay lo hi =
+    for i = lo to hi - 1 do
+      Buffer.clear out;
+      let b = batches.(i) in
+      ignore
+        (Mbac_serve.Server.answer session b ~pos:0 ~avail:(Bytes.length b) out)
+    done
+  in
+  let warm = Array.length batches / 10 in
+  replay 0 warm;
+  let requests () =
+    (Mbac_serve.Engine.stats engine).Mbac_serve.Engine.requests
+  in
+  let r0 = requests () and w0 = Gc.minor_words () in
+  replay warm (Array.length batches);
+  let w1 = Gc.minor_words () and r1 = requests () in
+  Mbac_serve.Engine.close_log engine;
+  (w1 -. w0) /. float_of_int (r1 - r0)
 
 let serve fmt ~toy =
   header fmt ~toy "Serving-engine gate (in-process decision throughput)";
-  let engine =
-    Mbac_serve.Engine.create
-      { capacity = 100.0;
-        criteria =
-          [ Mbac_serve.Engine.Gaussian { cname = "ce:0.01"; p_ce = 0.01 };
-            Mbac_serve.Engine.Hoeffding
-              { cname = "hoeffding:0.01:2.0"; p_ce = 0.01; peak = 2.0 } ];
-        estimator = Mbac.Estimator.ewma ~t_m:100.0;
-        measure_every = 16 }
-  in
+  let engine = Mbac_serve.Engine.create (serve_config ()) in
   let client = Mbac_serve.Client.inproc engine in
-  let warm =
-    Mbac_serve.Loadgen.run client
-      { Mbac_serve.Loadgen.seed = 7;
-        requests = (if toy then 5_000 else 50_000);
-        arrival_mean = 1.0; hold_mean = 100.0; load_mean = 1.0;
-        load_std = 0.3; n_criteria = 2 }
-  in
+  let warm = Mbac_serve.Loadgen.run client (serve_mix ~toy) in
   Format.fprintf fmt "  warmup: %d requests, %d admitted, %d departed@."
     warm.Mbac_serve.Loadgen.sent warm.Mbac_serve.Loadgen.admitted
     warm.Mbac_serve.Loadgen.departures;
@@ -481,6 +549,8 @@ let serve fmt ~toy =
     (q 0.5) (q 0.99) (q 0.999);
   Format.fprintf fmt "  admit rate %.3f, measurement updates %d@." admit_rate
     updates;
+  let words = server_words ~toy in
+  Format.fprintf fmt "  frame path:    %.4f minor words per request@." words;
   { toy;
     values =
       [ ("decide_requests", J.int decides);
@@ -491,9 +561,11 @@ let serve fmt ~toy =
              ("p99", J.float (q 0.99));
              ("p999", J.float (q 0.999)) ]);
         ("admit_rate", J.float admit_rate);
-        ("measurement_updates", J.int updates) ];
+        ("measurement_updates", J.int updates);
+        ("server_minor_words_per_request", J.float words) ];
     checks =
-      (if toy then [] else [ at_least "decisions_per_sec" dps serve_floor ]);
+      at_most "server_minor_words_per_request" words serve_words
+      :: (if toy then [] else [ at_least "decisions_per_sec" dps serve_floor ]);
     history = [ ("serve_decisions_per_sec", dps) ] }
 
 (* ---------- --scaling ---------- *)

@@ -76,8 +76,8 @@ let[@inline] rule_limit r obs =
   else begin
     let m =
       match Estimator.current r.estimator with
-      | Some { Estimator.mu_hat; var_hat } when Criterion.usable mu_hat ->
-          Criterion.limit r.rule ~capacity:r.capacity ~mu:mu_hat ~var:var_hat
+      | Some e when Criterion.usable e ->
+          Criterion.limit r.rule ~capacity:r.capacity e
       | Some _ | None -> Criterion.bootstrap n
     in
     if r.back_off && m <= n then r.blocked <- true;
@@ -114,9 +114,9 @@ let admissible t obs =
         ("n", Mbac_telemetry.Trace.Int n);
         ("admissible", Mbac_telemetry.Trace.Int m);
         ("admit", Mbac_telemetry.Trace.Bool (n < m));
-        ("mu_hat", Mbac_telemetry.Trace.Float (Observation.cross_mean obs));
+        ("mu_hat", Mbac_telemetry.Trace.Float (Estimator.cross_mean obs));
         ("sigma_hat",
-         Mbac_telemetry.Trace.Float (sqrt (Observation.cross_variance obs))) ]
+         Mbac_telemetry.Trace.Float (sqrt (Estimator.cross_variance obs))) ]
   end;
   m
 

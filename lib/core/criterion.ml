@@ -40,15 +40,21 @@ let hoeffding ~p_ce ~peak =
   if not (peak > 0.0) then invalid_arg "Criterion: requires peak > 0";
   { alpha = 1.0; spread = Fixed (peak *. sqrt (log (1.0 /. p_ce) /. 2.0)) }
 
-let[@inline] usable mu = mu > 0.0
+let[@inline] usable (e : Estimator.estimate) = e.mu_hat > 0.0
 let[@inline] bootstrap n = n + 1
 
 (* One [admissible] per branch: a float bound by a match whose arms
-   differ in boxing would be boxed, allocating on every decision. *)
-let[@inline] limit rule ~capacity ~mu ~var =
+   differ in boxing would be boxed, allocating on every decision.  The
+   estimate comes as its record, not as two floats, so a caller this is
+   not inlined into (a build without cross-module inlining) boxes
+   nothing either. *)
+let[@inline] limit rule ~capacity (e : Estimator.estimate) =
   match rule.spread with
-  | Measured -> admissible ~capacity ~mu ~sigma:(sqrt var) ~alpha:rule.alpha
-  | Fixed spread -> admissible ~capacity ~mu ~sigma:spread ~alpha:rule.alpha
+  | Measured ->
+      admissible ~capacity ~mu:e.mu_hat ~sigma:(sqrt e.var_hat)
+        ~alpha:rule.alpha
+  | Fixed spread ->
+      admissible ~capacity ~mu:e.mu_hat ~sigma:spread ~alpha:rule.alpha
 
 let overflow_probability ~capacity ~mu ~sigma ~m =
   if m <= 0.0 then 0.0

@@ -47,17 +47,19 @@ val hoeffding : p_ce:float -> peak:float -> rule
     distribution-free bound for flows of peak rate [peak].
     @raise Invalid_argument unless 0 < p_ce <= 0.5 and [peak > 0]. *)
 
-val usable : float -> bool
-(** [usable mu_hat] is [mu_hat > 0.] (false for NaN). *)
+val usable : Estimator.estimate -> bool
+(** [usable e] is [e.mu_hat > 0.] (false for NaN). *)
 
 val bootstrap : int -> int
 (** [bootstrap n = n + 1]: M with [n] flows and no usable estimate. *)
 
-val limit : rule -> capacity:float -> mu:float -> var:float -> int
-(** M under [rule] for the usable estimate ([mu], [var]): {!admissible}
-    at the rule's alpha and spread ([sqrt var] when measured).  Inlined
-    and allocation-free, for the per-decision path.
-    @raise Invalid_argument if [mu <= 0]. *)
+val limit : rule -> capacity:float -> Estimator.estimate -> int
+(** M under [rule] for the usable estimate [e]: {!admissible} at
+    [e.mu_hat] and the rule's alpha and spread ([sqrt e.var_hat] when
+    measured).  Inlined and allocation-free, for the per-decision path;
+    the estimate is passed as its record, so no float is boxed at the
+    call even where it is not inlined.
+    @raise Invalid_argument if [mu_hat <= 0]. *)
 
 val overflow_probability : capacity:float -> mu:float -> sigma:float -> m:float -> float
 (** p_f(mu, sigma, m) = Q((c - m mu)/(sigma sqrt m)) — the §3.1 map from a

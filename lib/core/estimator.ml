@@ -1,5 +1,20 @@
 type estimate = { mutable mu_hat : float; mutable var_hat : float }
 
+(* The cross-section statistics live here, beside the filters that read
+   them once per observation: inlined within this unit, their float
+   results stay unboxed in every build, cross-module inlining or not. *)
+let[@inline] cross_mean (o : Observation.t) =
+  if o.n = 0.0 then nan else o.sum_rate /. o.n
+
+let[@inline] cross_variance (o : Observation.t) =
+  if o.n < 2.0 then 0.0
+  else begin
+    let nf = o.n in
+    let mean = o.sum_rate /. nf in
+    let v = (o.sum_sq -. (nf *. mean *. mean)) /. (nf -. 1.0) in
+    Float.max 0.0 v
+  end
+
 (* Each kind keeps its state in a plain record.  The float-only records
    are stored flat, so the per-event stores do not allocate. *)
 
@@ -134,8 +149,8 @@ let window_evict s ~now =
 (* Every observe below sees an observation with at least one flow. *)
 
 let[@inline] ewma_observe s ~ready obs =
-  let x = Observation.cross_mean obs in
-  let v = Observation.cross_variance obs in
+  let x = cross_mean obs in
+  let v = cross_variance obs in
   if not ready then begin
     s.est_mu <- x;
     s.est_var <- v
@@ -171,11 +186,11 @@ let window_observe s ~ready obs =
   end;
   window_evict s ~now;
   sums.w_last_time <- now;
-  sums.w_in_mu <- Observation.cross_mean obs;
-  sums.w_in_var <- Observation.cross_variance obs
+  sums.w_in_mu <- cross_mean obs;
+  sums.w_in_var <- cross_variance obs
 
 let aggregate_observe s ~ready obs =
-  let x = Observation.cross_mean obs in
+  let x = cross_mean obs in
   if not ready then begin
     s.m1 <- x;
     s.m2 <- x *. x
@@ -197,8 +212,8 @@ let rec observe t obs =
     (match t.kind with
     | Prior p -> observe p.inner obs
     | Memoryless ->
-        t.est.mu_hat <- Observation.cross_mean obs;
-        t.est.var_hat <- Observation.cross_variance obs
+        t.est.mu_hat <- cross_mean obs;
+        t.est.var_hat <- cross_variance obs
     | Ewma s -> ewma_observe s ~ready:t.ready obs
     | Window s -> window_observe s ~ready:t.ready obs
     | Aggregate s -> aggregate_observe s ~ready:t.ready obs);

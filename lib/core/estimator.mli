@@ -15,6 +15,15 @@ type estimate = {
     immediately: they are valid until the next [observe] or [current]
     call on the same estimator. *)
 
+val cross_mean : Observation.t -> float
+(** The memoryless mean estimate mu_hat(t) = sum_rate / n of one
+    cross-section (eqn (23)); [nan] when [n = 0]. *)
+
+val cross_variance : Observation.t -> float
+(** The memoryless unbiased variance estimate
+    sigma_hat^2(t) = (sum_sq - n mu_hat^2) / (n - 1) of one cross-section
+    (eqn (23)), clipped at 0 against roundoff; [0.] when [n < 2]. *)
+
 type t
 (** Plain data: each kind's state is a record of numbers (a ring of
     float arrays for {!sliding_window}), and {!with_prior} holds the

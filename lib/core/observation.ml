@@ -1,10 +1,16 @@
 (* All-float record: with [n] stored as a float the record has a flat
-   unboxed layout, so building one costs 5 minor words and reading any
-   field never chases a box — this constructor runs once per simulation
-   event.  [n] is always integral and far below 2^53, so the stored
-   value is exact and every comparison/derived statistic is bit-for-bit
-   what the int representation gave. *)
-type t = { now : float; n : float; sum_rate : float; sum_sq : float }
+   unboxed layout, so storing into any field allocates nothing and
+   reading one never chases a box.  [n] is always integral and far below
+   2^53, so the stored value is exact and every comparison/derived
+   statistic is bit-for-bit what the int representation gave.  Its
+   owner refreshes it in place, once per simulation event or
+   measurement pass. *)
+type t = {
+  mutable now : float;
+  mutable n : float;
+  mutable sum_rate : float;
+  mutable sum_sq : float;
+}
 
 let[@inline] make ~now ~n ~sum_rate ~sum_sq =
   if n < 0 then invalid_arg "Observation.make: negative flow count";
@@ -12,26 +18,6 @@ let[@inline] make ~now ~n ~sum_rate ~sum_sq =
     invalid_arg "Observation.make: nonzero sums with zero flows";
   { now; n = float_of_int n; sum_rate; sum_sq }
 
-(* The admit fast path: the simulator has just added one flow of rate
-   [rate] to the aggregates this observation was built from, with exactly
-   these expressions, so the result is bit-for-bit [make] over the
-   updated state — without re-reading the state or re-validating.  [n]
-   stays integral, so the float increment is exact. *)
-let[@inline] admit t ~rate =
-  { now = t.now;
-    n = t.n +. 1.0;
-    sum_rate = t.sum_rate +. rate;
-    sum_sq = t.sum_sq +. (rate *. rate) }
+let copy t = { t with now = t.now }
 
 let[@inline] count t = int_of_float t.n
-
-let[@inline] cross_mean t = if t.n = 0.0 then nan else t.sum_rate /. t.n
-
-let[@inline] cross_variance t =
-  if t.n < 2.0 then 0.0
-  else begin
-    let nf = t.n in
-    let mean = t.sum_rate /. nf in
-    let v = (t.sum_sq -. (nf *. mean *. mean)) /. (nf -. 1.0) in
-    Float.max 0.0 v
-  end

@@ -270,7 +270,7 @@ let handle_arrival eng sh ~lr l =
     let seq = sh.sr_seq.(lr) in
     sh.sr_seq.(lr) <- seq + 1;
     let slot =
-      Link.admit k obs ~key:(flow_key ~route ~seq) ~rate ~source
+      Link.admit k ~key:(flow_key ~route ~seq) ~rate ~source
     in
     let gen = Link.gen k slot in
     let t_end =
@@ -345,7 +345,7 @@ let handle_msg eng sh ~idx l =
     if Link.admissible k obs then begin
       let key = flow_key ~route ~seq in
       Int_table.add l.transit ~key
-        ~value:(Link.admit k obs ~key ~rate ~source:Link.no_source);
+        ~value:(Link.admit k ~key ~rate ~source:Link.no_source);
       (* the link releases itself at the flow's own end time, shifted by
          the same per-hop delay its setup took: no departure messages *)
       push_local sh

@@ -9,8 +9,6 @@ type config = {
   measure_every : int;
 }
 
-type decision = { admit : bool; admissible : int; flows : int }
-
 type stats = {
   flows : int;
   admitted_load : float;
@@ -30,13 +28,13 @@ type stats = {
    whose every admitted flow departs again returns to exactly zero. *)
 let fp_scale = 1 lsl 20
 let fp_scale_f = float_of_int fp_scale
-let fp_of_load x = int_of_float (Float.round (x *. fp_scale_f))
-let fp_to_float i = float_of_int i /. fp_scale_f
+let[@inline] fp_of_load x = int_of_float (Float.round (x *. fp_scale_f))
+let[@inline] fp_to_float i = float_of_int i /. fp_scale_f
 
 (* The squared-load accumulator stores round(l^2 * fp_scale) for the
    *rounded* load l, so the measurement cross-section's sum of squares is
    consistent with its sum to within the same quantization. *)
-let fp_sq fp =
+let[@inline] fp_sq fp =
   let l = fp_to_float fp in
   int_of_float (Float.round (l *. l *. fp_scale_f))
 
@@ -111,6 +109,8 @@ type log_sink = {
 type t = {
   crits : crit array;
   estimator : Mbac.Estimator.t;
+  obs : Mbac.Observation.t;  (* the cross-section a pass shows [estimator] *)
+  fields : Protocol.Fields.t;  (* the request frame being answered *)
   measure_every : int;
   (* the admitted flows, their loads in fixed point *)
   mutable flows : int;
@@ -178,6 +178,8 @@ let create ?decision_log ?decision_log_file (config : config) =
   let crits = Array.of_list (List.map compile_criterion config.criteria) in
   { crits;
     estimator = config.estimator;
+    obs = Mbac.Observation.make ~now:0.0 ~n:0 ~sum_rate:0.0 ~sum_sq:0.0;
+    fields = Protocol.Fields.create ();
     measure_every = config.measure_every;
     flows = 0;
     load_fp = 0;
@@ -198,25 +200,32 @@ let criterion_names t = Array.map (fun c -> c.cr_name) t.crits
 
 (* ---------- measurement ---------- *)
 
-let run_measurement t ~now =
-  let n = t.flows in
-  if n > 0 then
-    Mbac.Estimator.observe t.estimator
-      (Mbac.Observation.make ~now ~n ~sum_rate:(fp_to_float t.load_fp)
-         ~sum_sq:(fp_to_float t.sumsq_fp));
+(* One pass over the counters, stamped with the time already in
+   [t.obs.now].  The cross-section is written into the engine's one
+   observation, and nothing here passes a float to another module, so a
+   pass allocates nothing in any build. *)
+let measure t =
+  let n = t.flows and o = t.obs in
+  o.n <- float_of_int n;
+  o.sum_rate <- fp_to_float t.load_fp;
+  o.sum_sq <- fp_to_float t.sumsq_fp;
+  if n > 0 then Mbac.Estimator.observe t.estimator o;
   (match Mbac.Estimator.current t.estimator with
-  | Some e when Mbac.Criterion.usable e.Mbac.Estimator.mu_hat ->
+  | Some e when Mbac.Criterion.usable e ->
       for i = 0 to Array.length t.crits - 1 do
         t.m.(i) <-
-          Mbac.Criterion.limit t.crits.(i).cr_rule ~capacity:t.capacity
-            ~mu:e.Mbac.Estimator.mu_hat ~var:e.Mbac.Estimator.var_hat
+          Mbac.Criterion.limit t.crits.(i).cr_rule ~capacity:t.capacity e
       done;
       t.estimated <- true
   | Some _ | None -> t.estimated <- false);
   t.updates <- t.updates + 1;
   H.inc m_updates;
-  H.set_gauge m_flows (float_of_int n);
-  H.set_gauge m_load (fp_to_float t.load_fp)
+  H.set_gauge_fixed m_flows n ~scale:1;
+  H.set_gauge_fixed m_load t.load_fp ~scale:fp_scale
+
+let[@inline] run_measurement t ~now =
+  t.obs.now <- now;
+  measure t
 
 let initialize t ~capacity =
   check_capacity capacity;
@@ -234,20 +243,25 @@ let initialize t ~capacity =
 
 (* ---------- decisions and accounting ---------- *)
 
-let decide t ~criterion ~load =
-  let n = t.flows in
-  let m =
-    if t.estimated then Array.unsafe_get t.m criterion
-    else Mbac.Criterion.bootstrap n
+(* Every function of the steady path below that takes a float is
+   [@inline], so that [reply] keeps its floats unboxed. *)
+
+let[@inline] admissible t ~criterion =
+  if t.estimated then Array.unsafe_get t.m criterion
+  else Mbac.Criterion.bootstrap t.flows
+
+let[@inline] decide t ~criterion ~load =
+  let admit =
+    t.flows < admissible t ~criterion
+    && t.load_fp + fp_of_load load <= t.capacity_fp
   in
-  let admit = n < m && t.load_fp + fp_of_load load <= t.capacity_fp in
   t.decisions <- t.decisions + 1;
   if admit then t.admits <- t.admits + 1;
   H.inc m_decisions;
   H.inc (if admit then m_admit else m_reject);
-  { admit; admissible = m; flows = n }
+  admit
 
-let maybe_measure t ~now =
+let[@inline] maybe_measure t ~now =
   if t.measure_every > 0 then begin
     t.accounting <- t.accounting + 1;
     if t.accounting mod t.measure_every = 0 then run_measurement t ~now
@@ -255,7 +269,7 @@ let maybe_measure t ~now =
 
 (* Both sums are checked before either changes, so a refused flow
    leaves no trace. *)
-let add t ~load ~now =
+let[@inline] add t ~load ~now =
   let fp = fp_of_load load in
   let sq = fp_sq fp in
   if t.load_fp > max_int - fp || t.sumsq_fp > max_int - sq then false
@@ -267,7 +281,7 @@ let add t ~load ~now =
     true
   end
 
-let subtract t ~load ~now =
+let[@inline] subtract t ~load ~now =
   let fp = fp_of_load load in
   let sq = fp_sq fp in
   if t.flows < 1 || t.load_fp < fp || t.sumsq_fp < sq then false
@@ -310,7 +324,7 @@ let close_log t =
           raise e)
   | Some { file = None; _ } | None -> ()
 
-(* ---------- stats / dispatch ---------- *)
+(* ---------- stats ---------- *)
 
 let stats t =
   { flows = t.flows;
@@ -321,60 +335,97 @@ let stats t =
     admits = t.admits;
     updates = t.updates }
 
+(* ---------- requests: one implementation per kind ---------- *)
+
 (* The upper bound keeps one flow's fixed-point square (load² · fp_scale,
    at most ~1.05e18) inside the 63-bit integer range.  It does not bound
    the sums: four flows at the cap fit, a fifth would pass max_int, and
    [add] refuses it. *)
-let valid_load load = Float.is_finite load && load >= 0.0 && load <= 1e6
+let[@inline] valid_load load =
+  Float.is_finite load && load >= 0.0 && load <= 1e6
 
-let handle t (req : Protocol.request) : Protocol.response =
+let criterion_out_of_range out =
+  Protocol.write_error out ~code:2 "criterion out of range"
+
+let load_out_of_range out = Protocol.write_error out ~code:3 "load out of range"
+
+let initialize_reply t ~capacity out =
+  if not (Float.is_finite capacity && capacity > 0.0) then
+    Protocol.write_error out ~code:1 "capacity must be finite and positive"
+  else begin
+    initialize t ~capacity;
+    Protocol.write_ok out
+  end
+
+let[@inline] decide_reply t ~criterion ~load out =
+  if criterion >= Array.length t.crits then criterion_out_of_range out
+  else if not (valid_load load) then load_out_of_range out
+  else begin
+    let admit = decide t ~criterion ~load in
+    Protocol.write_decision out ~admit ~admissible:(admissible t ~criterion)
+      ~flows:t.flows
+  end
+
+let[@inline] add_reply t ~load ~now out =
+  if not (valid_load load) then load_out_of_range out
+  else if add t ~load ~now then Protocol.write_ok out
+  else
+    Protocol.write_error out ~code:3 "load overflows the admitted-load sums"
+
+let[@inline] subtract_reply t ~load ~now out =
+  if not (valid_load load) then load_out_of_range out
+  else if subtract t ~load ~now then Protocol.write_ok out
+  else
+    Protocol.write_error out ~code:3
+      "departure of a flow that was not admitted"
+
+let log_decision_reply t ~criterion ~admit out =
+  if criterion >= Array.length t.crits then criterion_out_of_range out
+  else
+    match log_decision t ~criterion ~admit with
+    | () -> Protocol.write_ok out
+    | exception Sys_error msg ->
+        Protocol.write_error out ~code:4 ("decision log: " ^ msg)
+
+let stats_reply t out =
+  Protocol.write_stats out ~flows:t.flows
+    ~admitted_load:(fp_to_float t.load_fp) ~capacity:t.capacity
+    ~requests:t.requests ~decisions:t.decisions ~admits:t.admits
+    ~updates:t.updates
+
+let fields t = t.fields
+
+let reply t out =
+  let f = t.fields in
+  let s = f.scalars in
   t.requests <- t.requests + 1;
   H.inc m_requests;
-  match req with
-  | Protocol.Initialize { capacity } ->
-      if not (Float.is_finite capacity && capacity > 0.0) then
-        Protocol.Error_reply
-          { code = 1; message = "capacity must be finite and positive" }
-      else begin
-        initialize t ~capacity;
-        Protocol.Ok_reply
-      end
-  | Protocol.Decide { criterion; load; now = _ } ->
-      if criterion >= Array.length t.crits then
-        Protocol.Error_reply { code = 2; message = "criterion out of range" }
-      else if not (valid_load load) then
-        Protocol.Error_reply { code = 3; message = "load out of range" }
-      else begin
-        let d = decide t ~criterion ~load in
-        Protocol.Decision
-          { admit = d.admit; admissible = d.admissible; flows = d.flows }
-      end
-  | Protocol.Add { load; now } ->
-      if not (valid_load load) then
-        Protocol.Error_reply { code = 3; message = "load out of range" }
-      else if add t ~load ~now then Protocol.Ok_reply
-      else
-        Protocol.Error_reply
-          { code = 3; message = "load overflows the admitted-load sums" }
-  | Protocol.Subtract { load; now } ->
-      if not (valid_load load) then
-        Protocol.Error_reply { code = 3; message = "load out of range" }
-      else if subtract t ~load ~now then Protocol.Ok_reply
-      else
-        Protocol.Error_reply
-          { code = 3; message = "departure of a flow that was not admitted" }
-  | Protocol.Log_decision { criterion; admit } -> (
-      if criterion >= Array.length t.crits then
-        Protocol.Error_reply { code = 2; message = "criterion out of range" }
-      else
-        match log_decision t ~criterion ~admit with
-        | () -> Protocol.Ok_reply
-        | exception Sys_error msg ->
-            Protocol.Error_reply { code = 4; message = "decision log: " ^ msg })
-  | Protocol.Stats ->
-      let s = stats t in
-      Protocol.Stats_reply
-        { flows = s.flows; admitted_load = s.admitted_load;
-          capacity = s.capacity; requests = s.requests;
-          decisions = s.decisions; admits = s.admits; updates = s.updates }
-  | Protocol.Shutdown -> Protocol.Ok_reply
+  match f.kind with
+  | Initialize -> initialize_reply t ~capacity:s.capacity out
+  | Decide -> decide_reply t ~criterion:f.criterion ~load:s.load out
+  | Add -> add_reply t ~load:s.load ~now:s.now out
+  | Subtract -> subtract_reply t ~load:s.load ~now:s.now out
+  | Log_decision ->
+      log_decision_reply t ~criterion:f.criterion ~admit:f.admit out
+  | Stats -> stats_reply t out
+  | Shutdown -> Protocol.write_ok out
+
+(* The value-level form, for tests and tools: the request goes through
+   its wire bytes and [reply], like a frame off a socket. *)
+let handle t req =
+  let frame = Buffer.create 32 in
+  Protocol.encode_request frame req;
+  (match
+     Protocol.read_request (Buffer.to_bytes frame) ~pos:0
+       ~avail:(Buffer.length frame) t.fields
+   with
+  | Frame -> ()
+  | Partial | Malformed -> invalid_arg "Engine.handle: unencodable request");
+  let out = Buffer.create 32 in
+  reply t out;
+  match
+    Protocol.decode_response (Buffer.to_bytes out) ~pos:0
+      ~avail:(Buffer.length out)
+  with
+  | Ok (resp, _) -> resp
+  | Error e -> failwith (Protocol.error_to_string e)

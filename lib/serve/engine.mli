@@ -10,7 +10,7 @@
     its caller's thread and needs no lock.
 
     - {!decide} reads the flow count, the load sum and the current M,
-      and allocates nothing but its small result;
+      and allocates nothing;
     - {!add}/{!subtract} account an admitted or departed flow, and
       refuse one that would take the sums past [max_int] or below zero;
     - {!run_measurement} is the only place the estimator is touched.  It
@@ -54,8 +54,6 @@ type config = {
 
 type t
 
-type decision = { admit : bool; admissible : int; flows : int }
-
 type stats = {
   flows : int;
   admitted_load : float;
@@ -68,6 +66,17 @@ type stats = {
 
 val fp_scale : int
 (** Fixed-point units per load unit (2{^20}). *)
+
+val fp_of_load : float -> int
+(** A load in fixed point, rounded to the nearest unit: within
+    2{^-21} of the load. *)
+
+val fp_sq : int -> int
+(** The fixed-point square of a fixed-point load [fp]: [l² · fp_scale]
+    for [l = fp / fp_scale], rounded.  The float product carries 53
+    bits, so above [l ≈ 90.5] ([l² · fp_scale > 2{^53}]) the result is
+    exact only to half an ulp of [l² · fp_scale]: at most 2{^6} units
+    at the largest valid load (1e6). *)
 
 val create :
   ?decision_log:Buffer.t -> ?decision_log_file:string -> config -> t
@@ -94,12 +103,16 @@ val initialize : t -> capacity:float -> unit
     bootstrap M against the new capacity.
     @raise Invalid_argument on non-finite or non-positive capacity. *)
 
-val decide : t -> criterion:int -> load:float -> decision
-(** Admit iff [flows < M(criterion)] under the latest measurement
-    {e and} the admitted load plus [load] fits the capacity.
-    While the latest measurement has no usable estimate, [M] is
+val admissible : t -> criterion:int -> int
+(** The criterion's admissible count M under the latest measurement.
+    While that has no usable estimate, [M] is
     {!Mbac.Criterion.bootstrap} [flows] ([flows + 1]): one flow at a
-    time, the controllers' cautious bootstrap.
+    time, the controllers' cautious bootstrap. *)
+
+val decide : t -> criterion:int -> load:float -> bool
+(** Admit iff [flows < admissible t ~criterion] {e and} the admitted
+    load plus [load] fits the capacity.  Changes no flow count and no
+    M, so a reply reads both after it.
     Counts into the [serve_decisions/admit/reject] metrics.  The caller
     is responsible for [criterion] being in range and [load] being
     finite and non-negative ({!handle} validates wire input). *)
@@ -152,13 +165,29 @@ val run_measurement : t -> now:float -> unit
 
 val stats : t -> stats
 
+(** {1 Requests} *)
+
+val fields : t -> Protocol.Fields.t
+(** The engine's request record: {!Protocol.read_request} reads a frame
+    into it, and {!reply} answers it.  One suffices, since one thread at
+    a time uses an engine. *)
+
+val reply : t -> Buffer.t -> unit
+(** Answer the request in {!fields}: validate it, apply it, count it,
+    and append its reply frame to the buffer.  This is the one
+    implementation of every request kind.  Wire-input faults come back
+    as [Error_reply] frames, not exceptions: out-of-range criterion
+    indices and non-finite/negative loads or capacities (codes 1
+    capacity, 2 criterion, 3 load), an [Add] that {!add} refuses and a
+    [Subtract] that {!subtract} refuses (code 3), and a [Log_decision]
+    whose staged lines cannot be written to the decision-log file
+    (code 4; that line is lost, and its [seq] is skipped).  [Shutdown]
+    answers [Ok_reply]; acting on it is the transport's job.  Answering
+    [Decide], [Add], [Subtract] and [Log_decision], measurement passes
+    included, allocates nothing; an error reply may. *)
+
 val handle : t -> Protocol.request -> Protocol.response
-(** Full request dispatch with wire-input validation: out-of-range
-    criterion indices and non-finite/negative loads or capacities come
-    back as [Error_reply] (codes 1 capacity, 2 criterion, 3 load), not
-    exceptions; so do an [Add] that {!add} refuses and a [Subtract] that
-    {!subtract} refuses (code 3), and a
-    [Log_decision] whose staged lines cannot be written to the
-    decision-log file (code 4; that line is lost, and its [seq] is
-    skipped).  [Shutdown] answers [Ok_reply]; acting on it
-    is the transport's job. *)
+(** {!reply} at the level of values, for tests and tools: the request
+    is encoded, read into {!fields} and answered, and the reply
+    decoded.  A [criterion] is sent as its low 16 bits, as on the
+    wire. *)

@@ -29,7 +29,7 @@ let fail_reply what = function
       failwith (Printf.sprintf "Loadgen: %s failed: server error %d (%s)" what code message)
   | _ -> failwith (Printf.sprintf "Loadgen: unexpected reply to %s" what)
 
-let run client w =
+let drive w ~rpc ~post =
   check "arrival_mean" w.arrival_mean;
   check "hold_mean" w.hold_mean;
   check "load_mean" w.load_mean;
@@ -50,13 +50,7 @@ let run client w =
   let departures = ref 0 in
   (* Only Decide and the closing Stats wait for their replies; the
      bookkeeping is posted and rides in front of the next one. *)
-  let call f req =
-    incr sent;
-    try f client req
-    with Client.Post_failed (posted, r) ->
-      fail_reply (Protocol.request_name posted) r
-  in
-  let send = call Client.rpc and post = call Client.post in
+  let send req = incr sent; rpc req and post req = incr sent; post req in
   let t = ref 0.0 in
   for k = 0 to w.requests - 1 do
     t := !t +. Sample.exponential arrivals ~mean:w.arrival_mean;
@@ -92,6 +86,30 @@ let run client w =
   in
   { sent = !sent; decides = w.requests; admitted = !admitted;
     rejected = !rejected; departures = !departures; final_stats }
+
+let call client f req =
+  try f client req
+  with Client.Post_failed (posted, r) ->
+    fail_reply (Protocol.request_name posted) r
+
+let run client w =
+  drive w ~rpc:(call client Client.rpc) ~post:(call client Client.post)
+
+(* The client sends its posted frames with the next round trip's own;
+   the budget that can flush posts early never fills in this mix. *)
+let record client w =
+  let batch = Buffer.create 256 and batches = ref [] in
+  let post req =
+    Protocol.encode_request batch req;
+    call client Client.post req
+  and rpc req =
+    Protocol.encode_request batch req;
+    batches := Buffer.to_bytes batch :: !batches;
+    Buffer.clear batch;
+    call client Client.rpc req
+  in
+  ignore (drive w ~rpc ~post);
+  Array.of_list (List.rev !batches)
 
 let print_summary oc s =
   Printf.fprintf oc "requests sent      %d\n" s.sent;

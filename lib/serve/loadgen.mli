@@ -41,5 +41,11 @@ val run : Client.t -> workload -> summary
     (["Loadgen: <request> failed: server error <code> (<message>)"]; a
     posted request's error surfaces at the next round trip). *)
 
+val record : Client.t -> workload -> Bytes.t array
+(** {!run}, keeping what it sends: the request bytes of each round trip
+    (the posted frames, then the round trip's own), in order.  Replayed
+    through [Server.answer] on a fresh engine of the same configuration,
+    they give the same replies. *)
+
 val print_summary : out_channel -> summary -> unit
 (** Deterministic textual summary (no wall-clock numbers). *)

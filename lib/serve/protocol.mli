@@ -12,7 +12,14 @@
     Decoding never raises on wire data: every malformed input is a typed
     {!error}.  Encoding appends to a caller-supplied [Buffer.t], so a
     session can reuse one scratch buffer per connection and the encode
-    path allocates nothing else. *)
+    path allocates nothing else.
+
+    This module alone knows the wire layout.  The server's frame path
+    reads a request's fields in place ({!read_request} into a reused
+    {!Fields.t}) and writes each reply with the writer for its layout
+    ({!write_ok}, {!write_decision}, {!write_stats}, {!write_error});
+    neither allocates.  The value-level codec ({!decode_request},
+    {!encode_response}) is built on the same readers and writers. *)
 
 (** {1 Messages} *)
 
@@ -80,6 +87,74 @@ val max_frame_payload : int
 
 val encode_request : Buffer.t -> request -> unit
 val encode_response : Buffer.t -> response -> unit
+
+(** {1 The frame path} *)
+
+(** One request frame's fields, read in place. *)
+module Fields : sig
+  type kind =
+    | Initialize
+    | Decide
+    | Add
+    | Subtract
+    | Log_decision
+    | Stats
+    | Shutdown
+
+  (** The float fields, in an all-float record so that they are stored
+      flat: reading a frame boxes none of them. *)
+  type scalars = {
+    mutable capacity : float;  (** [Initialize] *)
+    mutable load : float;  (** [Decide], [Add], [Subtract] *)
+    mutable now : float;  (** [Decide], [Add], [Subtract] *)
+  }
+
+  type t = {
+    mutable kind : kind;
+    mutable size : int;  (** bytes the frame takes, length prefix included *)
+    mutable criterion : int;  (** [Decide], [Log_decision] *)
+    mutable admit : bool;  (** [Log_decision] *)
+    scalars : scalars;
+  }
+  (** Only the fields of the last frame's kind are meaningful; the
+      others keep whatever an earlier frame left. *)
+
+  val create : unit -> t
+end
+
+type read =
+  | Frame  (** a whole, well-formed request frame was read *)
+  | Partial  (** not all of the frame has arrived *)
+  | Malformed  (** fatal for the stream; {!request_error} says why *)
+
+val read_request : Bytes.t -> pos:int -> avail:int -> Fields.t -> read
+(** Read the request frame at [pos], given [avail] readable bytes from
+    [pos], into the fields record.  Allocates nothing. *)
+
+val request_error : Bytes.t -> pos:int -> avail:int -> error
+(** The typed error of a frame {!read_request} did not read: [Truncated]
+    for a [Partial] one, [Bad_tag] or [Bad_frame] for a [Malformed]
+    one. *)
+
+val write_ok : Buffer.t -> unit
+val write_decision :
+  Buffer.t -> admit:bool -> admissible:int -> flows:int -> unit
+
+val write_stats :
+  Buffer.t ->
+  flows:int ->
+  admitted_load:float ->
+  capacity:float ->
+  requests:int ->
+  decisions:int ->
+  admits:int ->
+  updates:int ->
+  unit
+
+val write_error : Buffer.t -> code:int -> string -> unit
+(** Each writer appends one complete reply frame.  {!write_ok} and
+    {!write_decision}, the replies of the steady path, allocate
+    nothing. *)
 
 (** {1 Decoding}
 

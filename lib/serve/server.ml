@@ -3,20 +3,32 @@ module H = Mbac_telemetry.Metrics.Handle
 let m_latency = H.qhist "serve_decision_latency_seconds"
 let m_connections = H.counter "serve_connections_total"
 
-let now_ns () = Int64.to_float (Monotonic_clock.now ())
+(* Integer nanoseconds: the latency reaches the histogram through
+   [observe_fixed], so no float is boxed on the way. *)
+let clock_ns () = Int64.to_int (Monotonic_clock.now ())
+
+(* Read the request frame at [pos] into the engine's fields and, if it
+   is whole and well formed, answer it into [out].  A [Decide]'s
+   latency (read, engine, reply written) goes to [m_latency]. *)
+let serve_frame engine bytes ~pos ~avail out =
+  let t0 = clock_ns () in
+  let f = Engine.fields engine in
+  match Protocol.read_request bytes ~pos ~avail f with
+  | Frame ->
+      Engine.reply engine out;
+      (match f.kind with
+      | Decide ->
+          H.observe_fixed m_latency (clock_ns () - t0) ~scale:1_000_000_000
+      | Initialize | Add | Subtract | Log_decision | Stats | Shutdown -> ());
+      Protocol.Frame
+  | (Partial | Malformed) as r -> r
 
 let handle_frame engine bytes ~pos ~avail out =
-  let t0 = now_ns () in
-  match Protocol.decode_request bytes ~pos ~avail with
-  | Error _ as e -> e
-  | Ok (req, consumed) ->
-      let resp = Engine.handle engine req in
-      Protocol.encode_response out resp;
-      (match req with
-      | Protocol.Decide _ ->
-          H.observe m_latency ((now_ns () -. t0) /. 1e9)
-      | _ -> ());
-      Ok (consumed, match req with Protocol.Shutdown -> `Shutdown | _ -> `Continue)
+  match serve_frame engine bytes ~pos ~avail out with
+  | Frame ->
+      let f = Engine.fields engine in
+      Ok (f.size, match f.kind with Shutdown -> `Shutdown | _ -> `Continue)
+  | Partial | Malformed -> Error (Protocol.request_error bytes ~pos ~avail)
 
 let conn_opened () = H.inc m_connections
 
@@ -40,25 +52,27 @@ let session engine = { engine; requests = 0; batches = 0; stop = `Open }
 
 (* A while loop over refs rather than a local recursive function: the
    closure would be allocated on every call, and the in-process
-   transport calls this once per round trip. *)
+   transport calls this once per round trip.  The refs do not escape,
+   so they live in registers. *)
 let answer s bytes ~pos ~avail out =
   let limit = pos + avail in
+  let f = Engine.fields s.engine in
   let p = ref pos and frames = ref 0 and more = ref true in
   while !more && !p < limit do
-    match handle_frame s.engine bytes ~pos:!p ~avail:(limit - !p) out with
-    | Ok (consumed, `Continue) ->
-        p := !p + consumed;
-        incr frames
-    | Ok (consumed, `Shutdown) ->
-        p := !p + consumed;
+    match serve_frame s.engine bytes ~pos:!p ~avail:(limit - !p) out with
+    | Frame ->
+        p := !p + f.size;
         incr frames;
-        s.stop <- `Shutdown;
-        more := false
-    | Error (Protocol.Truncated _) -> more := false
-    | Error e ->
-        Protocol.encode_response out
-          (Protocol.Error_reply
-             { code = 255; message = Protocol.error_to_string e });
+        (match f.kind with
+        | Shutdown ->
+            s.stop <- `Shutdown;
+            more := false
+        | Initialize | Decide | Add | Subtract | Log_decision | Stats -> ())
+    | Partial -> more := false
+    | Malformed ->
+        Protocol.write_error out ~code:255
+          (Protocol.error_to_string
+             (Protocol.request_error bytes ~pos:!p ~avail:(limit - !p)));
         s.stop <- `Failed;
         more := false
   done;
@@ -118,8 +132,17 @@ let serve_connection d fd ~peer =
      while is_open () && not !eof do
        (* answer every complete frame currently buffered, in one write *)
        Buffer.clear out;
+       (* the lock is taken by hand: a closure for [locked] would be
+          allocated on every read *)
+       Mutex.lock d.lock;
        let consumed =
-         locked d (fun () -> answer s inbuf ~pos:0 ~avail:!fill out)
+         match answer s inbuf ~pos:0 ~avail:!fill out with
+         | n ->
+             Mutex.unlock d.lock;
+             n
+         | exception e ->
+             Mutex.unlock d.lock;
+             raise e
        in
        if consumed > 0 then begin
          Bytes.blit inbuf consumed inbuf 0 (!fill - consumed);

@@ -16,10 +16,11 @@ val handle_frame :
   avail:int ->
   Buffer.t ->
   (int * [ `Continue | `Shutdown ], Protocol.error) result
-(** Decode one request frame at [pos], dispatch it, append the response
-    frame to the output buffer.  Returns bytes consumed and whether the
-    request asked for shutdown.  [Truncated] means "feed me more
-    bytes"; other errors are fatal for the stream. *)
+(** Answer one request frame at [pos] the way {!answer} does (read into
+    {!Engine.fields}, {!Engine.reply}), appending the response frame to
+    the output buffer.  Returns bytes consumed and whether the request
+    asked for shutdown.  [Truncated] means "feed me more bytes"; other
+    errors are fatal for the stream.  Only the result allocates. *)
 
 val conn_opened : unit -> unit
 (** Count a connection (socket accept or in-process attach). *)
@@ -35,9 +36,12 @@ val session : Engine.t -> session
 
 val answer : session -> Bytes.t -> pos:int -> avail:int -> Buffer.t -> int
 (** The batch loop both transports run: answer every complete request
-    frame in the [avail] bytes at [pos] with {!handle_frame}, appending
-    the replies to the buffer in request order, and return the bytes
-    consumed.  It stops early at a truncated frame (the rest has not
+    frame in the [avail] bytes at [pos], appending the replies to the
+    buffer in request order, and return the bytes consumed.  Each frame
+    is read in place ({!Protocol.read_request} into {!Engine.fields})
+    and answered by {!Engine.reply}, which writes its reply straight
+    into the buffer: a batch of [Decide], [Add], [Subtract] and
+    [Log_decision] frames allocates nothing.  It stops early at a truncated frame (the rest has not
     arrived), after a [Shutdown], or at a malformed frame, which is
     answered with a final [Error_reply] (code 255); {!serve} closes the
     stream after either of the last two.  It uses the session's engine:

@@ -143,11 +143,11 @@ let g_window_flows = Mbac_telemetry.Metrics.Handle.gauge "sim_window_flows"
 let g_window_load = Mbac_telemetry.Metrics.Handle.gauge "sim_window_load"
 
 (* Admit one fresh flow: its source is drawn, then its holding time. *)
-let admit_one s obs =
+let admit_one s =
   let l = s.kernel in
   let source = s.make_source s.rng ~start:l.Link.hot.now in
   let slot =
-    Link.admit l obs ~key:0 ~rate:(Mbac_traffic.Source.rate source) ~source
+    Link.admit l ~key:0 ~rate:(Mbac_traffic.Source.rate source) ~source
   in
   let gen = Link.gen l slot in
   let holding =
@@ -160,15 +160,13 @@ let admit_one s obs =
 
 (* Infinite offered load: admit while the controller allows more flows
    than are present.  Each admission is observed before the next
-   decision, so the controller reacts to its own admissions.  [obs0]
-   must describe the current state — callers have always just built it
-   for their own controller notification, so the common no-admission
-   case costs no fresh observation. *)
-let try_admit s obs0 =
-  let obs = ref obs0 in
-  while Link.admissible s.kernel !obs do
-    admit_one s !obs;
-    obs := Link.observation s.kernel
+   decision, so the controller reacts to its own admissions.  [obs]
+   must be the link's observation of the current state: callers have
+   always just refreshed it for their own controller notification, and
+   each admission refreshes it again. *)
+let try_admit s obs =
+  while Link.admissible s.kernel obs do
+    admit_one s
   done
 
 (* Under infinite load every event ends by admitting while the
@@ -186,7 +184,7 @@ let stale s =
 let handle_arrival s =
   let l = s.kernel in
   let obs = Link.observe l in
-  if Link.admissible l obs then admit_one s obs else Link.reject l;
+  if Link.admissible l obs then admit_one s else Link.reject l;
   match s.cfg.arrival with
   | `Poisson _ ->
       Calendar_queue.push s.queue
@@ -208,9 +206,9 @@ let emit_snapshots s ~t1 =
     Mbac_telemetry.Trace.emit ~t ~kind:"estimator"
       [ ("n", Mbac_telemetry.Trace.Int l.Link.n);
         ("load", Mbac_telemetry.Trace.Float l.hot.sum_rate);
-        ("mu_hat", Mbac_telemetry.Trace.Float (Mbac.Observation.cross_mean obs));
+        ("mu_hat", Mbac_telemetry.Trace.Float (Mbac.Estimator.cross_mean obs));
         ("sigma_hat",
-         Mbac_telemetry.Trace.Float (sqrt (Mbac.Observation.cross_variance obs)));
+         Mbac_telemetry.Trace.Float (sqrt (Mbac.Estimator.cross_variance obs)));
         ("p_f_running",
          Mbac_telemetry.Trace.Float (Measurement.overflow_fraction l.meas)) ]
   done

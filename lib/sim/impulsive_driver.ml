@@ -36,7 +36,7 @@ let admit_burst rng ~n_offered ~capacity ~alpha_ce ~make_source =
     let var_hat =
       Float.max 0.0 ((!sq -. (mf *. mu_hat *. mu_hat)) /. (mf -. 1.0))
     in
-    (mu_hat, var_hat)
+    { Mbac.Estimator.mu_hat; var_hat }
   in
   let rule = Mbac.Criterion.adjusted ~alpha_ce in
   (* The paper's model (§3.1, footnote 2) bases the estimate on the ~M_0
@@ -44,16 +44,14 @@ let admit_burst rng ~n_offered ~capacity ~alpha_ce ~make_source =
      criterion to its fixed point: estimate over m flows, recompute the
      admissible count, repeat until stable. *)
   let rec fixpoint m k =
-    let mu_hat, var_hat = estimate m in
+    let e = estimate m in
     let m' =
-      if not (Mbac.Criterion.usable mu_hat) then n_offered
-      else
-        min n_offered
-          (max 2 (Mbac.Criterion.limit rule ~capacity ~mu:mu_hat ~var:var_hat))
+      if not (Mbac.Criterion.usable e) then n_offered
+      else min n_offered (max 2 (Mbac.Criterion.limit rule ~capacity e))
     in
-    if m' = m || k >= 20 then (m', mu_hat, var_hat) else fixpoint m' (k + 1)
+    if m' = m || k >= 20 then (m', e) else fixpoint m' (k + 1)
   in
-  let m_0, mu_hat, var_hat = fixpoint n_offered 0 in
+  let m_0, { Mbac.Estimator.mu_hat; var_hat } = fixpoint n_offered 0 in
   let sigma_hat = sqrt var_hat in
   Mbac_telemetry.Metrics.Handle.inc m_bursts;
   Mbac_telemetry.Metrics.Handle.inc ~by:m_0 m_admitted;

@@ -15,6 +15,7 @@ type t = {
   controller : Mbac.Controller.t;
   meas : Measurement.t;
   hot : hot;
+  obs : Mbac.Observation.t;
   mutable granted : Float.Array.t;
   mutable keys : int array;
   mutable gens : int array;
@@ -60,9 +61,16 @@ let m_ovf_duration =
 let m_ovf_duration_s =
   Mbac_telemetry.Metrics.Handle.qhist "sim_overflow_episode_duration_seconds"
 
+(* The link's one observation, refreshed in place from the counters:
+   every admission, release and rate change shows the controller the
+   same record, so an event allocates none. *)
 let[@inline] observation l =
-  Mbac.Observation.make ~now:l.hot.now ~n:l.n ~sum_rate:l.hot.sum_rate
-    ~sum_sq:l.hot.sum_sq
+  let o = l.obs in
+  o.now <- l.hot.now;
+  o.n <- float_of_int l.n;
+  o.sum_rate <- l.hot.sum_rate;
+  o.sum_sq <- l.hot.sum_sq;
+  o
 
 let[@inline] observe l =
   let obs = observation l in
@@ -105,6 +113,7 @@ let create ~telemetry ~capacity ~warmup ~batch_length ~max_flows controller =
       hot =
         { now = 0.0; sum_rate = 0.0; sum_sq = 0.0;
           ovf_start = nan; ovf_excess = 0.0; ovf_time = 0.0 };
+      obs = Mbac.Observation.make ~now:0.0 ~n:0 ~sum_rate:0.0 ~sum_sq:0.0;
       granted = Float.Array.create 0;
       keys = [||]; gens = [||]; sources = [||]; free = [||];
       free_top = 0; limit = 0;
@@ -124,6 +133,7 @@ let copy l ~rng =
     controller = Mbac.Controller.copy l.controller;
     meas = Measurement.copy l.meas;
     hot = { l.hot with now = l.hot.now };
+    obs = Mbac.Observation.copy l.obs;
     granted = Float.Array.copy l.granted;
     keys = Array.copy l.keys;
     gens = Array.copy l.gens;
@@ -185,7 +195,7 @@ let free_slot l slot =
    [@inline]: out of line, the float argument would be boxed on every
    call. *)
 
-let[@inline] admit l obs ~key ~rate ~source =
+let[@inline] admit l ~key ~rate ~source =
   let slot = alloc_slot l in
   Float.Array.set l.granted slot rate;
   l.keys.(slot) <- key;
@@ -194,8 +204,7 @@ let[@inline] admit l obs ~key ~rate ~source =
   l.hot.sum_rate <- l.hot.sum_rate +. rate;
   l.hot.sum_sq <- l.hot.sum_sq +. (rate *. rate);
   l.admitted <- l.admitted + 1;
-  let obs' = Mbac.Observation.admit obs ~rate in
-  Mbac.Controller.observe l.controller obs';
+  ignore (observe l);
   slot
 
 let reject l = l.blocked <- l.blocked + 1

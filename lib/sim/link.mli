@@ -35,6 +35,10 @@ type t = private {
   controller : Mbac.Controller.t;
   meas : Measurement.t;
   hot : hot;
+  obs : Mbac.Observation.t;
+      (** the cross-section shown to the controller, refreshed in place
+          by {!observation}, {!observe}, {!admit}, {!release} and
+          {!set_rate} *)
   mutable granted : Float.Array.t;  (** slot -> rate the link allocated *)
   mutable keys : int array;  (** slot -> flow key, [-1] when free *)
   mutable gens : int array;
@@ -87,7 +91,9 @@ val copy : t -> rng:Mbac_stats.Rng.t -> t
     folding it never recounts the original's. *)
 
 val observation : t -> Mbac.Observation.t
-(** The cross-section at [hot.now]. *)
+(** The cross-section at [hot.now]: the link's one observation,
+    refreshed in place.  It is valid until the next call that refreshes
+    it; copy it ({!Mbac.Observation.copy}) to keep it longer. *)
 
 val observe : t -> Mbac.Observation.t
 (** {!observation}, after showing it to the controller. *)
@@ -107,16 +113,11 @@ val fold_decisions : t -> unit
     lags the link. *)
 
 val admit :
-  t ->
-  Mbac.Observation.t ->
-  key:int ->
-  rate:float ->
-  source:Mbac_traffic.Source.t ->
-  int
+  t -> key:int -> rate:float -> source:Mbac_traffic.Source.t -> int
 (** Take a slot for a flow of [rate] ([key >= 0]) and its [source]
     ({!no_source} for a reservation that has none), reusing the most
-    recently freed slot, and show the controller ([observe]) the
-    observation [obs] advanced by the flow.
+    recently freed slot, and show the controller ({!observe}) the
+    cross-section with the flow in it.
     Returns the slot.
     @raise Invalid_argument past [2^slot_bits] concurrent flows. *)
 

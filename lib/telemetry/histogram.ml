@@ -10,7 +10,9 @@ type t = {
   counts : int array;
   mutable underflow : int;
   mutable overflow : int;
-  mutable sum : float;
+  (* one slot, stored flat: adding to it allocates nothing, where a
+     mutable float field of this mixed record would box every sum *)
+  sum : Float.Array.t;
   mutable count : int;
 }
 
@@ -19,7 +21,7 @@ let default_log = Log { lo = 1e-9; decades = 24; buckets_per_decade = 20 }
 let create layout =
   let make ~lo ~hi ~base ~buckets =
     { layout; lo; hi; base; counts = Array.make buckets 0;
-      underflow = 0; overflow = 0; sum = 0.0; count = 0 }
+      underflow = 0; overflow = 0; sum = Float.Array.make 1 0.0; count = 0 }
   in
   match layout with
   | Linear { lo; hi; bins } ->
@@ -44,10 +46,12 @@ let buckets h = Array.length h.counts
 let counts h = Array.copy h.counts
 let underflow h = h.underflow
 let overflow h = h.overflow
-let sum h = h.sum
+let sum h = Float.Array.get h.sum 0
 let count h = h.count
 
-let bucket_index h x =
+(* [bucket_index] and [observe] are inlined: out of line, the float
+   argument would be boxed on every observation. *)
+let[@inline] bucket_index h x =
   let last = Array.length h.counts - 1 in
   if x < h.lo then -1
   else if x >= h.hi then last + 1
@@ -68,15 +72,17 @@ let bucket_index h x =
                 ((Float.log10 x -. h.base)
                 *. float_of_int buckets_per_decade)))
 
-let observe h x =
+let[@inline] observe h x =
   h.count <- h.count + 1;
   if Float.is_finite x then begin
-    h.sum <- h.sum +. x;
+    Float.Array.unsafe_set h.sum 0 (Float.Array.unsafe_get h.sum 0 +. x);
     let i = bucket_index h x in
     if i < 0 then h.underflow <- h.underflow + 1
     else if i >= Array.length h.counts then h.overflow <- h.overflow + 1
     else h.counts.(i) <- h.counts.(i) + 1
   end
+
+let observe_fixed h n ~scale = observe h (float_of_int n /. float_of_int scale)
 
 (* The point a fraction [f] of the way through bucket [i], along the
    layout's own axis: [f = 0.] is the lower bound, [f = 0.5] the
@@ -117,7 +123,8 @@ let quantile h q =
     if rank <= h.underflow then h.lo else walk 0 h.underflow
   end
 
-let copy h = { h with counts = Array.copy h.counts }
+let copy h =
+  { h with counts = Array.copy h.counts; sum = Float.Array.copy h.sum }
 
 let merge_into ~into src =
   if into.layout <> src.layout then
@@ -125,9 +132,9 @@ let merge_into ~into src =
   Array.iteri (fun i c -> into.counts.(i) <- into.counts.(i) + c) src.counts;
   into.underflow <- into.underflow + src.underflow;
   into.overflow <- into.overflow + src.overflow;
-  into.sum <- into.sum +. src.sum;
+  Float.Array.set into.sum 0 (sum into +. sum src);
   into.count <- into.count + src.count
 
 let equal a b =
   a.layout = b.layout && a.counts = b.counts && a.underflow = b.underflow
-  && a.overflow = b.overflow && a.sum = b.sum && a.count = b.count
+  && a.overflow = b.overflow && sum a = sum b && a.count = b.count

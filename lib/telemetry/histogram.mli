@@ -44,6 +44,14 @@ val create : layout -> t
     non-positive count, or more than [2^20] buckets. *)
 
 val observe : t -> float -> unit
+(** Inlined, with the running sum stored flat: where it is inlined the
+    argument stays unboxed, and an observation allocates nothing. *)
+
+val observe_fixed : t -> int -> scale:int -> unit
+(** [observe_fixed t n ~scale] observes [n / scale] (a duration in
+    integer nanoseconds at [scale = 1_000_000_000], say).  No float
+    crosses the call, so it allocates nothing even where {!observe} is
+    not inlined (a build without cross-module inlining). *)
 
 val layout : t -> layout
 val lo : t -> float

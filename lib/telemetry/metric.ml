@@ -1,7 +1,9 @@
+type flat = { mutable value : float }
+
 type t =
   | Counter of int ref
-  | Sum of float ref
-  | Gauge of float ref
+  | Sum of flat
+  | Gauge of flat
   | Hist of Histogram.t
 
 let kind_name = function
@@ -15,15 +17,15 @@ let kind_name = function
 
 let copy = function
   | Counter r -> Counter (ref !r)
-  | Sum r -> Sum (ref !r)
-  | Gauge r -> Gauge (ref !r)
+  | Sum c -> Sum { value = c.value }
+  | Gauge c -> Gauge { value = c.value }
   | Hist h -> Hist (Histogram.copy h)
 
 let merge_into ~into src =
   match (into, src) with
   | Counter a, Counter b -> a := !a + !b
-  | Sum a, Sum b -> a := !a +. !b
-  | Gauge a, Gauge b -> a := !b
+  | Sum a, Sum b -> a.value <- a.value +. b.value
+  | Gauge a, Gauge b -> a.value <- b.value
   | Hist a, Hist b -> Histogram.merge_into ~into:a b
   | (Counter _ | Sum _ | Gauge _ | Hist _), _ ->
       invalid_arg

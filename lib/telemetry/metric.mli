@@ -8,10 +8,15 @@
     whole shards are merged afterwards ({!Shard}), in submission order,
     so the aggregate is independent of the worker-pool schedule. *)
 
+type flat = { mutable value : float }
+(** A float cell.  A record of one float field is stored flat, so
+    storing a new value into it allocates nothing (a [float ref] would
+    box every value stored). *)
+
 type t =
   | Counter of int ref      (** monotone event count *)
-  | Sum of float ref        (** accumulated float quantity *)
-  | Gauge of float ref      (** last observed value *)
+  | Sum of flat             (** accumulated float quantity *)
+  | Gauge of flat           (** last observed value *)
   | Hist of Histogram.t     (** linear or log bucket layout *)
 
 val kind_name : t -> string

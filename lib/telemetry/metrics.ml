@@ -33,8 +33,8 @@ module Handle = struct
 
   let build = function
     | Counter -> Metric.Counter (ref 0)
-    | Sum -> Metric.Sum (ref 0.0)
-    | Gauge -> Metric.Gauge (ref 0.0)
+    | Sum -> Metric.Sum { value = 0.0 }
+    | Gauge -> Metric.Gauge { value = 0.0 }
     | Hist layout -> Metric.Hist (Histogram.create layout)
 
   (* First touch of this handle in the current shard: bind through the
@@ -57,18 +57,31 @@ module Handle = struct
     | Metric.Counter r -> r := !r + by
     | cell -> kind_error h.name cell "counter"
 
+  (* The float-taking updates are inlined, so their argument stays
+     unboxed where they are; the cells are flat, so the store allocates
+     nothing.  The [_fixed] forms take an integer numerator and scale:
+     no float crosses the call, so they allocate nothing even out of
+     line. *)
   let[@inline] add h x =
     match resolve h with
-    | Metric.Sum r -> r := !r +. x
+    | Metric.Sum c -> c.value <- c.value +. x
     | cell -> kind_error h.name cell "sum"
 
   let[@inline] set_gauge h x =
     match resolve h with
-    | Metric.Gauge r -> r := x
+    | Metric.Gauge c -> c.value <- x
     | cell -> kind_error h.name cell "gauge"
+
+  let set_gauge_fixed h n ~scale =
+    set_gauge h (float_of_int n /. float_of_int scale)
 
   let[@inline] observe h x =
     match resolve h with
     | Metric.Hist hist -> Histogram.observe hist x
+    | cell -> kind_error h.name cell "histogram"
+
+  let observe_fixed h n ~scale =
+    match resolve h with
+    | Metric.Hist hist -> Histogram.observe_fixed hist n ~scale
     | cell -> kind_error h.name cell "histogram"
 end

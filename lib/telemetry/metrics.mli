@@ -41,12 +41,27 @@ module Handle : sig
   val inc : ?by:int -> t -> unit
   (** Increment a counter (default [by:1]). *)
 
+  (** Sum and gauge cells store their float flat ({!Metric.flat}), and
+      {!add}, {!set_gauge} and {!observe} are inlined: where they are,
+      the argument stays unboxed and the update allocates nothing.  A
+      build without cross-module inlining (dune's dev profile) boxes
+      a float argument at the call; the [_fixed] forms take an integer
+      and a scale instead, so nothing is boxed in any build. *)
+
   val add : t -> float -> unit
   (** Accumulate into a float sum. *)
 
   val set_gauge : t -> float -> unit
   (** Record the latest value of a gauge. *)
 
+  val set_gauge_fixed : t -> int -> scale:int -> unit
+  (** [set_gauge_fixed h n ~scale] is [set_gauge h (n / scale)]: a count
+      at [scale = 1], a fixed-point quantity otherwise. *)
+
   val observe : t -> float -> unit
   (** Observe a value into a histogram of either layout. *)
+
+  val observe_fixed : t -> int -> scale:int -> unit
+  (** [observe_fixed h n ~scale] is [observe h (n / scale)]: a duration
+      in integer nanoseconds at [scale = 1_000_000_000], say. *)
 end

@@ -9,8 +9,8 @@ type t = (string * value) list
 
 let value_of_cell = function
   | Metric.Counter r -> Counter !r
-  | Metric.Sum r -> Sum !r
-  | Metric.Gauge r -> Gauge !r
+  | Metric.Sum c -> Sum c.value
+  | Metric.Gauge c -> Gauge c.value
   | Metric.Hist h -> Histogram (Histogram.copy h)
 
 let current () =

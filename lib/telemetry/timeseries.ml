@@ -122,14 +122,14 @@ let emit_window ~t =
     List.iter
       (fun (name, cell) ->
         match cell with
-        | Metric.Sum r ->
+        | Metric.Sum c ->
             let b0 =
-              match base name with Some (Metric.Sum p) -> !p | _ -> 0.0
+              match base name with Some (Metric.Sum p) -> p.value | _ -> 0.0
             in
-            if !r -. b0 <> 0.0 then begin
+            if c.value -. b0 <> 0.0 then begin
               add_sep b first;
               add_key b name;
-              Buffer.add_string b (Json.float (!r -. b0))
+              Buffer.add_string b (Json.float (c.value -. b0))
             end
         | _ -> ())
       metrics;
@@ -139,10 +139,10 @@ let emit_window ~t =
     List.iter
       (fun (name, cell) ->
         match cell with
-        | Metric.Gauge r ->
+        | Metric.Gauge c ->
             add_sep b first;
             add_key b name;
-            Buffer.add_string b (Json.float !r)
+            Buffer.add_string b (Json.float c.value)
         | _ -> ())
       metrics;
     (* histograms (both layouts): per-window increments, when any *)

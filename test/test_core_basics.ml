@@ -31,17 +31,17 @@ let test_with_p_q () =
 let test_observation_cross_stats () =
   (* flows with rates 1, 2, 3: mean 2, unbiased variance 1 *)
   let obs = Mbac.Observation.make ~now:0.0 ~n:3 ~sum_rate:6.0 ~sum_sq:14.0 in
-  check_close ~tol:1e-12 "cross mean" 2.0 (Mbac.Observation.cross_mean obs);
-  check_close ~tol:1e-12 "cross variance" 1.0 (Mbac.Observation.cross_variance obs)
+  check_close ~tol:1e-12 "cross mean" 2.0 (Mbac.Estimator.cross_mean obs);
+  check_close ~tol:1e-12 "cross variance" 1.0 (Mbac.Estimator.cross_variance obs)
 
 let test_observation_edges () =
   let obs0 = Mbac.Observation.make ~now:0.0 ~n:0 ~sum_rate:0.0 ~sum_sq:0.0 in
   Alcotest.(check bool) "n=0 mean nan" true
-    (Float.is_nan (Mbac.Observation.cross_mean obs0));
+    (Float.is_nan (Mbac.Estimator.cross_mean obs0));
   let obs1 = Mbac.Observation.make ~now:0.0 ~n:1 ~sum_rate:5.0 ~sum_sq:25.0 in
-  check_close ~tol:1e-12 "n=1 mean" 5.0 (Mbac.Observation.cross_mean obs1);
+  check_close ~tol:1e-12 "n=1 mean" 5.0 (Mbac.Estimator.cross_mean obs1);
   Alcotest.(check (float 0.0)) "n=1 variance 0" 0.0
-    (Mbac.Observation.cross_variance obs1);
+    (Mbac.Estimator.cross_variance obs1);
   Alcotest.check_raises "bad n=0 sums"
     (Invalid_argument "Observation.make: nonzero sums with zero flows")
     (fun () ->

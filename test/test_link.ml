@@ -70,7 +70,7 @@ let test_model =
                 let key = !next_key in
                 incr next_key;
                 let slot =
-                  Link.admit l obs ~key ~rate:x ~source:Link.no_source
+                  Link.admit l ~key ~rate:x ~source:Link.no_source
                 in
                 expect (slot = expected);
                 expect (l.Link.keys.(slot) = key && Link.gen l slot = gen slot);
@@ -149,7 +149,7 @@ let test_model =
       let obs = Link.observe l in
       if Link.admissible l obs then
         ignore
-          (Link.admit l obs ~key:!next_key ~rate:2.5 ~source:Link.no_source);
+          (Link.admit l ~key:!next_key ~rate:2.5 ~source:Link.no_source);
       (match pick 1 with Some s -> ignore (Link.set_rate l s 0.7) | None -> ());
       (match pick 0 with Some s -> ignore (Link.release l s) | None -> ());
       Link.record l ~t1:(l.hot.now +. 1.0);

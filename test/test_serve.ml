@@ -19,6 +19,13 @@ let config ?(capacity = 100.0) ?(measure_every = 0) () =
     estimator = Mbac.Estimator.memoryless ();
     measure_every }
 
+(* [E.decide] and the counts its reply carries beside the verdict *)
+type decision = { admit : bool; admissible : int; flows : int }
+
+let decide e ~criterion ~load =
+  let admit = E.decide e ~criterion ~load in
+  { admit; admissible = E.admissible e ~criterion; flows = (E.stats e).flows }
+
 (* ---------- fixed-point accounting ---------- *)
 
 let add e ~load ~now = if not (E.add e ~load ~now) then Alcotest.fail "add refused"
@@ -36,11 +43,11 @@ let test_accounting_roundtrip () =
   Alcotest.(check int) "flows" (List.length loads) s.E.flows;
   check_close ~tol:1e-5 "admitted load"
     (List.fold_left ( +. ) 0.0 loads)
-    s.E.admitted_load;
+    s.admitted_load;
   List.iter (fun load -> subtract e ~load ~now:1.0) loads;
   let s = E.stats e in
   Alcotest.(check int) "flows back to zero" 0 s.E.flows;
-  check_close_abs "load back to exactly zero" 0.0 s.E.admitted_load
+  check_close_abs "load back to exactly zero" 0.0 s.admitted_load
 
 (* Four flows at the load cap fit the 63-bit sum of squares; a fifth
    would wrap it negative, and every later measurement pass skipped its
@@ -65,17 +72,17 @@ let test_add_overflow_refused () =
   let s = E.stats e and s' = E.stats twin in
   Alcotest.(check int) "flows" 2_005 s.E.flows;
   Alcotest.(check int) "flows as the twin" s'.E.flows s.E.flows;
-  Alcotest.(check (float 0.0)) "admitted load as the twin" s'.E.admitted_load
-    s.E.admitted_load;
+  Alcotest.(check (float 0.0)) "admitted load as the twin" s'.admitted_load
+    s.admitted_load;
   Alcotest.(check int) "measurement passes as the twin" s'.E.updates
     s.E.updates;
   for criterion = 0 to 1 do
-    let d = E.decide e ~criterion ~load:1.0
-    and d' = E.decide twin ~criterion ~load:1.0 in
-    Alcotest.(check int) "admissible count as the twin" d'.E.admissible
-      d.E.admissible;
+    let d = decide e ~criterion ~load:1.0
+    and d' = decide twin ~criterion ~load:1.0 in
+    Alcotest.(check int) "admissible count as the twin" d'.admissible
+      d.admissible;
     Alcotest.(check bool) "the estimate still follows the flows" true
-      (d.E.admissible > s.E.flows)
+      (d.admissible > s.E.flows)
   done
 
 (* A departure no Add matched would take the flow count and the sums
@@ -126,19 +133,19 @@ let test_bootstrap_one_at_a_time () =
   let e = E.create (config ()) in
   (* no measurement yet: M = flows + 1, so each decide sees headroom of
      exactly one flow *)
-  let d = E.decide e ~criterion:0 ~load:1.0 in
-  Alcotest.(check bool) "first flow admitted" true d.E.admit;
-  Alcotest.(check int) "bootstrap M = n+1" 1 d.E.admissible;
+  let d = decide e ~criterion:0 ~load:1.0 in
+  Alcotest.(check bool) "first flow admitted" true d.admit;
+  Alcotest.(check int) "bootstrap M = n+1" 1 d.admissible;
   add e ~load:1.0 ~now:0.0;
-  let d = E.decide e ~criterion:0 ~load:1.0 in
-  Alcotest.(check bool) "second flow admitted" true d.E.admit;
-  Alcotest.(check int) "bootstrap M tracks n" 2 d.E.admissible
+  let d = decide e ~criterion:0 ~load:1.0 in
+  Alcotest.(check bool) "second flow admitted" true d.admit;
+  Alcotest.(check int) "bootstrap M tracks n" 2 d.admissible
 
 let test_bootstrap_capacity_backstop () =
   let e = E.create (config ~capacity:10.0 ()) in
-  let d = E.decide e ~criterion:0 ~load:11.0 in
+  let d = decide e ~criterion:0 ~load:11.0 in
   Alcotest.(check bool) "bootstrap still checks capacity headroom" false
-    d.E.admit
+    d.admit
 
 let test_published_estimate_drives_decide () =
   let e = E.create (config ~capacity:100.0 ()) in
@@ -148,14 +155,14 @@ let test_published_estimate_drives_decide () =
   E.run_measurement e ~now:0.0;
   (* memoryless estimator over 50 identical unit flows: mu = 1, sigma = 0
      for the Gaussian criterion -> M = floor(capacity / mu) = 100 *)
-  let d = E.decide e ~criterion:0 ~load:1.0 in
-  Alcotest.(check bool) "admitted under published estimate" true d.E.admit;
-  Alcotest.(check int) "M = capacity / mu for sigma = 0" 100 d.E.admissible;
-  Alcotest.(check int) "flows reported" 50 d.E.flows;
+  let d = decide e ~criterion:0 ~load:1.0 in
+  Alcotest.(check bool) "admitted under published estimate" true d.admit;
+  Alcotest.(check int) "M = capacity / mu for sigma = 0" 100 d.admissible;
+  Alcotest.(check int) "flows reported" 50 d.flows;
   (* the Hoeffding criterion at the same state is strictly tighter *)
-  let dh = E.decide e ~criterion:1 ~load:1.0 in
+  let dh = decide e ~criterion:1 ~load:1.0 in
   Alcotest.(check bool) "hoeffding M below gaussian M" true
-    (dh.E.admissible < d.E.admissible)
+    (dh.admissible < d.admissible)
 
 let test_measure_every_cadence () =
   let e = E.create (config ~measure_every:4 ()) in
@@ -174,13 +181,13 @@ let test_initialize_resets () =
   E.initialize e ~capacity:5.0;
   let s = E.stats e in
   Alcotest.(check int) "flows cleared" 0 s.E.flows;
-  check_close_abs "load cleared" 0.0 s.E.admitted_load;
+  check_close_abs "load cleared" 0.0 s.admitted_load;
   check_close "capacity retargeted" 5.0 s.E.capacity;
   (* estimator history must be gone too: back to bootstrap one-at-a-time *)
-  let d = E.decide e ~criterion:0 ~load:1.0 in
-  Alcotest.(check int) "back to bootstrap M = n+1" 1 d.E.admissible;
-  let d = E.decide e ~criterion:0 ~load:6.0 in
-  Alcotest.(check bool) "new capacity enforced" false d.E.admit
+  let d = decide e ~criterion:0 ~load:1.0 in
+  Alcotest.(check int) "back to bootstrap M = n+1" 1 d.admissible;
+  let d = decide e ~criterion:0 ~load:6.0 in
+  Alcotest.(check bool) "new capacity enforced" false d.admit
 
 (* ---------- wire-input validation ---------- *)
 
@@ -404,6 +411,117 @@ let test_post_refuses_round_trip_requests () =
       | exception Invalid_argument _ -> ())
     [ P.Decide { criterion = 0; load = 1.0; now = 0.0 }; P.Stats; P.Shutdown ];
   C.close c
+
+(* ---------- the fixed point at its edge ---------- *)
+
+(* [valid_load]'s cap, 1e6, is the largest load a frame may carry.
+   Rounding to 2^-20 units is within 2^-21 of the load there too; the
+   square, l^2 * 2^20 ~ 2^59.8, is past 2^53, so [fp_sq] is exact only
+   to half an ulp, 2^6 units.  The exact square of [fp = hi * 2^20 + lo]
+   in units is hi^2 * 2^20 + 2 hi lo + lo^2 / 2^20, whose integer part
+   fits an int. *)
+let edge_loads =
+  [ 1e6; Float.pred 1e6; 1e6 -. 1e-7; 999_999.123_456_789; 987_654.321;
+    524_288.000_000_5; 90.5; 0.1 ]
+
+let test_fixed_point_edge () =
+  let scale = float_of_int E.fp_scale in
+  List.iter
+    (fun load ->
+      let fp = E.fp_of_load load in
+      let err = Float.abs ((float_of_int fp /. scale) -. load) in
+      if err > ldexp 1.0 (-21) then
+        Alcotest.failf "load %.17g rounds %g away" load err;
+      let hi = fp / E.fp_scale and lo = fp mod E.fp_scale in
+      let whole = (hi * hi * E.fp_scale) + (2 * hi * lo) in
+      let frac = float_of_int (lo * lo) /. scale in
+      let sq_err = Float.abs (float_of_int (E.fp_sq fp - whole) -. frac) in
+      if sq_err > 64.0 then
+        Alcotest.failf "load %.17g: fp_sq is %g units off" load sq_err)
+    edge_loads;
+  (* four flows at the cap fit the sums; Stats reports the sum of the
+     rounded loads, exactly *)
+  let e = E.create (config ~capacity:1e7 ()) in
+  let loads = [ 1e6; Float.pred 1e6; 999_999.123_456_789; 987_654.321 ] in
+  List.iter (fun load -> add e ~load ~now:0.0) loads;
+  let rounded =
+    List.fold_left
+      (fun acc load -> acc +. (float_of_int (E.fp_of_load load) /. scale))
+      0.0 loads
+  in
+  Alcotest.(check (float 0.0)) "admitted load is the sum of the rounded loads"
+    rounded (E.stats e).E.admitted_load
+
+(* The next float above the cap is out of range on the frame path, on
+   both transports: code 3 to a Decide and to an Add. *)
+let past_cap = Float.succ 1e6
+
+let check_past_cap c =
+  List.iter
+    (fun req ->
+      match C.rpc c req with
+      | P.Error_reply { code = 3; _ } -> ()
+      | _ ->
+          Alcotest.failf "%s of load %.17g must answer code 3"
+            (P.request_name req) past_cap)
+    [ P.Decide { criterion = 0; load = past_cap; now = 0.0 };
+      P.Add { load = past_cap; now = 0.0 } ];
+  match C.rpc c P.Stats with
+  | P.Stats_reply { flows = 0; _ } -> ()
+  | _ -> Alcotest.fail "a refused load leaves no flow behind"
+
+(* ---------- the frame path allocates nothing ---------- *)
+
+(* The Loadgen mix (Decide, Log_decision, Add, Subtract) under two
+   criteria, an ewma estimator, a pass every 16 accounting calls and a
+   file decision log, recorded in the batches a client sends (its posts,
+   then the round trip's own frame), then replayed through
+   [Server.answer] on a fresh engine.  After a warm-up tenth, the
+   replay allocates no minor words. *)
+let mix_config () =
+  { E.capacity = 100.0;
+    criteria = Mbac_serve.Spec.criteria_of_string "ce:0.01,hoeffding:0.01:2.0";
+    estimator = Mbac_serve.Spec.estimator_of_string "ewma:100";
+    measure_every = 16 }
+
+let test_frame_path_allocates_nothing () =
+  let batches =
+    let client = C.inproc (E.create (mix_config ())) in
+    let b =
+      Mbac_serve.Loadgen.record client
+        { Mbac_serve.Loadgen.seed = 11; requests = 40_000; arrival_mean = 1.0;
+          hold_mean = 100.0; load_mean = 1.0; load_std = 0.3; n_criteria = 2 }
+    in
+    C.close client;
+    b
+  in
+  let log = Filename.temp_file "mbac_decisions" ".jsonl" in
+  let engine = E.create ~decision_log_file:log (mix_config ()) in
+  let s = Mbac_serve.Server.session engine in
+  let out = Buffer.create 4096 in
+  let replay lo hi =
+    for i = lo to hi - 1 do
+      let b = batches.(i) in
+      Buffer.clear out;
+      let n = Bytes.length b in
+      if Mbac_serve.Server.answer s b ~pos:0 ~avail:n out <> n then
+        Alcotest.fail "a recorded batch was not answered whole"
+    done
+  in
+  let warm = Array.length batches / 10 in
+  replay 0 warm;
+  let before = (E.stats engine).E.requests in
+  let w0 = Gc.minor_words () in
+  replay warm (Array.length batches);
+  let w1 = Gc.minor_words () in
+  let frames = (E.stats engine).E.requests - before in
+  E.close_log engine;
+  Sys.remove log;
+  Alcotest.(check bool) "at least 100k frames replayed" true
+    (frames >= 100_000);
+  let per = (w1 -. w0) /. float_of_int frames in
+  if per >= 0.01 then
+    Alcotest.failf "%.3f minor words per request over %d frames" per frames
 
 (* ---------- over a real socket ---------- *)
 
@@ -763,6 +881,12 @@ let test_client_peer_vanishes () =
       failed ();
       C.close c)
 
+let test_past_cap_both_transports () =
+  let c = C.inproc (E.create (config ())) in
+  check_past_cap c;
+  C.close c;
+  with_daemon (fun ~path:_ ~connect -> check_past_cap (connect ()))
+
 let suite =
   [ ( "serve_engine",
       [ test "add/subtract cancel exactly in fixed point"
@@ -787,7 +911,11 @@ let suite =
         test "an Add past the fixed-point sums is refused"
           test_add_overflow_refused;
         test "a Subtract no Add matched is refused"
-          test_subtract_unmatched_refused ] );
+          test_subtract_unmatched_refused;
+        test "the fixed point at the largest valid load"
+          test_fixed_point_edge;
+        test "the frame path allocates nothing"
+          test_frame_path_allocates_nothing ] );
     ( "serve_client",
       [ qcheck ~count:100 "posting never changes what the engine sees"
           arb_pipeline prop_pipeline;
@@ -810,4 +938,6 @@ let suite =
         test "the measurement timer runs with measure_every 0"
           test_measure_interval;
         test "a daemon out of descriptors goes on serving"
-          test_out_of_descriptors ] ) ]
+          test_out_of_descriptors;
+        test "a load past the cap is code 3 on both transports"
+          test_past_cap_both_transports ] ) ]

@@ -147,7 +147,7 @@ let test_merge_mismatch () =
   Alcotest.check_raises "kinds must match"
     (Invalid_argument "Metric.merge_into: kind mismatch (counter vs sum)")
     (fun () ->
-      Metric.merge_into ~into:(Metric.Counter (ref 0)) (Metric.Sum (ref 1.0)));
+      Metric.merge_into ~into:(Metric.Counter (ref 0)) (Metric.Sum { value = 1.0 }));
   (* the same name at another shape in another shard: the join refuses *)
   let h_wide = H.histogram "h" ~lo:0.0 ~hi:2.0 ~bins:4 in
   let wide = shard (fun () -> H.observe h_wide 0.5) in
