@@ -263,10 +263,15 @@ let hotpath fmt ~toy:_ =
    speed up by the hardware-aware bar: x2.5 at width 4 on >= 4 cores,
    x1.4 at width 2 on >= 2, else x0.7 (domains time-sharing one core
    cannot speed up; the bar guards against window bookkeeping becoming
-   a deep net loss).  Every reshard must render the same summary, so a
-   "fix" that buys throughput by breaking determinism cannot pass, and
-   the 4-shard star run serially may allocate at most 7.8 words per
-   event (6.5 measured).  --toy keeps the size-free checks only. *)
+   a deep net loss).  The 4-shard star run serially (one runner, so
+   every cross-shard message is pushed at send time) is timed against
+   the same 1-shard base, as a printed row.  Every reshard must render
+   the same summary, so a "fix" that buys throughput by breaking
+   determinism cannot pass, and the 4-shard star run serially may
+   allocate at most 7.8 words per event (1.4 measured).  Events/sec
+   rows are same-process context: the timed claim against a parent
+   commit is perfbench's net-churn.  --toy keeps the size-free checks
+   only. *)
 let network_words = 7.8
 
 let network_required ~cores ~effective =
@@ -306,6 +311,8 @@ let time_network ~topology ~shards ~jobs ~max_events =
 
 let network fmt ~toy =
   header fmt ~toy "Network gate (sharded multi-link simulator)";
+  Format.fprintf fmt
+    "  (events/sec rows: same-process context; perfbench times the claim)@.";
   let single_events = if toy then 100_000 else 500_000 in
   let single =
     Mbac_net.Topology.line ~links:1 ~capacity:100.0 ~rate:network_rate
@@ -381,9 +388,19 @@ let network fmt ~toy =
         (shards, r, eps, effective, speedup))
       runs
   in
+  let serial, serial_eps =
+    time_network ~topology:star ~shards:4 ~jobs:1 ~max_events:star_events
+  in
+  let serial_ratio = serial_eps /. base in
+  Format.fprintf fmt
+    "  8-leaf star, 4 shards serially (jobs 1): %10.0f events/sec   ratio \
+     x%.2f to the base@."
+    serial_eps serial_ratio;
   let renders =
     List.sort_uniq String.compare
-      (List.map (fun (_, r, _) -> Format.asprintf "%a" Net.pp_result r) runs)
+      (List.map
+         (fun r -> Format.asprintf "%a" Net.pp_result r)
+         (serial :: List.map (fun (_, r, _) -> r) runs))
   in
   Format.fprintf fmt "  resharded summaries byte-identical: %s@."
     (if List.length renders = 1 then "yes"
@@ -426,6 +443,11 @@ let network fmt ~toy =
                     ("events_per_sec", J.float eps);
                     ("speedup", J.float speedup) ])
               rows));
+        ("serial_4_shards",
+         J.obj
+           [ ("events", J.int serial.Net.events);
+             ("events_per_sec", J.float serial_eps);
+             ("ratio_to_base", J.float serial_ratio) ]);
         ("distinct_reshard_summaries", J.int (List.length renders));
         ("minor_words_per_event", J.float words) ];
     checks =

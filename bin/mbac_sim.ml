@@ -405,8 +405,12 @@ let network_cmd =
       $ Arg.(value & opt int 1
              & info [ "shards" ] ~docv:"N"
                  ~doc:"Link partitions, each with its own event wheel \
-                       (1 .. min(links, 256)).  Output is identical for \
-                       every value.")
+                       (1 .. min(links, 256)).  Each worker domain \
+                       drains a contiguous range of shards: a message \
+                       between shards of one domain is pushed into its \
+                       wheel when sent, and only messages between \
+                       domains wait for the window barrier's exchange.  \
+                       Output is identical for every value.")
       $ model_term ~n_doc:"Normalized edge-link capacity (system size)."
       $ controller_opt $ source_opt
       $ Arg.(value & opt (some float) None
@@ -426,7 +430,8 @@ let network_cmd =
       $ Arg.(value & flag
              & info [ "stats" ]
                  ~doc:"Also print window and cross-shard message counts \
-                       (these legitimately depend on --shards).")
+                       (these legitimately depend on --shards, but not \
+                       on --jobs).")
       $ Mbac_telemetry_cli.Flags.term)
   in
   Cmd.v

@@ -3,7 +3,11 @@
     Shards exchange flow-setup traffic in structure-of-arrays outboxes:
     one outbox per (source shard, destination shard) pair, written only
     by its source shard while the window runs, drained only at the
-    window barrier by the single delivering domain.  Steady-state
+    window barrier by the single delivering domain.  {!Network} sends
+    through it only the messages between shards that different runners
+    drain: a message between two shards of one runner is pushed into
+    the destination's wheel when it is sent, so at width 1 the exchange
+    carries nothing.  Steady-state
     {!send} and {!deliver} allocate nothing: arrays grow by doubling
     and are then reused, and {!send} is [[@inline]] so its float
     arguments are stored without being boxed.
@@ -16,9 +20,10 @@
     the destination shard's calendar wheel, which breaks time ties by
     push order, so the delivered messages pop in
     [(time, src_shard, seq)] order.  Both orders are pure functions of
-    the messages themselves, never of domain scheduling, which is what
-    makes network runs byte-identical across [--jobs] and shard
-    counts. *)
+    the messages themselves, never of domain scheduling.  Messages
+    pushed at send time interleave with them in push order, so the pop
+    order of one run differs from another width's only on exact time
+    ties, which the network's determinism contract assumes away. *)
 
 type t
 
@@ -65,4 +70,6 @@ val in_tend : t -> int -> float
 
 val delivered_total : t -> int
 (** Messages delivered over the exchange's lifetime (counted in
-    {!deliver}, so reading it is barrier-safe). *)
+    {!deliver}, so reading it is barrier-safe).  A network's
+    [messages] also counts the cross-shard messages that never entered
+    the exchange. *)

@@ -152,10 +152,15 @@ type shard = {
   mutable a_free : int array;
   mutable a_free_top : int;
   mutable a_limit : int;
+  (* the shards this shard's runner drains, [run_first .. run_last]:
+     a message to one of them is pushed straight into its wheel *)
+  mutable run_first : int;
+  mutable run_last : int;
   mutable sh_events : int;
   mutable sh_admitted : int;
   mutable sh_blocked : int;
   mutable sh_departed : int;
+  mutable sh_messages : int; (* cross-shard messages sent *)
 }
 
 type engine = {
@@ -232,16 +237,18 @@ let[@inline] push_local sh ~time ~kind ~link ~hop ~route ~seq ~islot
   Float.Array.set sh.a_tend idx t_end;
   CQ.push sh.wheel ~time (encode ~tag:tag_msg ~slot:idx ~gen:0 ~route:0)
 
-(* Route a message to the shard owning [link]: straight into our own
-   wheel when we own it (delivery times always land in a later window,
-   so this never perturbs the current drain), through the exchange
-   otherwise. *)
+(* Route a message to the shard owning [link]: straight into that
+   shard's wheel when our runner drains it (delivery times always land
+   in a later window, so this never perturbs a drain of this window,
+   ours or that of a shard the runner has yet to drain), through the
+   exchange when another runner does. *)
 let[@inline] send_msg eng sh ~time ~kind ~link ~hop ~route ~seq ~islot
     ~igen ~rate ~t_end =
   let dst = eng.owner.(link) in
-  if dst = sh.sh_id then
-    push_local sh ~time ~kind ~link ~hop ~route ~seq ~islot ~igen ~rate
-      ~t_end
+  if dst <> sh.sh_id then sh.sh_messages <- sh.sh_messages + 1;
+  if dst >= sh.run_first && dst <= sh.run_last then
+    push_local eng.shards.(dst) ~time ~kind ~link ~hop ~route ~seq ~islot
+      ~igen ~rate ~t_end
   else
     Exchange.send eng.ex ~src:sh.sh_id ~dst ~time ~kind ~link ~hop ~route
       ~seq ~islot ~igen ~rate ~t_end
@@ -488,15 +495,18 @@ let after_window eng ~w_start =
 
 (* One loop for every width.  [width] runners each own a contiguous
    range of shards, [r*S/width, (r+1)*S/width), and meet at a spin
-   barrier after every window.  Runner 0 is the leader: at each barrier
-   it drains the exchange into every shard's wheel and publishes the
-   next window (or the stop), which the others pick up through the
-   epoch counter.  All cross-runner plain-field reads are ordered by the
-   [arrived]/[epoch] atomics.  Width 1 runs the loop inline; wider runs
-   are one pool invocation for the whole run, claimed with [~chunk:1]
-   so each of the [width] domains holds exactly one runner — required,
-   because a domain blocked at the barrier inside one runner must never
-   have a second runner queued behind it. *)
+   barrier after every window.  A message between two shards of one
+   runner was pushed into its wheel when it was sent ([send_msg]), so
+   only messages between runners wait in the exchange.  Runner 0 is the
+   leader: at each barrier it drains the exchange into every shard's
+   wheel and publishes the next window (or the stop), which the others
+   pick up through the epoch counter.  All cross-runner plain-field
+   reads are ordered by the [arrived]/[epoch] atomics.  Width 1 runs
+   the loop inline; wider runs are one pool invocation for the whole
+   run, claimed with [~chunk:1] so each of the [width] domains holds
+   exactly one runner — required, because a domain blocked at the
+   barrier inside one runner must never have a second runner queued
+   behind it. *)
 type barrier_ctl = {
   arrived : int Atomic.t;
   epoch : int Atomic.t;
@@ -513,11 +523,18 @@ let run_windows eng ~jobs =
       c_w_end = eng.d;
       c_stop = false }
   in
+  (* runner [r] drains shards [lo r .. lo (r + 1) - 1] *)
+  let lo r = r * shard_count / width in
+  for r = 0 to width - 1 do
+    for i = lo r to lo (r + 1) - 1 do
+      eng.shards.(i).run_first <- lo r;
+      eng.shards.(i).run_last <- lo (r + 1) - 1
+    done
+  done;
   let failures = Array.make width None in
   let w_start = ref 0.0 in
   let runner r () =
-    let first = r * shard_count / width in
-    let last = ((r + 1) * shard_count / width) - 1 in
+    let first = lo r and last = lo (r + 1) - 1 in
     let my_epoch = ref 0 in
     while not ctl.c_stop do
       (if failures.(r) = None then
@@ -621,8 +638,9 @@ let build ~seed cfg ~make_controller ~make_source =
           a_seq = [||]; a_islot = [||]; a_igen = [||];
           a_rate = Float.Array.create 0; a_tend = Float.Array.create 0;
           a_free = [||]; a_free_top = 0; a_limit = 0;
+          run_first = si; run_last = si;
           sh_events = 0; sh_admitted = 0; sh_blocked = 0;
-          sh_departed = 0 })
+          sh_departed = 0; sh_messages = 0 })
   in
   let eng =
     { cfg; topo; d = cfg.setup_delay; owner; local_ix; shards;
@@ -692,7 +710,9 @@ let collect eng =
     Array.fold_left (fun a sh -> a + sh.sh_departed) 0 eng.shards
   in
   let events = total_events eng in
-  let messages = Exchange.delivered_total eng.ex in
+  let messages =
+    Array.fold_left (fun a sh -> a + sh.sh_messages) 0 eng.shards
+  in
   (* fold run totals into the (submitting domain's) telemetry shard *)
   Handle.inc m_events ~by:events;
   Handle.inc m_admitted ~by:admitted;

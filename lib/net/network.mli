@@ -7,22 +7,28 @@
     traverse every link on their route: admission is end-to-end (a
     reject at any hop blocks the flow, attributed to the rejecting
     link), negotiated through a hop-by-hop setup walk with per-hop
-    delay [setup_delay].  Cross-shard traffic moves through the
-    conservative {!Exchange} in windows of exactly one [setup_delay]
-    lookahead.  One driver runs every width: [Parallel.effective_jobs
-    shards] runners, each owning a contiguous range of shards, meet at
-    a spin barrier after every window (at width 1, inline).
+    delay [setup_delay].  Shards run in windows of exactly one
+    [setup_delay] lookahead.  One driver runs every width:
+    [Parallel.effective_jobs shards] runners, each owning a contiguous
+    range of shards, meet at a spin barrier after every window (at
+    width 1, inline).  A message to a shard of the sender's own runner
+    is pushed into that shard's wheel when it is sent; only messages
+    between runners move through the conservative {!Exchange}, pushed
+    at the barrier.
 
     {2 Determinism contract}
 
     Output is byte-identical for every [jobs] value and every shard
     count (see NETWORK.md for the mechanics: per-route RNG streams
-    drawn only at the ingress event; inter-shard messages delivered in
-    [(src_shard, seq)] order into a wheel that breaks time ties by push
-    order, so they pop in [(time, src_shard, seq)] order; per-link
-    event counters driving the float resyncs).  A 1-link network
-    reproduces {!Mbac_sim.Continuous_load}'s Poisson loop draw-for-draw
-    when driven from the same stream ({!route_stream_tag}). *)
+    drawn only at the ingress event; messages within a runner pushed at
+    send time and messages between runners at the barrier in
+    [(src_shard, seq)] order, into a wheel that pops by
+    [(time, push order)], so pop orders across widths differ only on
+    exact time ties, which the contract assumes away as it does between
+    1-shard and sharded runs; per-link event counters driving the float
+    resyncs).  A 1-link network reproduces
+    {!Mbac_sim.Continuous_load}'s Poisson loop draw-for-draw when
+    driven from the same stream ({!route_stream_tag}). *)
 
 type config = {
   topology : Topology.t;
@@ -73,7 +79,10 @@ type result = {
   events : int;
   sim_time : float;
   windows : int;   (** barrier rounds (shard-count dependent) *)
-  messages : int;  (** cross-shard messages (shard-count dependent) *)
+  messages : int;
+      (** cross-shard messages, counted when sent, whether pushed
+          directly or through the exchange (shard-count dependent,
+          [jobs] independent) *)
   links : link_result array;
 }
 

@@ -311,22 +311,35 @@ let test_shard_invariance =
       String.equal reference sharded)
 
 let test_parallel_drivers () =
-  (* One driver at every width: serial (inline), one runner per shard,
-     and fewer runners than shards, evenly (jobs 2: two shards each)
-     and unevenly (jobs 3: one, one and two shards) — all must render
-     identically. *)
+  (* One driver at every width: serial (inline, every message pushed
+     at send time), one runner per shard (every message through the
+     exchange), and fewer runners than shards, evenly (jobs 2: two
+     shards each) and unevenly (jobs 3: one, one and two shards).  All
+     must render identically, and count the same cross-shard messages
+     and windows, however many of the messages the exchange carried. *)
   let capacity = 30.0 in
   let rate = 0.9 *. capacity /. t_h in
-  let topology = Topo.line ~links:4 ~capacity ~rate in
-  let reference =
-    render (run_net ~jobs:1 ~seed:21 ~shards:4 ~max_events:20_000 topology)
-  in
-  Alcotest.(check string) "one runner per shard (jobs = shards)" reference
-    (render (run_net ~jobs:4 ~seed:21 ~shards:4 ~max_events:20_000 topology));
-  Alcotest.(check string) "two shards per runner (jobs 2)" reference
-    (render (run_net ~jobs:2 ~seed:21 ~shards:4 ~max_events:20_000 topology));
-  Alcotest.(check string) "uneven runner ranges (jobs 3)" reference
-    (render (run_net ~jobs:3 ~seed:21 ~shards:4 ~max_events:20_000 topology))
+  List.iter
+    (fun (name, topology) ->
+      let run jobs =
+        let r = run_net ~jobs ~seed:21 ~shards:4 ~max_events:20_000 topology in
+        (render r, r.Net.windows, r.Net.messages)
+      in
+      let ((_, _, messages) as reference) = run 1 in
+      Alcotest.(check bool) (name ^ ": cross-shard messages") true
+        (messages > 0);
+      List.iter
+        (fun (jobs, what) ->
+          Alcotest.(check (triple string int int))
+            (Printf.sprintf "%s: %s (jobs %d)" name what jobs)
+            reference (run jobs))
+        [ (4, "one runner per shard");
+          (2, "two shards per runner");
+          (3, "uneven runner ranges") ])
+    [ ("line:4", Topo.line ~links:4 ~capacity ~rate);
+      ("star:5", Topo.star ~leaves:5 ~capacity ~rate);
+      ( "core-edge:4x2",
+        Topo.core_edge ~edges:4 ~cores:2 ~capacity ~core_scale:2.0 ~rate ) ]
 
 let test_nan_config () =
   (* warmup and batch_length reach each link's measurement, which must
