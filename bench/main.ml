@@ -200,7 +200,9 @@ let hotpath fmt ~toy:_ =
   let eps = per_sec events t0 in
   let words = (minor1 -. minor0) /. float_of_int events in
   Format.fprintf fmt
-    "  continuous-load loop:   %10.0f events/sec  (%d events)@." eps events;
+    "  continuous-load loop:   %10.0f events/sec  (%d events; same-process \
+     context, perfbench's paper-link times the claim)@."
+    eps events;
   Format.fprintf fmt "  minor allocation:       %10.2f words/event@." words;
   Format.fprintf fmt
     "  queue hold model (%d interleaved windows of %d pop+push pairs \

@@ -8,8 +8,6 @@ let difference p ~alpha_ce ~alpha_ce' =
   let open Params in
   p.sigma *. sqrt p.n *. (alpha_ce -. alpha_ce')
 
-let fraction p ~bandwidth = bandwidth /. Params.capacity p
-
 let robustness_cost p ~t_m =
   let alpha_q = Params.alpha_q p in
   let alpha_ce = Inversion.adjusted_alpha_ce ~t_m p in

@@ -15,9 +15,6 @@ val difference : Params.t -> alpha_ce:float -> alpha_ce':float -> float
 (** Eqn (40): the utilization gap between running at p_ce and p_ce',
     sigma sqrt n (alpha_ce - alpha_ce'). *)
 
-val fraction : Params.t -> bandwidth:float -> float
-(** Carried bandwidth as a fraction of capacity. *)
-
 val robustness_cost : Params.t -> t_m:float -> float
 (** Bandwidth given up by the robust scheme (inverted p_ce at memory
     [t_m]) relative to plain certainty equivalence at p_q. *)

@@ -31,7 +31,6 @@ type t = {
   mutable i_seq : int array;
   mutable i_islot : int array;
   mutable i_igen : int array;
-  mutable delivered : int;
 }
 
 let make_box cap =
@@ -61,8 +60,7 @@ let create ~shards =
     i_route = Array.make 16 0;
     i_seq = Array.make 16 0;
     i_islot = Array.make 16 0;
-    i_igen = Array.make 16 0;
-    delivered = 0 }
+    i_igen = Array.make 16 0 }
 
 let grow_floats old len =
   let n = Float.Array.create (2 * len) in
@@ -161,7 +159,6 @@ let deliver t ~dst =
     o := base + b.b_len;
     b.b_len <- 0
   done;
-  t.delivered <- t.delivered + m;
   m
 
 let[@inline] in_time t i = Float.Array.get t.i_time i
@@ -174,4 +171,3 @@ let[@inline] in_islot t i = t.i_islot.(i)
 let[@inline] in_igen t i = t.i_igen.(i)
 let[@inline] in_rate t i = Float.Array.get t.i_rate i
 let[@inline] in_tend t i = Float.Array.get t.i_tend i
-let delivered_total t = t.delivered

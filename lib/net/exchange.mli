@@ -67,9 +67,3 @@ val in_islot : t -> int -> int
 val in_igen : t -> int -> int
 val in_rate : t -> int -> float
 val in_tend : t -> int -> float
-
-val delivered_total : t -> int
-(** Messages delivered over the exchange's lifetime (counted in
-    {!deliver}, so reading it is barrier-safe).  A network's
-    [messages] also counts the cross-shard messages that never entered
-    the exchange. *)

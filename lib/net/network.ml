@@ -503,10 +503,10 @@ let after_window eng ~w_start =
    pick up through the epoch counter.  All cross-runner plain-field
    reads are ordered by the [arrived]/[epoch] atomics.  Width 1 runs
    the loop inline; wider runs are one pool invocation for the whole
-   run, claimed with [~chunk:1] so each of the [width] domains holds
-   exactly one runner — required, because a domain blocked at the
-   barrier inside one runner must never have a second runner queued
-   behind it. *)
+   run, [width] tasks on [width] domains that each claim one task at a
+   time, so each domain holds exactly one runner — required, because a
+   domain blocked at the barrier inside one runner must never have a
+   second runner queued behind it. *)
 type barrier_ctl = {
   arrived : int Atomic.t;
   epoch : int Atomic.t;
@@ -574,7 +574,7 @@ let run_windows eng ~jobs =
     (* [~count_tasks:false]: the task count is the width, so counting
        would make the metric snapshot jobs-dependent. *)
     ignore
-      (Mbac_sim.Parallel.run_tasks ?jobs ~chunk:1 ~count_tasks:false
+      (Mbac_sim.Parallel.run_tasks ?jobs ~count_tasks:false
          (List.init width runner))
 
 (* ---------- engine construction ---------- *)
@@ -681,9 +681,7 @@ let collect eng =
         (fun { id; kernel = k; _ } ->
           Link.finish k;
           Link.fold_decisions k;
-          let p_f, estimate_kind =
-            Meas.final_estimate k.Link.meas ~target:cfg.target_p_q
-          in
+          let p_f, estimate_kind = Meas.final_estimate k.Link.meas in
           let mean_load = Meas.load_mean k.meas in
           links.(id) <-
             Some

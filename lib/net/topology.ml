@@ -183,15 +183,3 @@ let parse text =
         | d :: _ -> err lineno (Printf.sprintf "unknown directive %S" d))
   in
   go 1 lines
-
-let pp ppf t =
-  Format.fprintf ppf "links %d routes %d@." (num_links t) (num_routes t);
-  Array.iteri
-    (fun i c -> Format.fprintf ppf "  link %d capacity %g@." i c)
-    t.capacities;
-  Array.iteri
-    (fun i { links; rate } ->
-      Format.fprintf ppf "  route %d rate %g via" i rate;
-      Array.iter (fun l -> Format.fprintf ppf " %d" l) links;
-      Format.fprintf ppf "@.")
-    t.routes

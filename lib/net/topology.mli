@@ -65,6 +65,3 @@ val parse : string -> (t, string) result
     [link CAPACITY] appends a link (ids in file order from 0);
     [route RATE LINK...] appends a route.  Any input {!make} refuses
     is an [Error], never an exception. *)
-
-val pp : Format.formatter -> t -> unit
-(** Deterministic one-line-per-element summary (used by the CLI). *)

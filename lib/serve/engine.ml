@@ -196,8 +196,6 @@ let create ?decision_log ?decision_log_file (config : config) =
     log_seq = 0;
     log = open_log ?decision_log ?decision_log_file crits }
 
-let criterion_names t = Array.map (fun c -> c.cr_name) t.crits
-
 (* ---------- measurement ---------- *)
 
 (* One pass over the counters, stamped with the time already in

@@ -96,8 +96,6 @@ val log_staging_bytes : int
 (** Size of a file sink's staging buffer (64 KiB): the most decision-log
     bytes an engine holds in memory, and so the most a kill loses. *)
 
-val criterion_names : t -> string array
-
 val initialize : t -> capacity:float -> unit
 (** Zero the counters, reset the estimator, and go back to the
     bootstrap M against the new capacity.

@@ -66,12 +66,6 @@ let request_name = function
   | Stats -> "Stats"
   | Shutdown -> "Shutdown"
 
-let response_tag = function
-  | Ok_reply -> tag_ok
-  | Decision _ -> tag_decision
-  | Stats_reply _ -> tag_stats_reply
-  | Error_reply _ -> tag_error
-
 (* ---------- little-endian scalar writers ---------- *)
 
 (* Integers only cross into [Buffer]: a boxed [Int32]/[Int64] argument

@@ -167,9 +167,6 @@ val write_error : Buffer.t -> code:int -> string -> unit
 val decode_request : Bytes.t -> pos:int -> avail:int -> (request * int, error) result
 val decode_response : Bytes.t -> pos:int -> avail:int -> (response * int, error) result
 
-val request_tag : request -> int
-
 val request_name : request -> string
 (** The constructor's name (["Log_decision"], ...), for messages. *)
 
-val response_tag : response -> int

@@ -36,6 +36,18 @@
    estimate) allocate only the new slot-head array and stop once the
    population is stationary. *)
 
+(* The mutable floats, in an all-float record: it is stored flat, so
+   its stores stay unboxed (a float field of the mixed record [t] would
+   box on every store). *)
+type floats = {
+  mutable width : float;
+  mutable inv : float; (* 1 / width *)
+  mutable gap : float; (* smoothed per-pop spacing estimate *)
+  mutable last_pop : float;
+  mutable ovf_min : float; (* earliest overflow time *)
+  mutable ckpt : float; (* last pop time at the previous checkpoint *)
+}
+
 type t = {
   (* entry pool: times.(e) plus meta.(4e..4e+2) = seq, payload, next;
      the next field doubles as the free list *)
@@ -65,19 +77,8 @@ type t = {
      fire after [size] further pops, bounding relink work to O(1)
      amortized per pop no matter how the spacing estimate moves *)
   mutable pops_since_resize : int;
-  (* unboxed mutable floats (a mixed record would box them on every
-     store): width, 1/width, smoothed gap estimate, last pop time,
-     overflow minimum time, gap-block checkpoint time *)
-  fstate : Float.Array.t;
+  f : floats;
 }
-
-let f_width = 0
-let f_inv = 1
-let f_gap = 2
-let f_last_pop = 3
-let f_ovf_min = 4
-let f_ckpt = 5
-let n_fstate = 6
 
 (* meta word offsets within an entry's 4-word group (the 4th word is
    padding so a group never spans more than one cache line) *)
@@ -96,13 +97,6 @@ let min_nb = 16
 let recalibrate_every = 4096
 
 let create () =
-  let fstate = Float.Array.create n_fstate in
-  Float.Array.set fstate f_width 1.0;
-  Float.Array.set fstate f_inv 1.0;
-  Float.Array.set fstate f_gap Float.nan;
-  Float.Array.set fstate f_last_pop Float.nan;
-  Float.Array.set fstate f_ovf_min Float.infinity;
-  Float.Array.set fstate f_ckpt Float.nan;
   { times = Float.Array.create 0;
     meta = [||];
     used = 0;
@@ -122,7 +116,13 @@ let create () =
     next_seq = 0;
     pops_since_adjust = 0;
     pops_since_resize = 0;
-    fstate }
+    f =
+      { width = 1.0;
+        inv = 1.0;
+        gap = Float.nan;
+        last_pop = Float.nan;
+        ovf_min = Float.infinity;
+        ckpt = Float.nan } }
 
 let size t = t.size
 let is_empty t = t.size = 0
@@ -130,12 +130,55 @@ let is_empty t = t.size = 0
 (* Absolute bucket of a timestamp.  Clamped so that pathological
    width/time ratios degrade to a fat bucket or the overflow chain
    instead of overflowing the int.  Consistency is all that matters:
-   the same monotone map is used by push, migration, and resize. *)
+   the same monotone map serves [place] and [ensure_min]. *)
 let[@inline] bucket t tm =
-  let q = Float.floor (tm *. Float.Array.unsafe_get t.fstate f_inv) in
+  let q = Float.floor (tm *. t.f.inv) in
   if q >= 1e15 then 1_000_000_000_000_000
   else if q <= -1e15 then -1_000_000_000_000_000
   else int_of_float q
+
+(* The placement rule: link entry [e] at the head of its wheel slot —
+   its bucket clamped up to [cur_b] — and return the slot, or, at or
+   beyond the horizon, link it into the overflow chain, keeping the
+   overflow minimum, and return -1.  Loop-free, so it inlines into
+   [push] and into [relink]'s loop. *)
+let[@inline] place t e =
+  let tm = Float.Array.unsafe_get t.times e in
+  let b = bucket t tm in
+  if b - t.cur_b >= t.nb then begin
+    set_next t e t.ovf_head;
+    t.ovf_head <- e;
+    t.ovf_size <- t.ovf_size + 1;
+    let sq = seq_of t e in
+    if tm < t.f.ovf_min || (tm = t.f.ovf_min && sq < t.ovf_min_seq) then begin
+      t.f.ovf_min <- tm;
+      t.ovf_min_seq <- sq
+    end;
+    -1
+  end
+  else begin
+    let b = if b < t.cur_b then t.cur_b else b in
+    let s = b land t.mask in
+    set_next t e (Array.unsafe_get t.heads s);
+    Array.unsafe_set t.heads s e;
+    t.wheel_size <- t.wheel_size + 1;
+    s
+  end
+
+(* [place] every entry of the chain starting at [head]. *)
+let relink t head =
+  let e = ref head in
+  while !e >= 0 do
+    let nx = next_of t !e in
+    ignore (place t !e);
+    e := nx
+  done
+
+let clear_overflow t =
+  t.ovf_head <- -1;
+  t.ovf_size <- 0;
+  t.ovf_min_seq <- max_int;
+  t.f.ovf_min <- Float.infinity
 
 let next_pow2 n =
   let r = ref min_nb in
@@ -171,23 +214,14 @@ let[@inline] width_mult t = if t.size >= 1 lsl 18 then 1.0 else 2.0
    reorders pops: chains are unordered and the (time, seq) comparison
    is width-independent. *)
 let resize t nb' =
-  let fs = t.fstate in
+  let f = t.f in
   t.pops_since_resize <- 0;
-  if t.size = 0 then begin
-    t.heads <- Array.make nb' (-1);
-    t.nb <- nb';
-    t.mask <- nb' - 1;
-    t.ovf_head <- -1;
-    t.ovf_size <- 0;
-    t.ovf_min_seq <- max_int;
-    Float.Array.set fs f_ovf_min Float.infinity;
-    t.min_entry <- -1
-  end
-  else begin
-    (* pass 1: span of pending times (old structure intact).  The
-       min/max accumulators live in a scratch [Float.Array] — float
-       refs would box two words on every store, charging a
-       million-entry scan hundreds of kilowords of minor allocation. *)
+  let old_heads = t.heads and old_nb = t.nb and old_ovf = t.ovf_head in
+  if t.size > 0 then begin
+    (* span of pending times (old structure intact).  The min/max
+       accumulators live in a scratch [Float.Array] — float refs would
+       box two words on every store, charging a million-entry scan
+       hundreds of kilowords of minor allocation. *)
     let mnmx = Float.Array.create 2 in
     Float.Array.set mnmx 0 Float.infinity;
     Float.Array.set mnmx 1 Float.neg_infinity;
@@ -200,98 +234,37 @@ let resize t nb' =
         e := next_of t !e
       done
     in
-    for s = 0 to t.nb - 1 do scan_chain (Array.unsafe_get t.heads s) done;
-    scan_chain t.ovf_head;
+    for s = 0 to old_nb - 1 do scan_chain (Array.unsafe_get old_heads s) done;
+    scan_chain old_ovf;
     let mn = Float.Array.get mnmx 0 and mx = Float.Array.get mnmx 1 in
-    let g = Float.Array.get fs f_gap in
     let w =
-      if Float.is_finite g && g > 0. then width_mult t *. g
+      if Float.is_finite f.gap && f.gap > 0. then width_mult t *. f.gap
       else if t.size > 1 && mx > mn then (mx -. mn) /. float_of_int t.size
-      else Float.Array.get fs f_width
+      else f.width
     in
-    let w = if Float.is_finite w && w > 0. then w else Float.Array.get fs f_width in
+    let w = if Float.is_finite w && w > 0. then w else f.width in
     let w = if Float.is_finite w && w > 0. then w else 1.0 in
-    Float.Array.set fs f_width w;
-    Float.Array.set fs f_inv (1. /. w);
-    let old_heads = t.heads and old_nb = t.nb in
-    let old_ovf = t.ovf_head in
-    let heads = Array.make nb' (-1) in
-    t.heads <- heads;
-    t.nb <- nb';
-    t.mask <- nb' - 1;
-    t.cur_b <- bucket t mn;
-    t.wheel_size <- 0;
-    t.ovf_head <- -1;
-    t.ovf_size <- 0;
-    t.ovf_min_seq <- max_int;
-    Float.Array.set fs f_ovf_min Float.infinity;
-    let horizon_b = t.cur_b + nb' in
-    let relink_chain head =
-      let e = ref head in
-      while !e >= 0 do
-        let nx = next_of t !e in
-        let tm = Float.Array.unsafe_get t.times !e in
-        let b = bucket t tm in
-        if b < horizon_b then begin
-          let b = if b < t.cur_b then t.cur_b else b in
-          let s = b land t.mask in
-          set_next t !e (Array.unsafe_get heads s);
-          Array.unsafe_set heads s !e;
-          t.wheel_size <- t.wheel_size + 1
-        end
-        else begin
-          set_next t !e t.ovf_head;
-          t.ovf_head <- !e;
-          t.ovf_size <- t.ovf_size + 1;
-          let sq = seq_of t !e in
-          let omin = Float.Array.unsafe_get fs f_ovf_min in
-          if tm < omin || (tm = omin && sq < t.ovf_min_seq) then begin
-            Float.Array.unsafe_set fs f_ovf_min tm;
-            t.ovf_min_seq <- sq
-          end
-        end;
-        e := nx
-      done
-    in
-    for s = 0 to old_nb - 1 do relink_chain (Array.unsafe_get old_heads s) done;
-    relink_chain old_ovf;
-    t.min_entry <- -1
+    f.width <- w;
+    f.inv <- 1. /. w;
+    t.cur_b <- bucket t mn
+  end;
+  t.heads <- Array.make nb' (-1);
+  t.nb <- nb';
+  t.mask <- nb' - 1;
+  t.wheel_size <- 0;
+  clear_overflow t;
+  t.min_entry <- -1;
+  if t.size > 0 then begin
+    for s = 0 to old_nb - 1 do relink t (Array.unsafe_get old_heads s) done;
+    relink t old_ovf
   end
 
 (* Move every overflow entry that now fits the wheel window into it.
    Callers only invoke this while the min cache is invalid. *)
 let migrate_overflow t =
-  let fs = t.fstate in
-  let e = ref t.ovf_head in
-  t.ovf_head <- -1;
-  t.ovf_size <- 0;
-  t.ovf_min_seq <- max_int;
-  Float.Array.set fs f_ovf_min Float.infinity;
-  let horizon_b = t.cur_b + t.nb in
-  while !e >= 0 do
-    let nx = next_of t !e in
-    let tm = Float.Array.unsafe_get t.times !e in
-    let b = bucket t tm in
-    if b < horizon_b then begin
-      let b = if b < t.cur_b then t.cur_b else b in
-      let s = b land t.mask in
-      set_next t !e (Array.unsafe_get t.heads s);
-      Array.unsafe_set t.heads s !e;
-      t.wheel_size <- t.wheel_size + 1
-    end
-    else begin
-      set_next t !e t.ovf_head;
-      t.ovf_head <- !e;
-      t.ovf_size <- t.ovf_size + 1;
-      let sq = seq_of t !e in
-      let omin = Float.Array.unsafe_get fs f_ovf_min in
-      if tm < omin || (tm = omin && sq < t.ovf_min_seq) then begin
-        Float.Array.unsafe_set fs f_ovf_min tm;
-        t.ovf_min_seq <- sq
-      end
-    end;
-    e := nx
-  done
+  let head = t.ovf_head in
+  clear_overflow t;
+  relink t head
 
 (* Locate the (time, seq)-minimum and cache it.  Loop shape: jump to
    the overflow chain if the wheel is drained, advance the current
@@ -306,7 +279,7 @@ let ensure_min t =
     let continue = ref true in
     while !continue do
       if t.wheel_size = 0 then begin
-        let ob = bucket t (Float.Array.get t.fstate f_ovf_min) in
+        let ob = bucket t t.f.ovf_min in
         if ob > t.cur_b then t.cur_b <- ob;
         migrate_overflow t;
         assert (t.wheel_size > 0)
@@ -332,8 +305,7 @@ let ensure_min t =
       let accept =
         t.ovf_size = 0
         ||
-        let om = Float.Array.unsafe_get t.fstate f_ovf_min
-        and tb = Float.Array.unsafe_get t.times !best in
+        let om = t.f.ovf_min and tb = Float.Array.unsafe_get t.times !best in
         not (om < tb || (om = tb && t.ovf_min_seq < seq_of t !best))
       in
       if accept then begin
@@ -370,39 +342,21 @@ let[@inline] push t ~time payload =
   set_pay t e payload;
   t.next_seq <- sq + 1;
   t.size <- t.size + 1;
-  let b = bucket t time in
-  if b - t.cur_b >= t.nb then begin
-    (* beyond the horizon: overflow chain *)
-    set_next t e t.ovf_head;
-    t.ovf_head <- e;
-    t.ovf_size <- t.ovf_size + 1;
-    let omin = Float.Array.unsafe_get t.fstate f_ovf_min in
-    if time < omin || (time = omin && sq < t.ovf_min_seq) then begin
-      Float.Array.unsafe_set t.fstate f_ovf_min time;
-      t.ovf_min_seq <- sq
+  (* an overflow entry (slot -1) can never precede a cached wheel
+     minimum: its bucket (hence time) is at or beyond the horizon *)
+  let s = place t e in
+  let m = t.min_entry in
+  if s >= 0 && m >= 0 then begin
+    let tm = Float.Array.unsafe_get t.times m in
+    if time < tm || (time = tm && sq < seq_of t m) then begin
+      t.min_entry <- e;
+      t.min_prev <- -1;
+      t.min_slot <- s
     end
-    (* an overflow entry can never precede a cached wheel minimum:
-       its bucket (hence time) is at or beyond the horizon *)
-  end
-  else begin
-    let b = if b < t.cur_b then t.cur_b else b in
-    let s = b land t.mask in
-    set_next t e (Array.unsafe_get t.heads s);
-    Array.unsafe_set t.heads s e;
-    t.wheel_size <- t.wheel_size + 1;
-    let m = t.min_entry in
-    if m >= 0 then begin
-      let tm = Float.Array.unsafe_get t.times m in
-      if time < tm || (time = tm && sq < seq_of t m) then begin
-        t.min_entry <- e;
-        t.min_prev <- -1;
-        t.min_slot <- s
-      end
-      else if s = t.min_slot && t.min_prev < 0 then
-        (* the cached minimum was this chain's head; the new entry is
-           now linked in front of it *)
-        t.min_prev <- e
-    end
+    else if s = t.min_slot && t.min_prev < 0 then
+      (* the cached minimum was this chain's head; the new entry is
+         now linked in front of it *)
+      t.min_prev <- e
   end;
   if t.size > 2 * t.nb then resize t (next_pow2 t.size)
 
@@ -444,21 +398,17 @@ let maybe_adjust t =
   else if t.pops_since_adjust >= recalibrate_every then begin
     t.pops_since_adjust <- 0;
     t.pops_since_resize <- t.pops_since_resize + recalibrate_every;
-    let fs = t.fstate in
-    let now = Float.Array.get fs f_last_pop in
-    let ck = Float.Array.get fs f_ckpt in
-    Float.Array.set fs f_ckpt now;
-    if Float.is_finite ck && now > ck then begin
-      let block = (now -. ck) /. float_of_int recalibrate_every in
-      let g = Float.Array.get fs f_gap in
-      let g' =
-        if Float.is_finite g then (0.75 *. g) +. (0.25 *. block) else block
-      in
-      Float.Array.set fs f_gap g';
-      let ideal = width_mult t *. g' in
-      let w = Float.Array.get fs f_width in
+    let f = t.f in
+    let ck = f.ckpt in
+    f.ckpt <- f.last_pop;
+    if Float.is_finite ck && f.last_pop > ck then begin
+      let block = (f.last_pop -. ck) /. float_of_int recalibrate_every in
+      f.gap <-
+        (if Float.is_finite f.gap then (0.75 *. f.gap) +. (0.25 *. block)
+         else block);
+      let ideal = width_mult t *. f.gap in
       if
-        (w > 1.5 *. ideal || 1.5 *. w < ideal)
+        (f.width > 1.5 *. ideal || 1.5 *. f.width < ideal)
         && t.pops_since_resize >= t.size
       then resize t t.nb
     end
@@ -478,39 +428,8 @@ let[@inline] drop_min t =
   t.min_entry <- -1;
   (* the pop time feeds the block-average spacing estimate read at the
      next recalibration checkpoint *)
-  Float.Array.unsafe_set t.fstate f_last_pop (Float.Array.unsafe_get t.times e);
+  t.f.last_pop <- Float.Array.unsafe_get t.times e;
   maybe_adjust t
-
-let peek_time t =
-  if t.size = 0 then None
-  else begin
-    ensure_min t;
-    Some (Float.Array.unsafe_get t.times t.min_entry)
-  end
-
-let pop t =
-  if t.size = 0 then None
-  else begin
-    ensure_min t;
-    let time = Float.Array.unsafe_get t.times t.min_entry in
-    let payload = pay_of t t.min_entry in
-    drop_min t;
-    Some (time, payload)
-  end
-
-(* No [ref] flag: the loop state lives in registers, so a singleton
-   batch — the overwhelmingly common case under continuous clocks —
-   costs zero allocation on top of the pop itself. *)
-let drain_min t ~f =
-  if t.size > 0 then begin
-    let t0 = min_time t in
-    f (min_payload t);
-    drop_min t;
-    while t.size > 0 && min_time t = t0 do
-      f (min_payload t);
-      drop_min t
-    done
-  end
 
 (* Compacting deep copy: entries are renumbered 0..size-1 as the
    chains are walked, so the copy's pool has no free-list slack.
@@ -544,8 +463,6 @@ let copy t =
     ovf_head := copy_entry !e !ovf_head;
     e := next_of t !e
   done;
-  let fstate = Float.Array.create n_fstate in
-  Float.Array.blit t.fstate 0 fstate 0 n_fstate;
   { times;
     meta;
     used = n;
@@ -565,23 +482,4 @@ let copy t =
     next_seq = t.next_seq;
     pops_since_adjust = t.pops_since_adjust;
     pops_since_resize = t.pops_since_resize;
-    fstate }
-
-let clear t =
-  t.size <- 0;
-  t.wheel_size <- 0;
-  t.used <- 0;
-  t.free_head <- -1;
-  Array.fill t.heads 0 t.nb (-1);
-  t.ovf_head <- -1;
-  t.ovf_size <- 0;
-  t.ovf_min_seq <- max_int;
-  t.min_entry <- -1;
-  t.min_prev <- -1;
-  t.min_slot <- -1;
-  t.pops_since_adjust <- 0;
-  t.pops_since_resize <- 0;
-  Float.Array.set t.fstate f_ovf_min Float.infinity;
-  Float.Array.set t.fstate f_last_pop Float.nan;
-  Float.Array.set t.fstate f_gap Float.nan;
-  Float.Array.set t.fstate f_ckpt Float.nan
+    f = { t.f with width = t.f.width } }

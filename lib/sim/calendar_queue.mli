@@ -6,11 +6,11 @@
 
     Structure: entries live in a structure-of-arrays pool (unboxed
     float times, immediate-int seqs/payloads) linked into bucket chains
-    of a power-of-two wheel.  Bucket width auto-resizes from the
-    observed inter-pop spacing (EWMA); events beyond the wheel horizon
-    go to an overflow chain and are migrated in bulk when the wheel
-    catches up.  [push], [min_time]/[min_payload]/[drop_min] allocate
-    nothing in steady state (pool growth and wheel resizes are
+    of a power-of-two wheel.  The bucket width follows the observed
+    inter-pop spacing, averaged over blocks of pops; events beyond the
+    wheel horizon go to an overflow chain and are migrated in bulk when
+    the wheel catches up.  [push], [min_time]/[min_payload]/[drop_min]
+    allocate nothing in steady state (pool growth and wheel resizes are
     amortized and absent once the pending population is stationary).
 
     Payloads are native ints; callers needing richer events pack them
@@ -44,20 +44,3 @@ val min_payload : t -> int
 val drop_min : t -> unit
 (** Remove the earliest event (the one [min_time]/[min_payload] read).
     @raise Invalid_argument on an empty queue. *)
-
-val peek_time : t -> float option
-
-val pop : t -> (float * int) option
-(** Remove and return the earliest event.  Convenience wrapper over
-    [min_time]/[min_payload]/[drop_min]; allocates the result pair. *)
-
-val drain_min : t -> f:(int -> unit) -> unit
-(** Pop every event sharing the current minimum timestamp, in FIFO
-    order, calling [f payload] for each.  Events that [f] itself pushes
-    at that exact timestamp are drained too (they carry later sequence
-    numbers, so they come last).  No-op on an empty queue. *)
-
-val clear : t -> unit
-(** Drop every pending event.  The sequence counter is preserved, so
-    tie-breaking against any surviving external ordering stays
-    consistent with the reference heap's [clear]. *)

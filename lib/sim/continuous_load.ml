@@ -330,9 +330,8 @@ let handle_change s slot gen =
   end
   else stale s (* event of a departed flow (or reused slot) *)
 
-(* The one event body, shared by [step] and [run]'s batched dispatch:
-   account the constant-load segment up to [te], fire the event, count
-   it. *)
+(* The one event body: account the constant-load segment up to [te],
+   fire the event, count it. *)
 let[@inline] process s payload ~te =
   record_segment s ~t1:te;
   let tag = payload_tag payload in
@@ -409,7 +408,6 @@ let[@inline] load s = s.kernel.Link.hot.sum_rate
 let[@inline] flows s = s.kernel.Link.n
 let[@inline] events_processed s = s.kernel.Link.events
 let[@inline] has_pending s = not (Calendar_queue.is_empty s.queue)
-let measurement s = s.kernel.Link.meas
 
 let step s =
   let te = Calendar_queue.min_time s.queue in
@@ -450,29 +448,25 @@ let run rng cfg ~controller ~make_source =
   let l = s.kernel in
   let stopped = ref None in
   let running = ref true in
-  (* Batched dispatch: one [drain_min] pass processes every event
-     sharing the minimum timestamp without re-entering the queue's
-     minimum search.  [drain_min] invokes the callback while the event
-     is still the queue minimum, so the event's own time is a cached
-     in-place read.  Timestamp collisions are measure-zero under the
-     exponential clocks, so batches are singletons in practice and the
-     stop checks below fire with exactly the per-event cadence the
-     stepping API gives; allocated once, not per event. *)
-  let dispatch payload =
-    process s payload ~te:(Calendar_queue.min_time s.queue)
-  in
   (* Events processed since the last stop check.  A [mod] test on the
-     running total would skip a check whenever a same-timestamp
-     [drain_min] batch jumps the counter across the boundary without
-     landing on it — the check then waits for the total to hit an exact
-     multiple again, which it may never do. *)
+     running total would skip a check whenever a timestamp's events
+     jump the counter across the boundary without landing on it — the
+     check then waits for the total to hit an exact multiple again,
+     which it may never do. *)
   let since_check = ref 0 in
   while !running do
-    if Calendar_queue.is_empty s.queue then
+    if not (has_pending s) then
       running := false (* cannot happen while flows exist *)
     else begin
       let before = l.Link.events in
-      Calendar_queue.drain_min s.queue ~f:dispatch;
+      (* Every event at this timestamp, those it schedules there
+         included, runs before the stop checks: sources on a grid (OU's
+         fixed step, a modulated source's shared switch times) tie, and
+         a check between them would end the run mid-instant. *)
+      step s;
+      while has_pending s && Calendar_queue.min_time s.queue = l.hot.now do
+        step s
+      done;
       since_check := !since_check + (l.events - before);
       if !since_check >= cfg.check_every_events then begin
         since_check := 0;
@@ -507,7 +501,7 @@ let run rng cfg ~controller ~make_source =
     | Some (Measurement.Below_target { p_f_fit; _ }) ->
         (p_f_fit, `Gaussian_fit, true, nan)
     | Some Measurement.Running | None ->
-        let est, kind = Measurement.final_estimate l.meas ~target:cfg.target_p_q in
+        let est, kind = Measurement.final_estimate l.meas in
         let ci =
           Measurement.relative_half_width l.meas ~confidence:cfg.confidence
         in

@@ -100,7 +100,15 @@ val run :
   make_source:(Mbac_stats.Rng.t -> start:float -> Mbac_traffic.Source.t) ->
   result
 (** Run to convergence or to a cap.  The controller is [reset] first.
-    Deterministic given the RNG state. *)
+    Deterministic given the RNG state.
+
+    [run] is {!start} plus a {!step} loop that checks its stops — the
+    §5.2 stopping rule, every [check_every_events] events, and the
+    [max_time]/[max_events] caps — only between timestamps: every event
+    at the current time, those it schedules at that time included, is
+    processed first.  Sources on a time grid (OU's fixed step, a
+    modulated source's shared switch times) tie, so a run can end a few
+    events past [max_events]. *)
 
 val pp_result : Format.formatter -> result -> unit
 
@@ -109,7 +117,7 @@ val pp_result : Format.formatter -> result -> unit
     The same machinery as {!run}, exposed one event at a time, plus a
     deep-copy snapshot/restore used by the rare-event splitting engine
     ({!Splitting}).  A [sim] owns mutable state throughout: the event
-    heap, the dense flow table, each flow's source state, the
+    queue, the dense flow table, each flow's source state, the
     controller's estimator memory, and the measurement accumulators.
 
     {b Aliasing contract}: {!snapshot} and {!restore} each take a full
@@ -130,8 +138,7 @@ val start :
   make_source:(Mbac_stats.Rng.t -> start:float -> Mbac_traffic.Source.t) ->
   sim
 (** Validate, reset the controller, and perform the initial admissions
-    (or schedule the first Poisson arrival) exactly as {!run} does.
-    [run] is [start] plus a {!step} loop with the stopping rules. *)
+    (or schedule the first Poisson arrival) exactly as {!run} does. *)
 
 val step : sim -> unit
 (** Process the earliest pending event: account the constant-load
@@ -156,8 +163,6 @@ val load : sim -> float
 val flows : sim -> int
 val events_processed : sim -> int
 val has_pending : sim -> bool
-val measurement : sim -> Measurement.t
-(** The live overflow measurement (shared, not a copy). *)
 
 type snapshot
 

@@ -10,22 +10,20 @@ type t = {
   mutable lost : float;
   mutable offered : float;
   mutable losing : bool;
-  mutable loss_episodes : int;
 }
 
 let create ~capacity ~size =
   if capacity <= 0.0 then invalid_arg "Fluid_buffer.create: capacity <= 0";
   if size <= 0.0 then invalid_arg "Fluid_buffer.create: size <= 0";
   { capacity; size; level = 0.0; total_time = 0.0; loss_time = 0.0;
-    lost = 0.0; offered = 0.0; losing = false; loss_episodes = 0 }
+    lost = 0.0; offered = 0.0; losing = false }
 
 let level t = t.level
 
 let copy t =
   { capacity = t.capacity; size = t.size; level = t.level;
     total_time = t.total_time; loss_time = t.loss_time; lost = t.lost;
-    offered = t.offered; losing = t.losing;
-    loss_episodes = t.loss_episodes }
+    offered = t.offered; losing = t.losing }
 
 let feed t ~duration ~load =
   if duration < 0.0 then invalid_arg "Fluid_buffer.feed: negative duration";
@@ -47,7 +45,6 @@ let feed t ~duration ~load =
         t.lost <- t.lost +. (drift *. overflow_span);
         if not t.losing then begin
           t.losing <- true;
-          t.loss_episodes <- t.loss_episodes + 1;
           Mbac_telemetry.Metrics.Handle.inc m_loss_episodes
         end
       end
@@ -69,11 +66,9 @@ let reset_statistics t =
 
 let total_time t = t.total_time
 let loss_time t = t.loss_time
-let loss_episodes t = t.loss_episodes
 
 let loss_time_fraction t =
   if t.total_time <= 0.0 then 0.0 else t.loss_time /. t.total_time
 
 let lost_volume t = t.lost
 let offered_volume t = t.offered
-let loss_ratio t = if t.offered <= 0.0 then 0.0 else t.lost /. t.offered

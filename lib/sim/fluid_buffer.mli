@@ -26,17 +26,13 @@ val reset_statistics : t -> unit
 
 val total_time : t -> float
 val loss_time : t -> float
-(** Time spent losing fluid (buffer full while load > capacity). *)
-
-val loss_episodes : t -> int
-(** Number of distinct loss episodes (maximal runs of consecutive
-    lossy segments).  Each episode start also counts into the
-    [buffer_loss_episodes_total] telemetry counter. *)
+(** Time spent losing fluid (buffer full while load > capacity).
+    Each loss episode (a maximal run of consecutive lossy segments)
+    counts once into the [buffer_loss_episodes_total] telemetry
+    counter. *)
 
 val loss_time_fraction : t -> float
 val lost_volume : t -> float
 (** Total fluid lost. *)
 
 val offered_volume : t -> float
-val loss_ratio : t -> float
-(** lost volume / offered volume; 0 when nothing was offered. *)

@@ -114,9 +114,7 @@ let check_stop ?(confidence = 0.95) ?(rel_ci = 0.2) ?(min_batches = 10) t
     else Running
   end
 
-let final_estimate t ~target =
+let final_estimate t =
   let mean = overflow_fraction t in
-  if Float.is_nan mean then (gaussian_fit_overflow t, `Gaussian_fit)
-  else if mean > 0.0 && mean > target /. 100.0 then (mean, `Direct)
-  else if mean > 0.0 then (mean, `Direct)
+  if mean > 0.0 then (mean, `Direct)
   else (gaussian_fit_overflow t, `Gaussian_fit)

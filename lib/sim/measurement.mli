@@ -66,7 +66,7 @@ val check_stop :
   target:float -> verdict
 (** Defaults: [confidence = 0.95], [rel_ci = 0.2], [min_batches = 10]. *)
 
-val final_estimate : t -> target:float -> float * [ `Direct | `Gaussian_fit ]
+val final_estimate : t -> float * [ `Direct | `Gaussian_fit ]
 (** Best available estimate when the run ends (converged or not):
-    the direct fraction if it is positive and resolvable, otherwise the
-    Gaussian fit. *)
+    the direct fraction if it is positive, otherwise (no overflow
+    measured, or no batch yet) the Gaussian fit. *)

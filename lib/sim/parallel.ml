@@ -72,21 +72,12 @@ type 'a cell = {
   outcome : task_outcome;
 }
 
-let default_chunk ~width n =
-  if width <= 1 then 1 else max 1 (min 32 (n / (width * 8)))
-
-let run_tasks ?jobs ?chunk ?(count_tasks = true) tasks =
+let run_tasks ?jobs ?(count_tasks = true) tasks =
   let tasks = Array.of_list tasks in
   let n = Array.length tasks in
   if n = 0 then []
   else begin
     let width = effective_jobs ?jobs n in
-    let chunk =
-      match chunk with
-      | Some c when c < 1 -> invalid_arg "Parallel.run_tasks: chunk < 1"
-      | Some c -> c
-      | None -> default_chunk ~width n
-    in
     (* Lowest index of any task that has raised so far (max_int while
        the sweep is healthy).  A task is skipped only when its index is
        beyond the earliest known failure, so the submission-order-first
@@ -137,19 +128,13 @@ let run_tasks ?jobs ?chunk ?(count_tasks = true) tasks =
         let acc = ref [] in
         let continue = ref true in
         while !continue do
-          let lo = Atomic.fetch_and_add next chunk in
+          let i = Atomic.fetch_and_add next 1 in
           (* [first_failed] only decreases and claims only increase, so
-             once a whole chunk lies past the earliest failure every
-             later chunk does too — stop claiming. *)
-          if lo >= n || lo > Atomic.get first_failed then continue := false
-          else begin
-            let hi = min n (lo + chunk) in
-            let i = ref lo in
-            while !i < hi do
-              if !i < Atomic.get first_failed then acc := exec !i :: !acc;
-              incr i
-            done
-          end
+             once a claim lies past the earliest failure every later
+             claim does too — stop claiming.  (A claim never equals it:
+             that index was claimed by the task that failed.) *)
+          if i >= n || i > Atomic.get first_failed then continue := false
+          else acc := exec i :: !acc
         done;
         buffers.(wid) <- !acc
       in
@@ -206,5 +191,4 @@ let run_tasks ?jobs ?chunk ?(count_tasks = true) tasks =
          results)
   end
 
-let map ?jobs ?chunk f xs =
-  run_tasks ?jobs ?chunk (List.map (fun x () -> f x) xs)
+let map ?jobs f xs = run_tasks ?jobs (List.map (fun x () -> f x) xs)

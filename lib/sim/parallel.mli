@@ -13,10 +13,10 @@
     mutable state, the result list is bit-identical for every [jobs]
     value: [~jobs:1] runs the tasks serially in the calling domain and
     defines the reference output, and any [jobs > 1] schedule reproduces
-    it exactly.  The same holds for every [chunk] value: tasks are
-    claimed in fixed-size index ranges, but results are merged by task
-    index, never by completion order.  Output formatting must happen
-    after the pool returns, in the calling domain.
+    it exactly: workers claim tasks one at a time in index order, and
+    results are merged by task index, never by completion order.
+    Output formatting must happen after the pool returns, in the
+    calling domain.
 
     {2 Pool sizing}
 
@@ -64,8 +64,7 @@ val effective_jobs : ?jobs:int -> int -> int
     @raise Invalid_argument if [jobs < 1]. *)
 
 val run_tasks :
-  ?jobs:int -> ?chunk:int -> ?count_tasks:bool -> (unit -> 'a) list ->
-  'a list
+  ?jobs:int -> ?count_tasks:bool -> (unit -> 'a) list -> 'a list
 (** [run_tasks ~jobs tasks] executes every task on a pool of
     {!effective_jobs} domains and returns the results in submission
     order.
@@ -77,12 +76,6 @@ val run_tasks :
     one task per runner — so metric snapshots stay byte-identical for
     every [jobs] value there too.
 
-    [chunk] is the number of consecutive tasks a worker claims per
-    queue round-trip (default: auto, roughly [n / (8 * width)] capped
-    at 32 — about eight claims per worker, so fine-grained sweeps don't
-    serialize on the queue cursor while load stays balanced).  Results
-    are independent of [chunk].
-
     If any task raises, tasks that have not started by the time of the
     failure are skipped (contributing no telemetry), and once the pool
     drains the {e first failure in submission order} is re-raised with
@@ -90,8 +83,8 @@ val run_tasks :
     a task is only skipped when an earlier-submitted task has already
     failed.  Telemetry from every executed task — including failed
     ones — is merged before the re-raise.
-    @raise Invalid_argument if [jobs < 1] or [chunk < 1]. *)
+    @raise Invalid_argument if [jobs < 1]. *)
 
-val map : ?jobs:int -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
+val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] is [run_tasks ~jobs (List.map (fun x () -> f x) xs)]:
     the parallel [List.map] for independent simulation cells. *)

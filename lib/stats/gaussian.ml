@@ -78,10 +78,6 @@ let rec q_inv p =
     refine (refine x0)
   end
 
-let cdf_mean_sigma ~mu ~sigma x =
-  if sigma <= 0.0 then invalid_arg "Gaussian.cdf_mean_sigma: requires sigma > 0";
-  cdf ((x -. mu) /. sigma)
-
 let overflow_probability ~capacity ~mean ~std =
   if std < 0.0 then invalid_arg "Gaussian.overflow_probability: std < 0"
   else if std = 0.0 then if mean > capacity then 1.0 else 0.0

@@ -25,9 +25,6 @@ val q_tail_approx : float -> float
 (** [q_tail_approx x = phi x /. x], the classical tail approximation
     Q(x) ~ phi(x)/x used repeatedly in the paper's closed forms. *)
 
-val cdf_mean_sigma : mu:float -> sigma:float -> float -> float
-(** [cdf_mean_sigma ~mu ~sigma x] is Pr(N(mu, sigma^2) <= x). *)
-
 val overflow_probability : capacity:float -> mean:float -> std:float -> float
 (** [overflow_probability ~capacity ~mean ~std] is
     Pr(N(mean, std^2) > capacity) = Q((capacity - mean)/std) — the

@@ -134,30 +134,3 @@ let[@inline] drop_min t =
     Array.unsafe_set t.payloads 0 (Array.unsafe_get t.payloads last);
     sift_down t
   end
-
-let peek_time t = if t.size = 0 then None else Some (Float.Array.get t.times 0)
-
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let time = Float.Array.unsafe_get t.times 0 in
-    let payload = Array.unsafe_get t.payloads 0 in
-    drop_min t;
-    Some (time, payload)
-  end
-
-(* No [ref] flag: the loop state lives in registers, so a singleton
-   batch — the overwhelmingly common case under continuous clocks —
-   costs zero allocation on top of the pop itself. *)
-let drain_min t ~f =
-  if t.size > 0 then begin
-    let t0 = min_time t in
-    f (min_payload t);
-    drop_min t;
-    while t.size > 0 && min_time t = t0 do
-      f (min_payload t);
-      drop_min t
-    done
-  end
-
-let clear t = t.size <- 0

@@ -1,10 +1,11 @@
-(** Binary min-heap keyed by event time — the simulator's event queue.
+(** Binary min-heap keyed by event time — the reference event queue
+    the calendar queue is held against.
     Ties are broken by insertion order (FIFO), which keeps runs
     deterministic.
 
     The heap is a structure-of-arrays over unboxed floats and immediate
-    ints, so [push], [min_time]/[min_payload]/[drop_min], and [pop]
-    never allocate (beyond amortized capacity doubling).  Payloads are
+    ints, so [push] and [min_time]/[min_payload]/[drop_min] never
+    allocate (beyond amortized capacity doubling).  Payloads are
     native ints; callers needing richer events pack them into an int
     (tag in the low bits, identifier above — see [Continuous_load]). *)
 
@@ -32,18 +33,3 @@ val min_payload : t -> int
 val drop_min : t -> unit
 (** Remove the earliest event (the one [min_time]/[min_payload] read).
     @raise Invalid_argument on an empty heap. *)
-
-val peek_time : t -> float option
-
-val pop : t -> (float * int) option
-(** Remove and return the earliest event.  Convenience wrapper over
-    [min_time]/[min_payload]/[drop_min]; allocates the result pair. *)
-
-val drain_min : t -> f:(int -> unit) -> unit
-(** Pop every event sharing the current minimum timestamp, in FIFO
-    order, calling [f payload] for each.  Events that [f] itself pushes
-    at that exact timestamp are drained too (they carry later sequence
-    numbers, so they come last).  No-op on an empty heap. *)
-
-val clear : t -> unit
-(** Drop every pending event. *)

@@ -9,7 +9,8 @@
    rebuilt to avoid.  The simulator names [Calendar_queue] directly;
    this module exists for differential testing. *)
 
-module type S = sig
+(* The operations both queues implement. *)
+module type Ops = sig
   type t
 
   val create : unit -> t
@@ -31,16 +32,33 @@ module type S = sig
 
   val drop_min : t -> unit
   (** @raise Invalid_argument when empty. *)
-
-  val peek_time : t -> float option
-  val pop : t -> (float * int) option
-
-  val drain_min : t -> f:(int -> unit) -> unit
-  (** Pop every event sharing the current minimum timestamp in FIFO
-      order. *)
-
-  val clear : t -> unit
 end
 
-module Heap : S = Event_heap
-module Calendar : S = Mbac_sim.Calendar_queue
+module type S = sig
+  include Ops
+
+  val peek_time : t -> float option
+  (** [None] when empty. *)
+
+  val pop : t -> (float * int) option
+  (** Remove and return the earliest event; [None] when empty. *)
+end
+
+(* [peek_time] and [pop], spelled once over the primitives for both
+   queues. *)
+module With_pop (Q : Ops) : S with type t = Q.t = struct
+  include Q
+
+  let peek_time q = if is_empty q then None else Some (min_time q)
+
+  let pop q =
+    if is_empty q then None
+    else begin
+      let time = min_time q and payload = min_payload q in
+      drop_min q;
+      Some (time, payload)
+    end
+end
+
+module Heap = With_pop (Event_heap)
+module Calendar = With_pop (Mbac_sim.Calendar_queue)

@@ -58,17 +58,6 @@ module Make (Q : Event_queue.S) = struct
     Alcotest.(check int) "min_payload" 0 (Q.min_payload h);
     Alcotest.(check int) "size" 2 (Q.size h)
 
-  let test_clear () =
-    let h = Q.create () in
-    Q.push h ~time:1.0 0;
-    Q.clear h;
-    Alcotest.(check bool) "cleared" true (Q.is_empty h);
-    (* the structure must stay usable, with FIFO intact, after clear *)
-    Q.push h ~time:3.0 7;
-    Q.push h ~time:3.0 8;
-    Alcotest.(check bool) "pop after clear" true (Q.pop h = Some (3.0, 7));
-    Alcotest.(check bool) "fifo after clear" true (Q.pop h = Some (3.0, 8))
-
   let test_accessors_match_pop () =
     (* min_time/min_payload/drop_min are the zero-allocation spelling of
        pop; they must expose the same element. *)
@@ -87,31 +76,6 @@ module Make (Q : Event_queue.S) = struct
       "drain via accessors"
       [ (1.0, 101); (1.0, 103); (2.0, 102); (3.0, 100) ]
       (drain [])
-
-  let test_drain_min () =
-    let h = Q.create () in
-    List.iteri (fun i t -> Q.push h ~time:t i) [ 2.0; 1.0; 2.0; 1.0; 3.0 ];
-    let batch = ref [] in
-    Q.drain_min h ~f:(fun p -> batch := p :: !batch);
-    Alcotest.(check (list int)) "first batch, FIFO" [ 1; 3 ] (List.rev !batch);
-    Alcotest.(check int) "rest pending" 3 (Q.size h);
-    batch := [];
-    Q.drain_min h ~f:(fun p -> batch := p :: !batch);
-    Alcotest.(check (list int)) "second batch" [ 0; 2 ] (List.rev !batch);
-    (* pushes at the draining timestamp are swept into the same batch *)
-    Q.clear h;
-    Q.push h ~time:5.0 0;
-    Q.push h ~time:6.0 99;
-    batch := [];
-    Q.drain_min h ~f:(fun p ->
-        if p = 0 then Q.push h ~time:5.0 1;
-        batch := p :: !batch);
-    Alcotest.(check (list int)) "same-time respawn drained" [ 0; 1 ]
-      (List.rev !batch);
-    Alcotest.(check (option (float 0.0))) "later event untouched" (Some 6.0)
-      (Q.peek_time h);
-    Q.clear h;
-    Q.drain_min h ~f:(fun _ -> Alcotest.fail "drain_min on empty called f")
 
   let test_copy_independent () =
     let h = Q.create () in
@@ -171,21 +135,26 @@ module Make (Q : Event_queue.S) = struct
           m := tl;
           Some (t, p)
 
-    let clear (m, _) = m := []
     let size (m, _) = List.length !m
   end
 
   let test_differential =
-    (* Random interleaving of push/pop/clear against the sorted-list
-       model, with heavily duplicated timestamps so FIFO tie-breaking is
-       exercised on every run. *)
-    qcheck ~count:300 "random ops match sorted-list model (incl. FIFO, clear)"
+    (* Random interleaving of push/pop/full drains against the
+       sorted-list model, with heavily duplicated timestamps so FIFO
+       tie-breaking is exercised on every run. *)
+    qcheck ~count:300 "random ops match sorted-list model (incl. FIFO, full drains)"
       QCheck.(
         list_of_size Gen.(int_range 0 400) (pair (int_range 0 20) (int_range 0 7)))
       (fun ops ->
         let h = Q.create () in
         let m = Model.create () in
         let ok = ref true in
+        let rec drain () =
+          let got = Q.pop h in
+          let want = Model.pop m in
+          if got <> want then ok := false;
+          if got <> None && want <> None then drain ()
+        in
         List.iteri
           (fun i (k, op) ->
             match op with
@@ -200,19 +169,9 @@ module Make (Q : Event_queue.S) = struct
                 if got <> want then ok := false
             | 6 -> if Q.size h <> Model.size m then ok := false
             | _ ->
-                if k = 0 then begin
-                  (* rare full reset *)
-                  Q.clear h;
-                  Model.clear m
-                end)
+                (* rare full drain; the queue is then reused *)
+                if k = 0 then drain ())
           ops;
-        (* drain both completely *)
-        let rec drain () =
-          let got = Q.pop h in
-          let want = Model.pop m in
-          if got <> want then ok := false;
-          if got <> None && want <> None then drain ()
-        in
         drain ();
         !ok && Q.is_empty h)
 
@@ -270,9 +229,7 @@ module Make (Q : Event_queue.S) = struct
           test "FIFO tie-breaking" test_fifo_ties;
           test "empty queue" test_empty;
           test "peek and size" test_peek;
-          test "clear" test_clear;
           test "zero-alloc accessors match pop" test_accessors_match_pop;
-          test "drain_min batches by timestamp" test_drain_min;
           test "copy is independent and FIFO-preserving" test_copy_independent;
           test_heap_property;
           test_differential;
@@ -308,12 +265,7 @@ let run_both_compare ops =
           let t = if far then (t +. 1.0) *. 1e7 else t in
           H.push h ~time:t i;
           C.push c ~time:t i
-      | 5 | 6 -> check_opt (C.pop c) (H.pop h)
-      | 7 ->
-          let a = ref [] and b = ref [] in
-          H.drain_min h ~f:(fun p -> a := p :: !a);
-          C.drain_min c ~f:(fun p -> b := p :: !b);
-          if !a <> !b then ok := false
+      | 5 | 6 | 7 -> check_opt (C.pop c) (H.pop h)
       | 8 ->
           check_opt (C.peek_time c) (H.peek_time h);
           if C.size c <> H.size h then ok := false

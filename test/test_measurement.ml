@@ -78,7 +78,7 @@ let test_final_estimate_prefers_direct () =
   let m = Measurement.create ~capacity:10.0 ~warmup:0.0 ~batch_length:1.0 () in
   Measurement.record m ~t0:0.0 ~t1:5.0 ~load:11.0;
   Measurement.record m ~t0:5.0 ~t1:10.0 ~load:9.0;
-  let est, kind = Measurement.final_estimate m ~target:1e-3 in
+  let est, kind = Measurement.final_estimate m in
   check_close ~tol:1e-9 "direct value" 0.5 est;
   Alcotest.(check bool) "direct kind" true (kind = `Direct)
 
@@ -89,7 +89,7 @@ let test_final_estimate_fit_when_no_hits () =
     Measurement.record m ~t0:t ~t1:(t +. 1.0)
       ~load:(50.0 +. (10.0 *. sin (t /. 3.0)))
   done;
-  let est, kind = Measurement.final_estimate m ~target:1e-3 in
+  let est, kind = Measurement.final_estimate m in
   Alcotest.(check bool) "fit kind" true (kind = `Gaussian_fit);
   Alcotest.(check bool) "plausible fit" true (est > 0.0 && est < 1e-3)
 

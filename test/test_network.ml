@@ -197,9 +197,9 @@ let test_exchange_delivery =
             done;
             let popped =
               List.init n (fun _ ->
-                  match Mbac_sim.Calendar_queue.pop wheel with
-                  | Some (_, seq) -> seq
-                  | None -> -1)
+                  let seq = Mbac_sim.Calendar_queue.min_payload wheel in
+                  Mbac_sim.Calendar_queue.drop_min wheel;
+                  seq)
             in
             fields_ok
             && popped = List.map (fun (i, _, _, _, _) -> i) by_time)
@@ -210,8 +210,7 @@ let test_exchange_delivery =
       (* every outbox was emptied: the second round delivers only its own
          messages *)
       let r2 = send ~first:(List.length round1) round2 in
-      ok1 && check_round r2
-      && Ex.delivered_total ex = List.length round1 + List.length round2)
+      ok1 && check_round r2)
 
 (* ---------- network runs ---------- *)
 

@@ -129,15 +129,12 @@ let test_cancellation_serial () =
     (Atomic.get started)
 
 (* The re-raised exception is the submission-order-first failure at
-   every pool width and chunk size, even though later tasks may fail
-   first on the wall clock and unclaimed tasks are skipped. *)
+   every pool width, even though later tasks may fail first on the wall
+   clock and unclaimed tasks are skipped. *)
 let test_first_failure_deterministic =
   qcheck ~count:60 "first submission-order failure re-raised at any width"
-    QCheck.(
-      triple (int_range 1 40)
-        (pair (int_range 1 8) (int_range 1 8))
-        (int_range 0 1000))
-    (fun (n, (jobs, chunk), salt) ->
+    QCheck.(triple (int_range 1 40) (int_range 1 8) (int_range 0 1000))
+    (fun (n, jobs, salt) ->
       (* every task whose hash bit is set fails; expected = lowest such *)
       let fails i = (Hashtbl.hash (salt, i) land 3) = 0 in
       let expected =
@@ -145,7 +142,7 @@ let test_first_failure_deterministic =
       in
       let run () =
         ignore
-          (Parallel.map ~jobs ~chunk
+          (Parallel.map ~jobs
              (fun i -> if fails i then failwith (string_of_int i) else i)
              (List.init n Fun.id))
       in
@@ -183,12 +180,11 @@ let test_partial_telemetry_on_failure () =
     (counter_value "parallel_tasks_skipped_total");
   Mbac_telemetry.Shard.reset_current ()
 
-(* Results (and, on success, merged telemetry) are invariant in both the
-   pool width and the chunk size. *)
-let test_chunk_invariance =
-  qcheck ~count:40 "chunked submission is jobs- and chunk-invariant"
-    QCheck.(pair (int_range 0 50) (pair (int_range 1 6) (int_range 1 9)))
-    (fun (n, (jobs, chunk)) ->
+(* Results are invariant in the pool width, for any task count. *)
+let test_width_invariance =
+  qcheck ~count:40 "chunked submission is jobs-invariant (one task per claim)"
+    QCheck.(pair (int_range 0 50) (int_range 1 6))
+    (fun (n, jobs) ->
       let cells = List.init n Fun.id in
       let f i =
         let rng =
@@ -197,7 +193,7 @@ let test_chunk_invariance =
         Mbac_stats.Rng.bits64 rng
       in
       let reference = List.map f cells in
-      reference = Parallel.map ~jobs ~chunk f cells)
+      reference = Parallel.map ~jobs f cells)
 
 let suite =
   [ ( "parallel",
@@ -211,4 +207,4 @@ let suite =
         test "serial cancellation" test_cancellation_serial;
         test_first_failure_deterministic;
         test "partial telemetry on failure" test_partial_telemetry_on_failure;
-        test_chunk_invariance ] ) ]
+        test_width_invariance ] ) ]

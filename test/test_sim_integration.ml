@@ -143,11 +143,58 @@ let test_random_controller_fuzz =
       && r.p_f >= 0.0 && r.p_f <= 1.0
       && r.sim_time >= 0.0)
 
+(* OU flows change rate on a grid of period [dt] from their admission,
+   so flows admitted in one instant change rate in one instant.  [run]
+   finishes every event of a timestamp before it checks its caps: the
+   reference steps one event at a time and, when an event moves the
+   clock, checks [max_events] against the count the previous timestamp
+   ended with. *)
+let test_ties_finish_before_checks () =
+  let module CL = Mbac_sim.Continuous_load in
+  let ou = { Mbac_traffic.Ou_source.mu = 1.0; sigma = 0.3; t_c = 1.0; dt = 0.1 } in
+  let make_source rng ~start = Mbac_traffic.Ou_source.create rng ou ~start in
+  let controller () = Mbac.Controller.memoryless ~capacity:50.0 ~p_ce:1e-2 in
+  let cfg max_events =
+    { (cfg ~max_events ()) with CL.check_every_events = max_int }
+  in
+  let reference max_events =
+    let sim =
+      CL.start (Mbac_stats.Rng.create ~seed:3) (cfg max_events)
+        ~controller:(controller ()) ~make_source
+    in
+    let rec go () =
+      let ev = CL.events_processed sim and t = CL.now sim in
+      let n = CL.flows sim in
+      CL.step sim;
+      if CL.now sim <> t && ev >= max_events then (ev, t, n) else go ()
+    in
+    go ()
+  in
+  let past_cap =
+    List.filter
+      (fun max_events ->
+        let r =
+          CL.run (Mbac_stats.Rng.create ~seed:3) (cfg max_events)
+            ~controller:(controller ()) ~make_source
+        in
+        let events, t, flows = reference max_events in
+        let label = Printf.sprintf "max_events %d: %s" max_events in
+        Alcotest.(check int) (label "events") events r.CL.events;
+        Alcotest.(check int64) (label "sim_time bits")
+          (Int64.bits_of_float t) (Int64.bits_of_float r.sim_time);
+        Alcotest.(check int) (label "flows") flows (r.admitted - r.departed);
+        r.events > max_events)
+      [ 1_000; 2_500; 10_000; 40_000 ]
+  in
+  Alcotest.(check bool) "a tie carries some run past max_events" true
+    (past_cap <> [])
+
 let suite =
   [ ( "sim_integration",
       [ slow_test "conservation laws" test_conservation;
         test "determinism" test_determinism;
         test "seed sensitivity" test_seed_sensitivity;
+        test "ties finish before the stop checks" test_ties_finish_before_checks;
         slow_test "perfect controller meets target" test_perfect_meets_target;
         slow_test "memoryless violates target" test_memoryless_violates_target;
         slow_test "memory restores target" test_memory_restores_target;
